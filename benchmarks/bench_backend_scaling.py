@@ -1,4 +1,4 @@
-"""BACKEND — numeric-backend scaling and the shared-memory transport.
+"""BACKEND — numeric-backend scaling and spatial pruning.
 
 Two claims from the pluggable-backend layer (``repro.backend``):
 
@@ -9,22 +9,18 @@ Two claims from the pluggable-backend layer (``repro.backend``):
   blocked-sparse row).  Where several backends run at the same ``n``
   their colorings must be bit-identical — the backend contract at
   benchmark scale.
-* **Transport** — publishing warm stage artifacts over
-  ``multiprocessing.shared_memory`` serves them to cold stores at
-  >= 2x the disk tier's throughput (zero-copy ndarray views vs file
-  unpickling), while process-pool sweep results stay identical to the
-  inline run across every transport.
+* **Pruning** — grid-bucket pruning of conflict-graph assembly builds
+  byte-identical edges while evaluating >= 5x fewer kernel tiles on
+  localised topologies at n = 20 000.
 
 Writes the machine-readable record ``BENCH_backend_scaling.json``.
 Set ``BENCH_SMOKE=1`` for the small CI grid (which keeps the
 blocked-sparse n=5000 row so CI still proves a never-dense schedule).
 
-Caveats recorded rather than hidden: ``rss_mb_high_water`` is the
+Caveat recorded rather than hidden: ``rss_mb_high_water`` is the
 process-wide ``ru_maxrss`` high-water (monotonic across rows — rows
 run smallest-to-largest, so each row's value bounds that row's own
-footprint from above), and on single-core hosts the end-to-end pool
-legs are dominated by per-job dispatch, so the honest >= 2x transport
-assertion lives on the serve-throughput section, not the sweep legs.
+footprint from above).
 """
 
 import json
@@ -34,34 +30,26 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.api.config import PipelineConfig
-from repro.api.pipeline import Pipeline
 from repro.coloring.greedy import greedy_coloring
 from repro.conflict.functions import PowerLawThreshold
 from repro.conflict.graph import ConflictGraph, oblivious_graph
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
-from repro.jobs import JobService, ShmArtifactPool, ShmArtifactReader
-from repro.jobs.shm import shared_memory_available
 from repro.links import LinkSet
-from repro.store import StageStore, reset_default_store
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 OUT = Path(os.environ.get("BENCH_OUT_DIR", ".")) / "BENCH_backend_scaling.json"
-BASELINE = Path("BENCH_stage_store.json")
 
-# (n, backends) rows, smallest first.  Dense-family backends stop at
-# 20k (the dense bool adjacency alone is n^2 bytes); only blocked-sparse
-# attempts 100k.  numba-jit rides the dense code path when numba is
-# absent, so measuring it past 5k would just repeat the dense row.
+# (n, backends) rows, smallest first.  dense-numpy stops at 20k (the
+# dense bool adjacency alone is n^2 bytes); only blocked-sparse
+# attempts 100k.
 SCALING_ROWS = (
-    [(300, ("dense-numpy", "blocked-sparse", "numba-jit")),
-     (800, ("dense-numpy", "blocked-sparse", "numba-jit")),
+    [(300, ("dense-numpy", "blocked-sparse")),
+     (800, ("dense-numpy", "blocked-sparse")),
      (5_000, ("blocked-sparse",))]
     if SMOKE
-    else [(1_000, ("dense-numpy", "blocked-sparse", "numba-jit")),
-          (5_000, ("dense-numpy", "blocked-sparse", "numba-jit")),
+    else [(1_000, ("dense-numpy", "blocked-sparse")),
+          (5_000, ("dense-numpy", "blocked-sparse")),
           (20_000, ("dense-numpy", "blocked-sparse")),
           (100_000, ("blocked-sparse",))]
 )
@@ -77,17 +65,8 @@ PRUNE_ROWS = (
 )
 PRUNE_HEADLINE_RATIO = 5.0
 
-SERVE_COUNT, SERVE_N = (16, 4_000) if SMOKE else (32, 20_000)
-SWEEP_N = 50 if SMOKE else 150
-SWEEP_ALPHAS = (3.0,) if SMOKE else (2.5, 3.0, 4.0)
-
 #: Sections accumulate here; the last test writes the combined record.
 RECORD = {"bench": "backend_scaling", "smoke": SMOKE}
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unusable on this platform",
-)
 
 
 def _random_links(n: int, rng: int = 0, spacing: float = 4.0) -> LinkSet:
@@ -150,8 +129,6 @@ def _schedule_row(n: int, backend: str):
         "edges": int(graph.edge_count),
         "slots": int(colors.max()) + 1,
     }
-    if backend == "numba-jit":
-        row["jit_active"] = bool(kernel.backend.jit_active)
     return row, colors
 
 
@@ -258,143 +235,6 @@ def test_spatial_pruning(emit):
             f"({row['speedup']:.1f}x faster)"
         )
     RECORD["prune"] = rows
-    # Write eagerly: the transport sections (which also write the
-    # combined record) are skipped on hosts without shared memory.
     OUT.write_text(json.dumps(RECORD, indent=2, sort_keys=True) + "\n")
     emit(f"SPATIAL pruning (smoke={SMOKE})", lines)
 
-
-@needs_shm
-def test_transport_serve_throughput(emit):
-    """Shared-memory artifact serving >= 2x the disk tier (zero-copy)."""
-    gen = np.random.default_rng(0)
-    payloads = {
-        f"k{i}": gen.uniform(size=(SERVE_N, 2)) for i in range(SERVE_COUNT)
-    }
-    total_mb = sum(p.nbytes for p in payloads.values()) / 1e6
-    identity = lambda x: x  # noqa: E731 - raw ndarray codec
-    decode = lambda x: np.asarray(x, dtype=float)  # noqa: E731
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        seeded = StageStore(disk=tmp)
-        pool = ShmArtifactPool()
-        for key, value in payloads.items():
-            seeded.get_or_build(
-                "deploy", key, lambda value=value: value,
-                encode=identity, decode=decode,
-            )
-            pool.publish("deploy", key, value)
-
-        def serve(store):
-            start = time.perf_counter()
-            for key in payloads:
-                out = store.get_or_build(
-                    "deploy", key, lambda: None, encode=identity, decode=decode
-                )
-                assert out is not None
-            return time.perf_counter() - start
-
-        disk_s, shm_s = [], []
-        for _ in range(3):
-            disk_s.append(serve(StageStore(disk=tmp)))
-            cold = StageStore()
-            cold.attach_shm(ShmArtifactReader(pool.manifest()))
-            shm_s.append(serve(cold))
-            counters = cold.stats.snapshot()["deploy"]
-            assert counters["shm_hits"] == SERVE_COUNT
-            assert counters["builds"] == 0
-        pool.close()
-
-    disk_mb_s = total_mb / min(disk_s)
-    shm_mb_s = total_mb / min(shm_s)
-    ratio = shm_mb_s / disk_mb_s
-    assert ratio >= 2.0, (shm_mb_s, disk_mb_s)
-
-    RECORD["transport_serve"] = {
-        "artifacts": SERVE_COUNT,
-        "deployment_n": SERVE_N,
-        "payload_mb": round(total_mb, 2),
-        "disk_mb_per_s": round(disk_mb_s, 1),
-        "shm_mb_per_s": round(shm_mb_s, 1),
-        "shm_over_disk": round(ratio, 1),
-    }
-    emit(
-        f"TRANSPORT serve ({SERVE_COUNT} deployments, {total_mb:.1f} MB)",
-        [
-            f"disk tier: {disk_mb_s:.0f} MB/s",
-            f"shm tier:  {shm_mb_s:.0f} MB/s ({ratio:.1f}x, asserted >= 2x)",
-        ],
-    )
-
-
-@needs_shm
-def test_transport_sweep_parity(emit):
-    """End-to-end pool legs: identical results on every transport."""
-    grid = [
-        PipelineConfig(topology=topo, n=SWEEP_N, power=mode, alpha=alpha, seed=0)
-        for topo in ("square", "grid", "exponential")
-        for mode in ("global", "uniform")
-        for alpha in SWEEP_ALPHAS
-    ]
-    cells = len(grid)
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        warm = StageStore(disk=tmp)
-        for config in grid:
-            Pipeline(config, store=warm).run()
-
-        start = time.perf_counter()
-        inline = [Pipeline(c, store=warm).run().num_slots for c in grid]
-        inline_s = time.perf_counter() - start
-
-        legs = {"inline": (inline_s, inline)}
-        for transport in ("shm", "disk"):
-            reset_default_store()  # pool workers fork with a cold store
-            kwargs = dict(workers=2, transport=transport, store=warm)
-            if transport == "disk":
-                kwargs["cache_dir"] = tmp
-            with JobService(**kwargs) as service:
-                # Warm the pool itself (worker spawn + first dispatch).
-                [h.result() for h in service.submit_many(grid[:2])]
-                if transport == "shm":
-                    assert service._shm_pool is not None
-                    assert len(service._shm_pool) > 0
-                start = time.perf_counter()
-                slots = [h.result().num_slots for h in service.submit_many(grid)]
-                legs[transport] = (time.perf_counter() - start, slots)
-            reset_default_store()
-
-    for transport, (_, slots) in legs.items():
-        assert slots == inline, transport
-
-    sweep = {
-        name: {
-            "wall_time_s": round(seconds, 4),
-            "cells_per_s": round(cells / seconds, 1),
-        }
-        for name, (seconds, _) in legs.items()
-    }
-    baseline = None
-    if BASELINE.exists():
-        committed = json.loads(BASELINE.read_text())
-        baseline = committed.get("warm", {}).get("cells_per_s")
-    RECORD["transport_sweep"] = {
-        "cells": cells,
-        "n": SWEEP_N,
-        "legs": sweep,
-        "stage_store_warm_baseline_cells_per_s": baseline,
-    }
-    OUT.write_text(json.dumps(RECORD, indent=2, sort_keys=True) + "\n")
-
-    emit(
-        f"TRANSPORT sweep ({cells} warm cells, n={SWEEP_N})",
-        [
-            f"{name}: {data['wall_time_s']:.3f}s ({data['cells_per_s']} cells/s)"
-            for name, data in sweep.items()
-        ]
-        + [f"wrote {OUT}"],
-    )

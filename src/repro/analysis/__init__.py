@@ -3,8 +3,8 @@
 The eighth component registry: :data:`~repro.analysis.core.lint_rules`
 maps rule ids (``RNG-001``, ``STORE-001``, ...) to AST checks encoding
 the contracts earlier PRs introduced — seed determinism, store-stage
-purity, the numeric-backend bit-identity boundary, coordinator-owned
-shared memory, the ReproError hierarchy, documented registrations.
+purity, the numeric-backend bit-identity boundary, the ReproError
+hierarchy, documented registrations, the raw-socket boundary.
 DESIGN.md's "Invariant catalog" maps every rule to the PR whose
 contract it guards.
 

@@ -4,7 +4,7 @@ The repo's correctness rests on cross-cutting *contracts* that no unit
 test checks statically: seed determinism flows through
 :func:`repro.util.rng.as_generator`, store-mediated stages are pure
 functions of their cache key, the numeric-backend bit-identity boundary
-stays closed, shared-memory segments are coordinator-owned.  This
+stays closed, raw sockets stay behind the cluster transport.  This
 module provides the machinery to encode such contracts as lint rules:
 
 * :class:`Finding` — one violation: ``path:line:col``, rule id,

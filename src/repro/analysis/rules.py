@@ -10,8 +10,6 @@ deliberate exception.
 RNG-001               seed determinism: no global-state RNG calls
 STORE-001             store stages are pure functions of their cache key
 BACKEND-001           dense-kernel math stays behind the backend boundary
-SHM-001               shared-memory segments have coordinator-owned
-                      lifecycles
 ERR-001               raises derive from ReproError; unknown-name errors
                       list valid choices
 REG-001               registered components are documented
@@ -188,113 +186,6 @@ def _backend_001(ctx: ModuleContext) -> Iterator[tuple]:
                 yield node, f"dense-kernel call {name} outside the backend boundary"
         elif isinstance(node, ast.Attribute) and node.attr == "_dense":
             yield node, "private dense-kernel buffer access (._dense)"
-
-
-# ----------------------------------------------------------------------
-# SHM-001 — coordinator-owned shared memory
-# ----------------------------------------------------------------------
-_SHM_CONSTRUCTORS = ("SharedMemory", "ShmArtifactPool")
-
-
-def _shm_creations(ctx: ModuleContext, func: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = ctx.dotted_name(node.func)
-            if name and name.split(".")[-1] in _SHM_CONSTRUCTORS:
-                yield node
-
-def _name_escapes(func: ast.AST, name: str) -> bool:
-    """Whether ``name`` leaves the function: returned, yielded, stored on
-    an attribute/subscript, or handed to a container mutator — i.e. its
-    lifecycle was transferred to a coordinator object."""
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Return, ast.Yield)) and node.value is not None:
-            if isinstance(node.value, ast.Name) and node.value.id == name:
-                return True
-        elif isinstance(node, ast.Assign):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == name
-                and any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                )
-            ):
-                return True
-        elif isinstance(node, ast.Call):
-            method = node.func.attr if isinstance(node.func, ast.Attribute) else ""
-            if method in {"append", "add", "extend", "insert", "setdefault"} and any(
-                isinstance(arg, ast.Name) and arg.id == name for arg in node.args
-            ):
-                return True
-    return False
-
-
-def _name_released(func: ast.AST, name: str) -> bool:
-    """Whether ``name.close()`` or ``name.unlink()`` is called anywhere
-    in the function body."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in {"close", "unlink"}
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == name
-        ):
-            return True
-    return False
-
-
-@register_lint_rule(
-    "SHM-001",
-    title="shared memory is coordinator-owned",
-    description=(
-        "Every SharedMemory / ShmArtifactPool created in a function must "
-        "either be used as a context manager, be closed/unlinked in that "
-        "same function, or escape to a coordinator (returned, or stored on "
-        "an attribute/container whose owner closes it) — leaked segments "
-        "outlive the process and exhaust /dev/shm."
-    ),
-    contract="PR 7 zero-copy shm transport (unlink-on-close lifecycle)",
-    fix_hint="wrap the segment in try/finally or hand it to its coordinator",
-)
-def _shm_001(ctx: ModuleContext) -> Iterator[tuple]:
-    """Flag shm creations with no release path in the same function."""
-    for func in ctx.functions():
-        with_items: Set[int] = set()
-        assigned: Dict[int, str] = {}
-        escaping: Set[int] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.With) or isinstance(node, ast.AsyncWith):
-                for item in node.items:
-                    with_items.add(id(item.context_expr))
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                    assigned[id(node.value)] = node.targets[0].id
-            elif isinstance(node, (ast.Return, ast.Yield)) and node.value is not None:
-                # ``return SharedMemory(...)`` transfers ownership to the
-                # caller; a creation passed straight into another call is
-                # likewise handed off.
-                escaping.add(id(node.value))
-            elif isinstance(node, ast.Call):
-                for arg in node.args:
-                    escaping.add(id(arg))
-        for call in _shm_creations(ctx, func):
-            if id(call) in with_items or id(call) in escaping:
-                continue
-            name = assigned.get(id(call))
-            if name is None:
-                yield (
-                    call,
-                    "shared-memory object created without an owner (not "
-                    "assigned, not a context manager)",
-                )
-            elif not (_name_released(func, name) or _name_escapes(func, name)):
-                yield (
-                    call,
-                    f"shared-memory object {name!r} is neither closed/unlinked "
-                    "in this function nor handed to a coordinator",
-                )
 
 
 # ----------------------------------------------------------------------

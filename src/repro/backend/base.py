@@ -15,7 +15,7 @@ The contract that makes backends swappable mid-pipeline:
 **bit-identity** — every backend MUST produce byte-identical results to
 ``dense-numpy`` for every method below.  Backends differ in *how* they
 schedule the work (never materialising dense matrices, assembling CSR
-adjacency, JIT-compiling the block loops), never in *what* they compute.
+adjacency), never in *what* they compute.
 This is why backend choice does not split store keys
 (:mod:`repro.store.keys`) and why sweep rows are comparable across
 backends.

@@ -140,9 +140,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(numeric_backends.names()),
         default="dense-numpy",
-        help="numeric backend for the SINR kernel core (all backends are "
+        help="numeric backend for the SINR kernel core (both backends are "
         "bit-identical; blocked-sparse never materialises dense n x n "
-        "matrices, numba-jit degrades to dense-numpy without numba)",
+        "matrices)",
     )
 
 
@@ -261,14 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="output JSONL path")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_sweep.add_argument(
-        "--transport",
-        choices=("auto", "shm", "disk"),
-        default="auto",
-        help="how pool workers receive warm stage artifacts: shared memory "
-        "when available (auto), required (shm), or disk tier only (disk); "
-        "only meaningful with --jobs > 1",
-    )
-    p_sweep.add_argument(
         "--no-resume",
         action="store_true",
         help="re-run every cell even if --out already records it",
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="run on the distributed backend: bind the sweep orchestrator "
         "at this address and lease cells to 'repro worker' processes "
-        "(--jobs/--transport then apply inside each worker, not here)",
+        "(--jobs then applies inside each worker, not here)",
     )
     p_sweep.add_argument(
         "--cluster-batch",
@@ -347,14 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument(
         "--cache-dir", default=None, help="on-disk stage cache directory"
     )
-    p_scenario.add_argument(
-        "--transport",
-        choices=("auto", "shm", "disk"),
-        default="auto",
-        help="stage-artifact transport of the backing job service: "
-        "shared memory when available (auto), required (shm), or the "
-        "disk tier only (disk)",
-    )
 
     p_batch = sub.add_parser(
         "batch",
@@ -388,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the reprolint invariant linter",
         description="Check source files against the repo's contract rules "
         "(seed determinism, store-stage purity, the backend bit-identity "
-        "boundary, shm lifecycles, the error hierarchy, documented "
+        "boundary, the socket boundary, the error hierarchy, documented "
         "registrations).  Exits 2 when any error-severity finding survives "
         "suppression comments (# reprolint: disable=RULE-ID).",
     )
@@ -441,12 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk stage cache; point workers at a shared mount to "
         "share the disk tier across hosts",
     )
-    p_worker.add_argument(
-        "--transport",
-        choices=("auto", "shm", "disk"),
-        default="auto",
-        help="stage-artifact transport of the worker's local job service",
-    )
 
     p_serve = sub.add_parser(
         "serve",
@@ -492,7 +470,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         out_path=args.out,
         resume=not args.no_resume,
         cache_dir=args.cache_dir,
-        transport=args.transport,
         cluster=args.cluster,
         cluster_batch=args.cluster_batch,
         lease_ttl_s=args.lease_ttl,
@@ -540,17 +517,13 @@ def _store_stats_line(stats: dict) -> str:
         disk_hits = counters.get("disk_hits", 0)
         if disk_hits:
             part += f"/{disk_hits} disk"
-        shm_hits = counters.get("shm_hits", 0)
-        if shm_hits:
-            part += f"/{shm_hits} shm"
         parts.append(part)
     return "stage cache: " + ", ".join(parts)
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
-    from repro.jobs import JobService
     from repro.scenarios.runner import ScenarioRunner
-    from repro.store.store import StageStore
+    from repro.store.store import StageStore, get_default_store
 
     params = {}
     if args.params:
@@ -575,21 +548,18 @@ def _run_scenario(args: argparse.Namespace) -> int:
         num_frames=args.frames,
         backend=args.backend,
     )
-    store = StageStore(disk=args.cache_dir) if args.cache_dir else None
-    # Route the run through an inline JobService so --transport gets the
-    # same eager validation (and future shm reuse) the sweep path has;
-    # with the default transport this is behaviourally identical to
-    # constructing the runner directly.
-    with JobService(store=store, transport=args.transport) as service:
-        runner = ScenarioRunner(
-            config,
-            args.name,
-            epochs=args.epochs,
-            params=params,
-            scenario_seed=args.scenario_seed,
-            store=service.store,
-        )
-        result = runner.run()
+    store = (
+        StageStore(disk=args.cache_dir) if args.cache_dir else get_default_store()
+    )
+    runner = ScenarioRunner(
+        config,
+        args.name,
+        epochs=args.epochs,
+        params=params,
+        scenario_seed=args.scenario_seed,
+        store=store,
+    )
+    result = runner.run()
     print(result.summary())
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -716,7 +686,6 @@ def _run_worker(args: argparse.Namespace) -> int:
         port,
         worker_id=args.worker_id,
         cache_dir=args.cache_dir,
-        jobs_transport=args.transport,
     )
     print(f"worker {worker.worker_id} joining sweep at {host}:{port}")
     completed = worker.run()

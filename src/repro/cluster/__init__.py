@@ -28,13 +28,7 @@ from repro.cluster.protocol import (
     validate_message,
 )
 from repro.cluster.serve import ServeApp, serve_forever
-from repro.cluster.transport import (
-    FrameConnection,
-    FrameServer,
-    Transport,
-    connect,
-    resolve_transport,
-)
+from repro.cluster.transport import FrameConnection, FrameServer, connect
 from repro.cluster.worker import Worker, default_worker_id
 
 __all__ = [
@@ -45,13 +39,11 @@ __all__ = [
     "Lease",
     "Orchestrator",
     "ServeApp",
-    "Transport",
     "Worker",
     "connect",
     "default_worker_id",
     "make_message",
     "parse_address",
-    "resolve_transport",
     "serve_forever",
     "validate_message",
 ]

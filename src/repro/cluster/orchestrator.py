@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import protocol
-from repro.cluster.transport import FrameConnection, resolve_transport
+from repro.cluster.transport import FrameConnection, FrameServer
 from repro.errors import ClusterError, ConfigurationError
 from repro.runner.results import CellResult
 from repro.runner.spec import CellSpec
@@ -101,9 +101,9 @@ class Orchestrator:
         workers in ``welcome`` (a third of the TTL when not told
         otherwise, so a worker that misses one beat still has two full
         heartbeats of margin before its lease expires).
-    host / port / transport:
+    host / port:
         Bind address (``port=0`` picks an ephemeral port, read back
-        from :attr:`address`) and transport name.
+        from :attr:`address`).
     """
 
     def __init__(
@@ -116,7 +116,6 @@ class Orchestrator:
         heartbeat_interval_s: Optional[float] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        transport: str = "socket",
     ) -> None:
         if lease_ttl_s <= 0:
             raise ConfigurationError(
@@ -146,9 +145,7 @@ class Orchestrator:
         self._done = threading.Event()
         if not self._cells:
             self._done.set()
-        self._server = resolve_transport(transport).serve(
-            self._serve_connection, host=host, port=port
-        )
+        self._server = FrameServer(self._serve_connection, host=host, port=port)
         self.address: Tuple[str, int] = self._server.address
 
     # ------------------------------------------------------------------

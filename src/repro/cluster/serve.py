@@ -23,6 +23,9 @@ Endpoints (all responses are JSON; ``Connection: close`` throughout):
 ``GET  /healthz``          liveness probe
 =========================  ===========================================
 
+A malformed request or an invalid spec gets ``400`` with an ``error``
+message; only an unknown job id or route gets ``404``.
+
 The HTTP layer is deliberately minimal (``asyncio.start_server`` plus
 hand-rolled request parsing): enough for ``curl`` and the test-suite,
 with zero new dependencies.  It is a front-end, not a proxy — the heavy
@@ -41,9 +44,20 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.spec import SweepSpec
 
-__all__ = ["JobRecord", "ServeApp", "run_sweep_job", "serve_forever"]
+__all__ = [
+    "JobRecord",
+    "ServeApp",
+    "UnknownJobError",
+    "run_sweep_job",
+    "serve_forever",
+]
 
 _MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+
+class UnknownJobError(ConfigurationError):
+    """No job has the requested id — the one client error that maps to
+    HTTP 404; every other :class:`~repro.errors.ReproError` is a 400."""
 
 
 def run_sweep_job(
@@ -118,7 +132,9 @@ class ServeApp:
         if not isinstance(body, dict):
             raise ConfigurationError("submit body must be a JSON object")
         payload = dict(body)
-        jobs = int(payload.pop("jobs", 1))
+        jobs = payload.pop("jobs", 1)
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigurationError(f"jobs must be a positive int, got {jobs!r}")
         cluster = payload.pop("cluster", None)
         spec = SweepSpec.from_dict(payload)
         total = sum(1 for _ in spec.cells())
@@ -142,7 +158,7 @@ class ServeApp:
             return self._jobs[job_id]
         except KeyError:
             known = ", ".join(self._jobs) or "none submitted yet"
-            raise ConfigurationError(
+            raise UnknownJobError(
                 f"unknown job {job_id!r}; available jobs: {known}"
             ) from None
 
@@ -168,12 +184,10 @@ class ServeApp:
     ) -> None:
         try:
             method, path, body = await _read_request(reader)
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, OSError):
-            writer.close()
-            return
-        try:
             await self._route(method, path, body, writer)
-        except ConfigurationError as exc:
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, OSError):
+            pass  # the client hung up; there is no one to answer
+        except UnknownJobError as exc:
             await _send_json(writer, 404, {"error": str(exc)})
         except ReproError as exc:
             await _send_json(writer, 400, {"error": str(exc)})
@@ -291,7 +305,12 @@ async def _read_request(
     for line in head[1:]:
         name, _, value = line.partition(":")
         if name.strip().lower() == "content-length":
-            length = int(value.strip())
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise ConfigurationError(
+                    f"Content-Length must be a non-negative int, got {value!r}"
+                )
+            length = int(value)
     if length > _MAX_REQUEST_BYTES:
         raise ConfigurationError("request body too large")
     body: Optional[Dict[str, Any]] = None

@@ -10,12 +10,6 @@ Framing is deliberately boring: each frame is a 4-byte big-endian
 length followed by that many bytes of UTF-8 JSON.  A frame larger than
 :data:`MAX_FRAME_BYTES` is rejected before allocation, so a corrupt
 length prefix cannot make a peer swallow gigabytes.
-
-Alternate transports (e.g. pyzmq) plug in behind the same three
-callables via :data:`TRANSPORTS` — register a ``Transport`` under a new
-name and ``resolve_transport("zmq")`` hands it to the orchestrator and
-worker unchanged.  Only the default ``"socket"`` transport ships,
-because it is the only one the container can test.
 """
 
 from __future__ import annotations
@@ -26,20 +20,17 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.protocol import validate_message
-from repro.errors import ClusterError, ConfigurationError, ProtocolError
+from repro.errors import ClusterError, ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameConnection",
     "FrameServer",
-    "Transport",
     "connect",
     "read_frame_async",
-    "resolve_transport",
     "write_frame_async",
 ]
 
@@ -275,37 +266,3 @@ async def write_frame_async(
     except OSError as exc:
         raise ClusterError(f"cluster send failed: {exc}") from None
 
-
-# ----------------------------------------------------------------------
-# Transport seam
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Transport:
-    """The three callables a cluster peer needs from a transport.
-
-    ``connect(host, port, **kw)`` dials and returns a
-    :class:`FrameConnection`-shaped object; ``serve(handler, host=...,
-    port=...)`` returns a :class:`FrameServer`-shaped object.  A zmq
-    transport registers the same shape under ``"zmq"`` without the rest
-    of the subsystem noticing.
-    """
-
-    name: str
-    connect: Callable[..., FrameConnection]
-    serve: Callable[..., FrameServer]
-
-
-TRANSPORTS: Dict[str, Transport] = {
-    "socket": Transport(name="socket", connect=connect, serve=FrameServer),
-}
-
-
-def resolve_transport(name: str = "socket") -> Transport:
-    """Look up a registered cluster transport by name."""
-    try:
-        return TRANSPORTS[name]
-    except KeyError:
-        valid = ", ".join(sorted(TRANSPORTS))
-        raise ConfigurationError(
-            f"unknown cluster transport {name!r}; valid transports: {valid}"
-        ) from None

@@ -32,7 +32,7 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.cluster import protocol
-from repro.cluster.transport import resolve_transport
+from repro.cluster.transport import connect
 from repro.errors import ClusterError
 from repro.jobs.service import JobService
 
@@ -67,13 +67,9 @@ class Worker:
     worker_id:
         Stable identity used in leases and heartbeats; defaults to
         :func:`default_worker_id`.
-    cache_dir / jobs_transport:
-        Forwarded to the worker's local :class:`JobService` — point
-        ``cache_dir`` at a shared mount to share the disk tier across
-        hosts.
-    transport:
-        Cluster transport name (see
-        :func:`repro.cluster.transport.resolve_transport`).
+    cache_dir:
+        Forwarded to the worker's local :class:`JobService` — point it
+        at a shared mount to share the disk tier across hosts.
     """
 
     def __init__(
@@ -83,8 +79,6 @@ class Worker:
         *,
         worker_id: Optional[str] = None,
         cache_dir: Optional[str] = None,
-        jobs_transport: str = "auto",
-        transport: str = "socket",
         connect_retries: int = 8,
         connect_backoff_s: float = 0.1,
     ) -> None:
@@ -92,8 +86,6 @@ class Worker:
         self.port = port
         self.worker_id = worker_id or default_worker_id()
         self.cache_dir = cache_dir
-        self.jobs_transport = jobs_transport
-        self._transport = resolve_transport(transport)
         self._connect_retries = connect_retries
         self._connect_backoff_s = connect_backoff_s
         self._stop_heartbeat = threading.Event()
@@ -105,7 +97,7 @@ class Worker:
 
         Returns the number of cells this worker completed.
         """
-        conn = self._transport.connect(
+        conn = connect(
             self.host,
             self.port,
             retries=self._connect_retries,
@@ -129,9 +121,7 @@ class Worker:
                 daemon=True,
             )
             heartbeat_thread.start()
-            with JobService(
-                cache_dir=self.cache_dir, transport=self.jobs_transport
-            ) as service:
+            with JobService(cache_dir=self.cache_dir) as service:
                 self._lease_loop(conn, service)
         except ClusterError:
             # Orchestrator vanished mid-conversation: its sweep is over
@@ -198,9 +188,7 @@ class Worker:
     def _heartbeat_loop(self, interval: float) -> None:
         """Renew leases on a dedicated connection until told to stop."""
         try:
-            conn = self._transport.connect(
-                self.host, self.port, retries=2, backoff_s=0.05
-            )
+            conn = connect(self.host, self.port, retries=2, backoff_s=0.05)
         except ClusterError:
             return
         with conn:

@@ -20,13 +20,5 @@ layers over this service.
 """
 
 from repro.jobs.service import JobHandle, JobService, JobStatus
-from repro.jobs.shm import ShmArtifactPool, ShmArtifactReader, shared_memory_available
 
-__all__ = [
-    "JobHandle",
-    "JobService",
-    "JobStatus",
-    "ShmArtifactPool",
-    "ShmArtifactReader",
-    "shared_memory_available",
-]
+__all__ = ["JobHandle", "JobService", "JobStatus"]

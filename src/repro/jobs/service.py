@@ -16,17 +16,6 @@ Two execution backends share one contract:
   the service's disk cache when one is configured), so stage artifacts
   warm up per worker and kernel caches never cross process boundaries.
 
-Pool services additionally support a zero-copy **shared-memory
-transport** (:mod:`repro.jobs.shm`): when the pool starts, the
-coordinator's warm stage artifacts are published once into an
-:class:`~repro.jobs.shm.ShmArtifactPool` and every worker attaches the
-manifest as a read tier on its store — deployments and other large
-payloads cross the process boundary without per-worker pickling or disk
-round-trips.  ``transport="auto"`` (the default) uses it when the
-platform supports it and falls back to the disk tier silently;
-``"shm"`` requires it; ``"disk"`` disables it.  Either way the
-segments are unlinked by :meth:`JobService.close`.
-
 Every job, in both modes, routes stage computation through the store
 and reports the per-job counter *delta* back to the service; the sums
 (:meth:`JobService.store_stats`) are meaningful across any number of
@@ -93,33 +82,8 @@ def _worker_store(cache_dir: Optional[str]) -> StageStore:
     return store
 
 
-#: Worker-process cache of shared-memory readers by pool id — attached
-#: segments must stay mapped for the worker's lifetime because ndarray
-#: artifacts alias them directly.
-_SHM_READERS: Dict[str, Any] = {}
-
-
-def _attach_shm_reader(store: StageStore, manifest: Optional[Dict]) -> None:
-    """Point the worker store's shm tier at the manifest's reader."""
-    if manifest is None:
-        if store.shm is not None:
-            store.attach_shm(None)
-        return
-    reader = _SHM_READERS.get(manifest["pool_id"])
-    if reader is None:
-        from repro.jobs.shm import ShmArtifactReader
-
-        reader = ShmArtifactReader(manifest)
-        _SHM_READERS[manifest["pool_id"]] = reader
-    if store.shm is not reader:
-        store.attach_shm(reader)
-
-
 def _execute_job(
-    kind: str,
-    payload: Any,
-    cache_dir: Optional[str],
-    shm_manifest: Optional[Dict] = None,
+    kind: str, payload: Any, cache_dir: Optional[str]
 ) -> Tuple[Any, Dict[str, Dict[str, int]]]:
     """Run one job against the process-local store.
 
@@ -128,7 +92,6 @@ def _execute_job(
     number of workers.
     """
     store = _worker_store(cache_dir)
-    _attach_shm_reader(store, shm_manifest)
     before = store.stats.snapshot()
     if kind == "cell":
         from repro.runner.engine import run_cell
@@ -288,15 +251,6 @@ class JobService:
     cell_runner:
         Test-only override of :func:`~repro.runner.engine.run_cell`;
         requires ``workers == 1`` (pools need the module-level runner).
-    transport:
-        How pool workers receive the coordinator's warm stage
-        artifacts.  ``"auto"`` (default) publishes them over
-        :mod:`multiprocessing.shared_memory` when available and falls
-        back to the disk tier otherwise; ``"shm"`` requires
-        shared memory (:class:`~repro.errors.ConfigurationError` when
-        unsupported); ``"disk"`` never publishes.  Inline services
-        (``workers == 1``) share the coordinator store directly, so the
-        choice only affects pools.
     """
 
     def __init__(
@@ -306,7 +260,6 @@ class JobService:
         cache_dir: Union[str, Path, None] = None,
         store: Optional[StageStore] = None,
         cell_runner: Optional[Callable[[Any], Any]] = None,
-        transport: str = "auto",
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -315,30 +268,14 @@ class JobService:
                 "a custom cell_runner requires jobs=1 (pools need the "
                 "module-level run_cell)"
             )
-        if transport not in ("auto", "shm", "disk"):
-            raise ConfigurationError(
-                f"transport must be 'auto', 'shm' or 'disk', got {transport!r}"
-            )
-        if transport == "shm":
-            from repro.jobs.shm import shared_memory_available
-
-            if not shared_memory_available():
-                raise ConfigurationError(
-                    "transport='shm' requested but multiprocessing.shared_memory "
-                    "is unusable on this platform; use transport='auto' or 'disk'"
-                )
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.cell_runner = cell_runner
-        self.transport = transport
         self._pool: Optional[ProcessPoolExecutor] = None
         self._ids = itertools.count()
         self._stats_total: Dict[str, Dict[str, int]] = {}
         self._closed = False
         self._store: Optional[StageStore] = None
-        self._publish_source: Optional[StageStore] = store
-        self._shm_pool: Any = None
-        self._shm_manifest: Optional[Dict] = None
         self._restore_disk: Any = _UNSET
         if workers == 1:
             self._store = store if store is not None else get_default_store()
@@ -381,41 +318,8 @@ class JobService:
             return JobHandle(job_id, label, thunk=thunk, on_stats=self._count)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._shm_manifest = self._publish_shm()
-        future = self._pool.submit(
-            _execute_job, kind, payload, self.cache_dir, self._shm_manifest
-        )
+        future = self._pool.submit(_execute_job, kind, payload, self.cache_dir)
         return JobHandle(job_id, label, future=future, on_stats=self._count)
-
-    def _publish_shm(self) -> Optional[Dict]:
-        """Publish the coordinator's warm artifacts for pool workers.
-
-        Runs once, when the pool starts: whatever codec-bearing
-        artifacts are warm in the coordinator store at that moment (a
-        previous inline sweep, explicit pre-warming) become
-        shared-memory entries.  Returns the manifest shipped with every
-        job, or ``None`` when the transport is off, unsupported, or
-        there is nothing to share.
-        """
-        if self.transport == "disk":
-            return None
-        from repro.jobs.shm import ShmArtifactPool, shared_memory_available
-
-        if not shared_memory_available():
-            # transport == "shm" already failed in __init__; "auto"
-            # degrades to the disk tier silently.
-            return None
-        source = (
-            self._publish_source
-            if self._publish_source is not None
-            else get_default_store()
-        )
-        pool = ShmArtifactPool()
-        if pool.publish_store(source) == 0:
-            pool.close()
-            return None
-        self._shm_pool = pool
-        return pool.manifest()
 
     def _inline_thunk(self, kind: str, payload: Any) -> Callable[[], Tuple[Any, Dict]]:
         store = self._store
@@ -462,7 +366,7 @@ class JobService:
 
         Inline services restore the default store's previous disk tier;
         pool services shut the pool down (optionally cancelling queued
-        futures first) and unlink any published shared-memory segments.
+        futures first).
         """
         if self._closed:
             return
@@ -470,10 +374,6 @@ class JobService:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=cancel_pending)
             self._pool = None
-        if self._shm_pool is not None:
-            self._shm_pool.close()
-            self._shm_pool = None
-            self._shm_manifest = None
         if self._restore_disk is not _UNSET:
             self._store.attach_disk(self._restore_disk)
             self._restore_disk = _UNSET
@@ -486,10 +386,7 @@ class JobService:
 
     def __repr__(self) -> str:
         mode = "inline" if self.workers == 1 else f"pool({self.workers})"
-        return (
-            f"JobService({mode}, cache_dir={self.cache_dir!r}, "
-            f"transport={self.transport!r})"
-        )
+        return f"JobService({mode}, cache_dir={self.cache_dir!r})"
 
 
 #: Sentinel: "no disk tier swap to restore on close".

@@ -204,18 +204,13 @@ class SweepEngine:
     cell_runner:
         Override of :func:`run_cell` — for tests with ``jobs == 1``
         (a pool requires a picklable module-level function).
-    transport:
-        How process workers receive warm stage artifacts: ``"auto"``
-        (shared memory when available, else the disk tier), ``"shm"``
-        (require shared memory) or ``"disk"``.  See
-        :class:`~repro.jobs.service.JobService`.
     cluster:
         ``"host:port"`` switches execution to the distributed backend:
         the engine binds a :class:`~repro.cluster.Orchestrator` at that
         address and ``repro worker`` processes run the cells.  Resume,
         canonical row order and error isolation are unchanged;
-        ``jobs``/``cell_runner``/``transport`` are ignored (each worker
-        owns its local equivalents).
+        ``jobs``/``cell_runner`` are ignored (each worker owns its local
+        equivalents).
     cluster_batch / lease_ttl_s:
         Cells per lease and the heartbeat-renewed lease deadline for
         the cluster backend.
@@ -230,7 +225,6 @@ class SweepEngine:
         resume: bool = True,
         cache_dir: Optional[Union[str, Path]] = None,
         cell_runner: Callable[[CellSpec], CellResult] = run_cell,
-        transport: str = "auto",
         cluster: Optional[str] = None,
         cluster_batch: int = 4,
         lease_ttl_s: float = 30.0,
@@ -243,7 +237,6 @@ class SweepEngine:
         self.resume = resume
         self.cache_dir = cache_dir
         self.cell_runner = cell_runner
-        self.transport = transport
         self.cluster = cluster
         self.cluster_batch = cluster_batch
         self.lease_ttl_s = lease_ttl_s
@@ -352,7 +345,6 @@ class SweepEngine:
             workers=self.jobs,
             cache_dir=self.cache_dir,
             cell_runner=self.cell_runner if self.cell_runner is not run_cell else None,
-            transport=self.transport,
         )
         try:
             handles = service.submit_cells(pending)

@@ -16,7 +16,7 @@ manifests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.api.components import power_schemes, schedulers, topologies, trees
@@ -285,4 +285,13 @@ class SweepSpec:
                 f"unknown SweepSpec fields: {sorted(unknown)}; "
                 f"valid fields: {sorted(known)}"
             )
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING
+            and f.default_factory is MISSING
+            and f.name not in data
+        ]
+        if missing:
+            raise ConfigurationError(f"missing required SweepSpec fields: {missing}")
         return cls(**data)

@@ -31,7 +31,7 @@ replaces that: one cache is attached to each (immutable)
 
 The *inner math* — how each block is actually computed — lives behind
 the pluggable :class:`~repro.backend.base.NumericBackend` interface
-(``dense-numpy`` / ``blocked-sparse`` / ``numba-jit``); the cache keeps
+(``dense-numpy`` / ``blocked-sparse``); the cache keeps
 only the orchestration: memoization, lazy promotion, chunk iteration
 and statistics.  Backends are bit-identical by contract, so swapping
 one never changes a schedule, a measurement or a store key.

@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.builder import BuildReport as _BuildReport
 
 __all__ = [
-    "STAGE_ENCODERS",
     "build_schedule_direct",
     "canonical_deployment",
     "canonical_links",
@@ -216,17 +215,6 @@ def _decode_schedule(
         data["mode"] = PowerMode(data["mode"])
         report = BuildReport(**data)
     return schedule, report
-
-
-#: Write-side codec per persistable stage — shared by the disk tier and
-#: the shared-memory transport (:mod:`repro.jobs.shm`), so payloads read
-#: back through either tier decode identically.  ``links`` is absent by
-#: design: its artifact carries process-local kernel caches.
-STAGE_ENCODERS: Dict[str, Any] = {
-    "deploy": _encode_deployment,
-    "tree": _encode_tree,
-    "schedule": _encode_schedule,
-}
 
 
 def schedule_for(

@@ -12,13 +12,6 @@ keys (:mod:`repro.store.keys`).  It is two-tiered:
   half-entry and old-format caches are silently rebuilt rather than
   misread.
 
-Worker processes of a shared-memory :class:`~repro.jobs.JobService` may
-additionally attach a read-only **shared-memory tier**
-(:meth:`StageStore.attach_shm`, an
-:class:`~repro.jobs.shm.ShmArtifactReader`): consulted between the
-memory and disk tiers, it serves the coordinator's published artifacts
-zero-copy and counts ``shm_hits``.
-
 Per-stage hit/build/disk counters (:class:`StoreStats`) make cache
 behaviour observable — :class:`~repro.api.pipeline.Pipeline` surfaces
 the per-run delta in ``RunArtifact.provenance["store"]`` and the sweep
@@ -36,7 +29,7 @@ library is process-parallel, never thread-parallel.
 >>> store.get_or_build("deploy", "k1", lambda: "rebuilt!")
 'artifact'
 >>> store.stats.snapshot()["deploy"]
-{'hits': 1, 'builds': 1, 'disk_hits': 0, 'disk_writes': 0, 'shm_hits': 0}
+{'hits': 1, 'builds': 1, 'disk_hits': 0, 'disk_writes': 0}
 """
 
 from __future__ import annotations
@@ -70,16 +63,15 @@ DEFAULT_MEMORY_ENTRIES = 128
 #: Sentinel for "nothing cached" (``None`` could be a legal artifact).
 _MISS = object()
 
-_COUNTER_NAMES = ("hits", "builds", "disk_hits", "disk_writes", "shm_hits")
+_COUNTER_NAMES = ("hits", "builds", "disk_hits", "disk_writes")
 
 
 class StoreStats:
     """Per-stage cache instrumentation.
 
     ``hits`` counts memory-tier hits, ``builds`` actual stage
-    computations, ``disk_hits`` artifacts decoded from the disk tier,
-    ``disk_writes`` artifacts persisted to it and ``shm_hits`` artifacts
-    served by an attached shared-memory reader.  Snapshots and deltas are
+    computations, ``disk_hits`` artifacts decoded from the disk tier and
+    ``disk_writes`` artifacts persisted to it.  Snapshots and deltas are
     plain nested dicts, so they sum across worker processes and embed
     directly in provenance records.
     """
@@ -247,9 +239,6 @@ class StageStore:
             )
         self.memory_entries = memory_entries
         self.disk = DiskTier(disk) if isinstance(disk, (str, Path)) else disk
-        #: Optional read-only shared-memory tier (an
-        #: :class:`~repro.jobs.shm.ShmArtifactReader`); see :meth:`attach_shm`.
-        self.shm: Any = None
         self.stats = StoreStats()
         self._memory: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
 
@@ -265,10 +254,9 @@ class StageStore:
     ) -> Any:
         """The artifact for ``(stage, key)``, computing it at most once.
 
-        Lookup order: memory tier, then (when a codec is given) the
-        attached shared-memory reader, then the disk tier, then
-        ``build()``.  Fresh builds are written through to both writable
-        tiers; shm/disk hits are promoted into memory, and memory hits
+        Lookup order: memory tier, then (when a codec is given) the disk
+        tier, then ``build()``.  Fresh builds are written through to both
+        tiers; disk hits are promoted into memory, and memory hits
         backfill a disk tier that lacks the entry (so attaching a cache
         directory to a warm store still persists its artifacts).
         """
@@ -286,12 +274,7 @@ class StageStore:
                 self.stats.count(stage, "disk_writes")
             return value
         value = _MISS
-        if self.shm is not None and decode is not None:
-            payload = self.shm.load(stage, key, _MISS)
-            if payload is not _MISS:
-                value = decode(payload)
-                self.stats.count(stage, "shm_hits")
-        if value is _MISS and self.disk is not None and decode is not None:
+        if self.disk is not None and decode is not None:
             payload = self.disk.load(stage, key)
             if payload is not _MISS:
                 value = decode(payload)
@@ -317,13 +300,6 @@ class StageStore:
             if entry_stage == stage:
                 yield value
 
-    def entries(self, stage: str) -> Iterator[Tuple[str, Any]]:
-        """Memory-tier ``(key, artifact)`` pairs of one stage (oldest
-        first) — the publishing surface of the shared-memory transport."""
-        for (entry_stage, key), value in list(self._memory.items()):
-            if entry_stage == stage:
-                yield key, value
-
     def clear(self, *, disk: bool = False) -> None:
         """Drop the memory tier (and optionally the disk tier)."""
         self._memory.clear()
@@ -337,19 +313,6 @@ class StageStore:
         self.disk = (
             DiskTier(path) if isinstance(path, (str, Path)) else path
         )
-        return previous
-
-    def attach_shm(self, reader: Any) -> Any:
-        """Swap the read-only shared-memory tier; returns the previous one.
-
-        ``reader`` is an :class:`~repro.jobs.shm.ShmArtifactReader` (or
-        anything with its ``load(stage, key, default)`` signature), or
-        ``None`` to detach.  The store never writes to this tier — its
-        lifecycle belongs to the coordinating
-        :class:`~repro.jobs.JobService`.
-        """
-        previous = self.shm
-        self.shm = reader
         return previous
 
     def __len__(self) -> int:

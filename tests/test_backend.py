@@ -11,7 +11,6 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.backend.dense import DenseNumpyBackend
-from repro.backend.jit import NumbaJitBackend, numba_available
 from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
@@ -20,7 +19,7 @@ from repro.links.linkset import LinkSet
 from repro.sinr.kernels import KernelCache
 from repro.sinr.powercontrol import spectral_radius
 
-ALL_BACKENDS = ("dense-numpy", "blocked-sparse", "numba-jit")
+ALL_BACKENDS = ("dense-numpy", "blocked-sparse")
 
 
 def _random_links(n: int, rng: int = 0) -> LinkSet:
@@ -44,7 +43,7 @@ def _line_links(n: int) -> LinkSet:
 # Registry surface
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_three_builtin_backends(self):
+    def test_builtin_backends(self):
         assert set(ALL_BACKENDS) <= set(numeric_backends.names())
 
     def test_resolve_default(self):
@@ -116,26 +115,6 @@ class TestBlockIdentity:
         assert backend.spectral_radius(np.empty((0, 0))) == 0.0
         assert backend.spectral_radius(np.array([[-2.5]])) == 2.5
         assert backend.feasibility_margin(a) == 1.0 - backend.spectral_radius(a)
-
-
-# ----------------------------------------------------------------------
-# numba-jit graceful degradation
-# ----------------------------------------------------------------------
-class TestNumbaJit:
-    def test_degrades_without_numba(self):
-        backend = NumbaJitBackend()
-        if numba_available():  # pragma: no cover - numba-full environments
-            pytest.skip("numba present; degradation path not reachable")
-        links = _random_links(9)
-        block = backend.gap_block(links, np.arange(9), np.arange(9))
-        assert not backend.jit_active
-        ref = DenseNumpyBackend().gap_block(links, np.arange(9), np.arange(9))
-        assert block.tobytes() == ref.tobytes()
-
-    def test_registered_even_when_absent(self):
-        # The registry entry must exist regardless of numba, so configs
-        # naming it stay valid on every platform.
-        assert "numba-jit" in numeric_backends.names()
 
 
 # ----------------------------------------------------------------------

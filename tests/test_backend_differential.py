@@ -16,7 +16,7 @@ from repro.api.config import PipelineConfig
 from repro.api.pipeline import Pipeline
 from repro.store.store import StageStore
 
-ALL_BACKENDS = ("dense-numpy", "blocked-sparse", "numba-jit")
+ALL_BACKENDS = ("dense-numpy", "blocked-sparse")
 
 TOPOLOGIES = ("square", "grid", "exponential")
 MODES = ("global", "oblivious", "uniform")
@@ -84,6 +84,8 @@ class TestScheduleBitIdentity:
 
         with pytest.raises(ConfigurationError, match="backend"):
             PipelineConfig(topology="grid", n=9, backend="no-such-backend")
+        with pytest.raises(ConfigurationError, match="dense-numpy, blocked-sparse"):
+            PipelineConfig(topology="grid", n=9, backend="numba-jit")
 
 
 class TestSweepRowIdentity:

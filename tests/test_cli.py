@@ -351,37 +351,6 @@ class TestScenarioCommand:
         assert main(["cache", "stats", "--dir", str(cache)]) == 0
         assert "schedule" in capsys.readouterr().out
 
-    def test_scenario_transport_flag_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scenario", "--help"])
-        assert "--transport" in capsys.readouterr().out
-
-    def test_scenario_transport_disk_matches_default(self, capsys, tmp_path):
-        # --transport must not change results: the scenario run is
-        # deterministic in its seeds regardless of the artifact path.
-        out_a = tmp_path / "default.json"
-        out_b = tmp_path / "disk.json"
-        base = ["scenario", "churn", "--n", "16", "--epochs", "2"]
-        assert main(base + ["--json", str(out_a)]) == 0
-        assert main(base + ["--transport", "disk", "--json", str(out_b)]) == 0
-        assert json.loads(out_a.read_text()) == json.loads(out_b.read_text())
-
-    def test_scenario_transport_shm_unavailable_exits_2(self, capsys, monkeypatch):
-        import repro.jobs.shm as shm_mod
-
-        monkeypatch.setattr(shm_mod, "shared_memory_available", lambda: False)
-        assert main(
-            ["scenario", "churn", "--n", "16", "--epochs", "2",
-             "--transport", "shm"]
-        ) == 2
-        assert "shm" in capsys.readouterr().err
-
-    def test_scenario_bad_transport_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["scenario", "churn", "--transport", "warp"]
-            )
-
     def test_sweep_scenario_axis(self, capsys, tmp_path):
         out = tmp_path / "dyn.jsonl"
         assert main(

@@ -16,12 +16,7 @@ import pytest
 import repro
 from repro.cluster import protocol
 from repro.cluster.orchestrator import Orchestrator
-from repro.cluster.transport import (
-    MAX_FRAME_BYTES,
-    FrameServer,
-    connect,
-    resolve_transport,
-)
+from repro.cluster.transport import MAX_FRAME_BYTES, FrameServer, connect
 from repro.cluster.worker import Worker, default_worker_id
 from repro.errors import ClusterError, ConfigurationError, ProtocolError
 from repro.runner import SweepEngine, SweepSpec
@@ -200,12 +195,6 @@ class TestTransport:
         with pytest.raises(ClusterError, match="cannot reach cluster peer"):
             connect("127.0.0.1", port, retries=2, backoff_s=0.01)
         assert time.monotonic() - start < 5.0
-
-    def test_resolve_transport(self):
-        transport = resolve_transport("socket")
-        assert transport.name == "socket"
-        with pytest.raises(ConfigurationError, match="valid transports"):
-            resolve_transport("zmq")
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +538,12 @@ class TestServeApp:
         )
 
 
+def post_jobs(body) -> bytes:
+    """A raw ``POST /jobs`` request; a str body is sent verbatim."""
+    raw = (body if isinstance(body, str) else json.dumps(body)).encode()
+    return b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(raw), raw)
+
+
 class TestServeHttp:
     @pytest.fixture
     def server_url(self, tmp_path):
@@ -622,6 +617,39 @@ class TestServeHttp:
         with pytest.raises(urllib.error.HTTPError) as err:
             self.http(f"{server_url}/jobs/job-9999")
         assert err.value.code == 404
+
+    @pytest.mark.parametrize(
+        "request_bytes, fragment",
+        [
+            (post_jobs(dict(SERVE_SPEC, topologies=["nowhere"])), "nowhere"),
+            (post_jobs({"topologies": ["grid"]}), "['ns', 'modes']"),
+            (post_jobs(dict(SERVE_SPEC, jobs="two")), "jobs"),
+            (post_jobs(dict(SERVE_SPEC, jobs=0)), "jobs"),
+            (post_jobs("{not json"), "not JSON"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "Content-Length"),
+        ],
+        ids=[
+            "unknown-topology",
+            "missing-fields",
+            "jobs-not-int",
+            "jobs-zero",
+            "body-not-json",
+            "bad-content-length",
+        ],
+    )
+    def test_bad_request_is_400_and_spawns_nothing(
+        self, server_url, request_bytes, fragment
+    ):
+        host, port = server_url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(request_bytes)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert fragment in json.loads(body)["error"]
+        _, listing = self.http(f"{server_url}/jobs")
+        assert json.loads(listing) == {"jobs": []}
 
 
 # ----------------------------------------------------------------------

@@ -278,7 +278,7 @@ class TestStoreKeyProperties:
     @settings(max_examples=50, deadline=None)
     @given(
         pipeline_configs(),
-        st.sampled_from(("dense-numpy", "blocked-sparse", "numba-jit")),
+        st.sampled_from(("dense-numpy", "blocked-sparse")),
     )
     def test_backend_never_splits_any_stage_key(self, config, backend):
         """Backends are bit-identical by contract, so the backend choice

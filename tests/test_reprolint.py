@@ -31,7 +31,6 @@ BUILTIN_RULES = (
     "RNG-001",
     "STORE-001",
     "BACKEND-001",
-    "SHM-001",
     "ERR-001",
     "REG-001",
     "NET-001",
@@ -186,77 +185,6 @@ class TestBackend001:
     def test_operator_pow_is_fine(self):
         src = "import numpy as np\nv = 2.0 ** np.arange(4)\n"
         assert lint_source(src, path="geometry/generators.py") == []
-
-
-# ----------------------------------------------------------------------
-# SHM-001
-# ----------------------------------------------------------------------
-class TestShm001:
-    def test_flags_unreleased_segment(self):
-        src = textwrap.dedent(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def leak():
-                seg = SharedMemory(create=True, size=64)
-                return seg.name
-            """
-        )
-        findings = lint_source(src, path="jobs/foo.py")
-        assert rule_ids(findings) == ["SHM-001"]
-        assert "'seg'" in findings[0].message
-
-    def test_close_in_finally_is_ok(self):
-        src = textwrap.dedent(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def ok():
-                seg = SharedMemory(create=True, size=64)
-                try:
-                    return bytes(seg.buf[:4])
-                finally:
-                    seg.close()
-                    seg.unlink()
-            """
-        )
-        assert lint_source(src, path="jobs/foo.py") == []
-
-    def test_context_manager_is_ok(self):
-        src = textwrap.dedent(
-            """
-            def ok(ShmArtifactPool):
-                with ShmArtifactPool() as pool:
-                    return pool.manifest()
-            """
-        )
-        assert lint_source(src, path="jobs/foo.py") == []
-
-    def test_ownership_transfer_is_ok(self):
-        src = textwrap.dedent(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def attach(self):
-                seg = SharedMemory(create=True, size=8)
-                self._segments.append(seg)
-
-            def make():
-                return SharedMemory(create=True, size=8)
-            """
-        )
-        assert lint_source(src, path="jobs/foo.py") == []
-
-    def test_bare_expression_creation_flagged(self):
-        src = textwrap.dedent(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def fire_and_forget():
-                SharedMemory(create=True, size=8)
-            """
-        )
-        assert rule_ids(lint_source(src, path="jobs/foo.py")) == ["SHM-001"]
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +373,7 @@ class TestSuppression:
 
     def test_wrong_rule_id_does_not_suppress(self):
         findings = lint_source(
-            self.SRC.format(comment="  # reprolint: disable=SHM-001"), path="m.py"
+            self.SRC.format(comment="  # reprolint: disable=NET-001"), path="m.py"
         )
         assert rule_ids(findings) == ["RNG-001", "ERR-001"]
 

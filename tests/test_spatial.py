@@ -142,7 +142,7 @@ class TestConservativeness:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse", "numba-jit"])
+    @pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse"])
     @pytest.mark.parametrize("threshold", THRESHOLDS, ids=lambda t: t.name)
     @pytest.mark.parametrize("topology", ["uniform", "clustered"])
     def test_pruned_equals_unpruned(self, backend, threshold, topology):
