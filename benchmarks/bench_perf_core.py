@@ -55,5 +55,5 @@ def test_perf_simulation(benchmark, points, model):
     tree = AggregationTree.mst(points)
     schedule = ScheduleBuilder(model, "global").build_for_tree(tree)
     sim = AggregationSimulator(tree, schedule)
-    result = benchmark.pedantic(sim.run, args=(5,), rounds=1, iterations=1)
+    result = benchmark.pedantic(sim.run, args=(200,), rounds=1, iterations=1)
     assert result.stable

@@ -17,12 +17,47 @@ buffers stay bounded (the schedule *sustains* rate ``1/C``); with
 paper's Fig. 1 discussion describes.  The simulator measures both, plus
 per-frame latency, and verifies every completed aggregate against the
 centralised reference value.
+
+How a run is computed
+---------------------
+Every node forwards frames in index order.  A leaf's frames complete in
+injection order, and if each child of ``v`` reports frames in order,
+the frames complete at ``v`` always form a prefix — so the "oldest
+complete frame" is simply the next index, and a run needs no slot loop.
+With ``C`` the period, ``P`` the injection period, ``inj_f = f * P``
+and ``s_v`` the slot of ``v``'s link:
+
+* ``ready[v, f] = max(inj_f, max over children c of send[c, f] + d_c)``;
+* ``send[v, f] = max(next_v(ready[v, f]), send[v, f - 1] + C)`` with
+  ``next_v(t) = t + (s_v - t) mod C``, which
+  ``maximum.accumulate(next_v(ready) - f*C) + f*C`` solves for all
+  frames at once;
+* the sink completes frame ``f`` at ``ready[sink, f]``, one slot after
+  its last child's send.
+
+**In-slot ordering.**  The links of a slot transmit in ``link_indices``
+order, so a child whose link precedes its parent's in the same slot
+hands its frame over within that slot (``d_c = 0``); otherwise the
+parent can forward it from the next slot on (``d_c = 1``).  A certified
+schedule never puts a node's receive and transmit in one slot; only
+``Schedule(validate=False)`` reaches ``d_c = 0``.
+
+One pass over the tree, a depth at a time from the deepest up, computes
+every node's send slots with a few array operations per depth; a
+depth's rows are dropped once its parents are done.  Backlog is an
+event count over those slots (``+n`` per injection, ``-1`` per forward,
+``-1`` when the sink completes a frame), and sends at or after
+``max_slots`` never happen.  Values are combined at each node in arrival
+order — its own reading first, then its children's partials by send slot
+and position in the slot — the order a slot-by-slot run applies them
+in, so float partials are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,18 +121,38 @@ class SimulationResult:
         )
 
 
-class _NodeState:
-    """Per-node buffers: frame -> (accumulated value, reports received).
+def _count(name: str, value: object) -> int:
+    """``value`` as an ``int``; :class:`SimulationError` unless it is an
+    integer (numpy integers included) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise SimulationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
-    A frame leaves the buffer when its partial is forwarded upstream, so
-    ``len(acc)`` is the node's backlog.
-    """
 
-    __slots__ = ("acc", "reports")
+def _drop(counts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Subtract one from ``counts`` per entry of ``times``, growing
+    ``counts`` to reach the latest of them."""
+    drops = np.bincount(times)
+    if drops.size > counts.size:
+        counts = np.concatenate([counts, np.zeros(drops.size - counts.size, np.int64)])
+    counts[: drops.size] -= drops
+    return counts
 
-    def __init__(self) -> None:
-        self.acc: Dict[int, object] = {}
-        self.reports: Dict[int, int] = {}
+
+class _Level(NamedTuple):
+    """The nodes at one depth of the tree, as the array pass reads them."""
+
+    nodes: List[int]
+    #: ``(width, 1)`` columns: the slot of each node's link, and its
+    #: hand-over delay ``d`` to its parent.
+    slot: np.ndarray
+    delay: np.ndarray
+    #: Width of the level above, and each node's parent as an index
+    #: into it.
+    above: int
+    up: np.ndarray
+    #: Each node's children, as indices into the level below.
+    kids: List[List[int]]
 
 
 class AggregationSimulator:
@@ -109,7 +164,7 @@ class AggregationSimulator:
         The rooted aggregation tree.
     schedule:
         A periodic schedule of the tree's links
-        (:meth:`AggregationTree.links` order).
+        (:meth:`AggregationTree.links` order) whose slots partition them.
     function:
         The aggregate to compute (default: sum).
     """
@@ -120,16 +175,59 @@ class AggregationSimulator:
         schedule: Schedule,
         function: AggregationFunction = SUM,
     ) -> None:
-        if len(schedule.links) != len(tree.links()):
+        num_links = len(tree.links())
+        if len(schedule.links) != num_links:
             raise SimulationError("schedule does not cover the tree's links")
         self.tree = tree
         self.schedule = schedule
         self.function = function
-        self._num_children = {v: len(c) for v, c in tree.children().items()}
-        links = tree.links()
-        self._link_nodes = [
-            (int(s), int(r)) for s, r in zip(links.sender_ids, links.receiver_ids)
-        ]
+        n = len(tree.points)
+        # Slot and in-slot position of each node's link (the sink has none).
+        slot = [-1] * n
+        position = [-1] * n
+        senders = tree.links().sender_ids.tolist()
+        for k, active in enumerate(schedule.slots):
+            for j, i in enumerate(active.link_indices):
+                if not 0 <= i < num_links or slot[senders[i]] >= 0:
+                    raise SimulationError("schedule slots must partition the tree's links")
+                slot[senders[i]], position[senders[i]] = k, j
+        if sum(len(active) for active in schedule.slots) != num_links:
+            raise SimulationError("schedule slots must partition the tree's links")
+        # Nodes by depth (BFS order visits them depth by depth), each
+        # node's index within its depth, and its children.
+        parent = tree.parent.tolist()
+        depth = [0] * n
+        index = [0] * n
+        rows: List[List[int]] = []
+        children: List[List[int]] = [[] for _ in range(n)]
+        for v in tree.bfs_order():
+            if v != tree.sink:
+                depth[v] = depth[parent[v]] + 1
+                children[parent[v]].append(v)
+            if depth[v] == len(rows):
+                rows.append([])
+            index[v] = len(rows[depth[v]])
+            rows[depth[v]].append(v)
+        # Children by in-slot position, as indices one level down, so a
+        # stable sort on send slots breaks a same-slot tie the way the
+        # slot's link order does.
+        kids = [[index[c] for c in sorted(cs, key=position.__getitem__)] for cs in children]
+        self._sink_kids = kids[tree.sink]
+        self._levels: List[_Level] = []  # deepest first, the sink's excluded
+        for d in range(len(rows) - 1, 0, -1):
+            nodes = rows[d]
+            self._levels.append(_Level(
+                nodes=nodes,
+                slot=np.array([slot[v] for v in nodes])[:, None],
+                delay=np.array([
+                    0 if slot[v] == slot[parent[v]] and position[v] < position[parent[v]]
+                    else 1
+                    for v in nodes
+                ])[:, None],
+                above=len(rows[d - 1]),
+                up=np.array([index[parent[v]] for v in nodes]),
+                kids=[kids[v] for v in nodes],
+            ))
 
     # ------------------------------------------------------------------
     def run(
@@ -154,14 +252,17 @@ class AggregationSimulator:
         readings:
             Optional ``(num_frames, n_nodes)`` reading matrix; random
             uniform readings otherwise.
+
+        ``num_frames``, ``injection_period`` and ``max_slots`` must be
+        integers of at least 1 (:class:`SimulationError` otherwise).
         """
-        if num_frames <= 0:
-            raise SimulationError("need at least one frame")
+        num_frames = _count("num_frames", num_frames)
         period = self.schedule.num_slots
         if injection_period is None:
             injection_period = period
-        if injection_period <= 0:
-            raise SimulationError("injection_period must be positive")
+        injection_period = _count("injection_period", injection_period)
+        if max_slots is not None:
+            max_slots = _count("max_slots", max_slots)
         n = len(self.tree.points)
         gen = as_generator(rng)
         if readings is None:
@@ -172,108 +273,101 @@ class AggregationSimulator:
                 f"readings must have shape ({num_frames}, {n}), got {readings.shape}"
             )
         if max_slots is None:
-            # Stable operation drains within depth+2 periods of the last
-            # injection; the margin costs little and avoids flaky stops.
-            drain = (self.tree.height() + 2) * period
+            # Stable operation drains within height+2 periods of the last
+            # injection (one level per depth below the sink); the margin
+            # costs little and avoids flaky stops.
+            drain = (len(self._levels) + 2) * period
             max_slots = num_frames * injection_period + drain + period
 
-        expected = [self.function.aggregate(readings[f]) for f in range(num_frames)]
-        state = {v: _NodeState() for v in range(n)}
-        sink = self.tree.sink
-        completed: Dict[int, int] = {}
-        injected_at: Dict[int, int] = {}
-        result = SimulationResult(
-            frames_injected=0, frames_completed=0, frames_requested=num_frames
-        )
+        injected = min(num_frames, (max_slots - 1) // injection_period + 1)
+        frame = np.arange(injected, dtype=np.int64)
+        injected_at = frame * injection_period
+        spacing = frame * period
+        own = readings[:injected].T
+        # Per-slot change in backlog: +n at each injection, -1 for each
+        # forward and for each frame the sink completes.
+        change = np.zeros(int(injected_at[-1]) + 1, dtype=np.int64)
+        change[injected_at] = n
+        # Deepest level first: a level's send slots, then the ready slots
+        # they give the level above (whose own readings arrive at
+        # injection); the last level handed up to is the sink's.
+        ready = np.tile(injected_at, (len(self._levels[0].nodes), 1))
+        send = np.empty((0, injected), dtype=np.int64)
+        partials: List[List[object]] = []
+        for level in self._levels:
+            first = ready + (level.slot - ready) % period
+            below, send = send, np.maximum.accumulate(first - spacing, axis=1) + spacing
+            sent = send < max_slots
+            change = _drop(change, send[sent])
+            partials = [
+                self._gather(own[v, :k], kids, below, partials)
+                for v, k, kids in zip(level.nodes, sent.sum(axis=1).tolist(), level.kids)
+            ]
+            ready = np.tile(injected_at, (level.above, 1))
+            np.maximum.at(ready, level.up, send + level.delay)
+        # The sink completes a frame one slot after its last child's send.
+        complete = ready[0]
+        completed = int(np.searchsorted(complete, max_slots, side="right"))
+        change = _drop(change, complete[:completed] - 1)
+        values = self._gather(own[self.tree.sink, :completed], self._sink_kids, send, partials)
 
-        for slot_time in range(max_slots):
-            if slot_time % injection_period == 0:
-                frame = slot_time // injection_period
-                if frame < num_frames:
-                    self._inject(state, readings[frame], frame)
-                    injected_at[frame] = slot_time
-                    result.frames_injected += 1
-                    self._check_sink_completion(state[sink], frame, slot_time, completed)
-            active = self.schedule.slots[slot_time % period]
-            for link_index in active.link_indices:
-                self._transmit(state, link_index, slot_time, completed)
-            backlog = sum(len(s.acc) for s in state.values()) - len(
-                [f for f in state[sink].acc if f in completed]
-            )
-            result.max_backlog = max(result.max_backlog, backlog)
-            if len(completed) == num_frames and result.frames_injected == num_frames:
-                result.slots_elapsed = slot_time + 1
-                break
-        else:
-            result.slots_elapsed = max_slots
-
-        result.frames_completed = len(completed)
-        result.latencies = [completed[f] - injected_at[f] for f in sorted(completed)]
-        result.final_backlog = sum(len(s.acc) for s in state.values()) - len(
-            [f for f in state[sink].acc if f in completed]
+        slots_elapsed = int(complete[-1]) if completed == num_frames else max_slots
+        backlog = np.cumsum(change[:slots_elapsed])
+        return SimulationResult(
+            frames_injected=injected,
+            frames_completed=completed,
+            frames_requested=num_frames,
+            latencies=(complete[:completed] - injected_at[:completed]).tolist(),
+            max_backlog=int(backlog.max()),
+            final_backlog=int(backlog[-1]),
+            slots_elapsed=slots_elapsed,
+            values_correct=self._verify(values, readings),
         )
-        for f, _finish in completed.items():
-            got = self.function.finalize(state[sink].acc[f])
-            want = expected[f]
-            if isinstance(got, float) and isinstance(want, float):
-                if not np.isclose(got, want, rtol=1e-9, atol=1e-9):
-                    result.values_correct = False
-            elif got != want:
-                result.values_correct = False
-        return result
 
     # ------------------------------------------------------------------
-    def _inject(self, state: Dict[int, _NodeState], readings: np.ndarray, frame: int) -> None:
-        for v in range(len(self.tree.points)):
-            node = state[v]
-            lifted = self.function.lift(float(readings[v]))
-            if frame in node.acc:
-                node.acc[frame] = self.function.combine(node.acc[frame], lifted)
-            else:
-                node.acc[frame] = lifted
-                node.reports.setdefault(frame, 0)
-
-    def _frame_ready(self, node: _NodeState, v: int, frame: int) -> bool:
-        """All children reported and the node's own reading is present."""
-        return frame in node.acc and node.reports.get(frame, 0) == self._num_children[v]
-
-    def _transmit(
+    def _gather(
         self,
-        state: Dict[int, _NodeState],
-        link_index: int,
-        slot_time: int,
-        completed: Dict[int, int],
-    ) -> None:
-        sender, parent = self._link_nodes[link_index]
-        node = state[sender]
-        ready = [f for f in node.acc if self._frame_ready(node, sender, f)]
-        if not ready:
-            return
-        frame = min(ready)  # oldest complete frame moves first
-        value = node.acc.pop(frame)
-        node.reports.pop(frame, None)
-        receiver = state[parent]
-        if frame in receiver.acc:
-            receiver.acc[frame] = self.function.combine(receiver.acc[frame], value)
-        else:
-            # Child partial can only arrive after the shared injection
-            # instant, so this branch guards against misuse rather than
-            # a reachable schedule state.
-            receiver.acc[frame] = value
-        receiver.reports[frame] = receiver.reports.get(frame, 0) + 1
-        self._check_sink_completion(
-            state[self.tree.sink], frame, slot_time + 1, completed
-        )
+        readings: np.ndarray,
+        kids: List[int],
+        send: np.ndarray,
+        partials: List[List[object]],
+    ) -> List[object]:
+        """A node's partial aggregate of each of its first
+        ``len(readings)`` frames: its own reading, then its children's
+        partials (rows ``kids`` of ``send`` and ``partials``) in arrival
+        order."""
+        lift, combine = self.function.lift, self.function.combine
+        frames = len(readings)
+        acc = map(lift, readings.tolist())
+        if len(kids) > 1 and frames:
+            arrival = np.argsort(send[kids, :frames], axis=0, kind="stable")
+            if not (arrival == arrival[:, :1]).all():
+                out = list(acc)
+                inputs = [partials[c] for c in kids]
+                for f, order in enumerate(arrival.T.tolist()):
+                    value = out[f]
+                    for j in order:
+                        value = combine(value, inputs[j][f])
+                    out[f] = value
+                return out
+            kids = [kids[j] for j in arrival[:, 0].tolist()]
+        # One arrival order in every frame: one map per child.
+        for c in kids:
+            acc = map(combine, acc, partials[c])
+        return list(acc)
 
-    def _check_sink_completion(
-        self,
-        sink_state: _NodeState,
-        frame: int,
-        time: int,
-        completed: Dict[int, int],
-    ) -> None:
-        sink = self.tree.sink
-        if frame in completed:
-            return
-        if frame in sink_state.acc and sink_state.reports.get(frame, 0) == self._num_children[sink]:
-            completed[frame] = time
+    def _verify(self, partials: List[object], readings: np.ndarray) -> bool:
+        """Whether each completed frame's in-network value matches the
+        centralised reference (floats within ``isclose``, others equal)."""
+        finalize, aggregate = self.function.finalize, self.function.aggregate
+        floats = []
+        for value, row in zip(partials, readings[: len(partials)].tolist()):
+            got, want = finalize(value), aggregate(row)
+            if isinstance(got, float) and isinstance(want, float):
+                floats.append((got, want))
+            elif got != want:
+                return False
+        if not floats:
+            return True
+        got, want = np.array(floats).T
+        return bool(np.isclose(got, want, rtol=1e-9, atol=1e-9).all())

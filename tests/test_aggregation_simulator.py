@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.geometry.generators import uniform_square
 from repro.geometry.point import PointSet
 from repro.scheduling.builder import ScheduleBuilder
+from repro.scheduling.schedule import Schedule, Slot
 from repro.spanning.tree import AggregationTree
 
 
@@ -118,6 +119,52 @@ class TestValidation:
         tree, schedule = small_setup
         with pytest.raises(SimulationError):
             AggregationSimulator(tree, schedule).run(1, injection_period=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_frames": 5, "max_slots": -3},
+            {"num_frames": 5, "max_slots": 0},
+            {"num_frames": 5, "injection_period": -1},
+            {"num_frames": -2},
+            {"num_frames": 5, "injection_period": 2.5},
+            {"num_frames": 5, "max_slots": 7.5},
+            {"num_frames": 2.0},
+            {"num_frames": "3"},
+            {"num_frames": True},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_positive_integer_arguments(self, small_setup, kwargs):
+        tree, schedule = small_setup
+        with pytest.raises(SimulationError, match="must be an integer >= 1"):
+            AggregationSimulator(tree, schedule).run(**kwargs)
+
+    def test_accepts_numpy_integers(self, small_setup):
+        tree, schedule = small_setup
+        sim = AggregationSimulator(tree, schedule)
+        period = schedule.num_slots
+        plain = sim.run(4, injection_period=period, max_slots=20 * period, rng=3)
+        numpy_ints = sim.run(
+            np.int64(4),
+            injection_period=np.int32(period),
+            max_slots=np.int64(20 * period),
+            rng=3,
+        )
+        assert numpy_ints == plain
+        assert type(numpy_ints.slots_elapsed) is int
+
+    def test_rejects_schedule_that_is_not_a_partition(self, model):
+        points = PointSet([0.0, 1.0, 3.0])
+        tree = AggregationTree.mst(points, sink=0)
+        links = tree.links()
+        twice = Schedule(
+            links, [Slot((0, 1), (1.0, 1.0)), Slot((1,), (1.0,))], model, validate=False
+        )
+        missing = Schedule(links, [Slot((0,), (1.0,))], model, validate=False)
+        for schedule in (twice, missing):
+            with pytest.raises(SimulationError, match="partition"):
+                AggregationSimulator(tree, schedule)
 
     def test_rejects_bad_readings_shape(self, small_setup):
         tree, schedule = small_setup

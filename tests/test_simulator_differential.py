@@ -1,0 +1,221 @@
+"""Differential suite: the closed-form frame simulator against the
+slot-by-slot oracle.
+
+:class:`repro.aggregation.simulator.AggregationSimulator` computes every
+node's send slots for all frames at once;
+``tests/oracles/simulator_slotwise.py`` keeps the original simulator
+that steps the schedule slot by slot.  Every test here runs both on the
+same input and asserts that every :class:`SimulationResult` field is
+equal — and, through a tracing aggregate whose partials record their
+own combination tree, that values are combined in the same order.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+from dataclasses import dataclass
+from typing import List, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.aggregation.median as median_module
+from oracles.simulator_slotwise import SlotwiseSimulator
+from repro.aggregation.functions import (
+    MAX,
+    MEAN,
+    SUM,
+    AggregationFunction,
+    threshold_count,
+)
+from repro.aggregation.median import median_via_counting
+from repro.aggregation.simulator import AggregationSimulator
+from repro.api import Pipeline, PipelineConfig
+from repro.geometry.point import PointSet
+from repro.scheduling.builder import ScheduleBuilder
+from repro.scheduling.schedule import Schedule, Slot
+from repro.sinr.model import SINRModel
+from repro.spanning.tree import AggregationTree
+from repro.store.store import StageStore
+from repro.util.rng import as_generator
+
+TOPOLOGIES = ("square", "disk", "grid", "clusters", "exponential")
+MODES = ("uniform", "oblivious", "global")
+SIZES = (2, 3, 7, 40, 120)
+FUNCTIONS = (SUM, MAX, MEAN, threshold_count(50.0))
+FRAMES = 8
+
+
+@dataclass(frozen=True)
+class _Trace(AggregationFunction):
+    """Partials are nested ``(left, right)`` pairs, so a completed value
+    is the exact tree of combinations that produced it.  ``finalize``
+    logs each value the simulator verifies and the reference evaluation
+    is stubbed out, so both report every frame as correct."""
+
+    def aggregate(self, readings):
+        return 0.0
+
+
+def _trace(log: List[object]) -> AggregationFunction:
+    return _Trace(
+        "trace",
+        lift=lambda r: r,
+        combine=lambda a, b: (a, b),
+        finalize=lambda v: log.append(v) or 0.0,
+    )
+
+
+def _assert_same(tree, schedule, function, frames, **kwargs) -> None:
+    new = AggregationSimulator(tree, schedule, function).run(frames, **kwargs)
+    old = SlotwiseSimulator(tree, schedule, function).run(frames, **kwargs)
+    assert dataclasses.asdict(new) == dataclasses.asdict(old), (function, kwargs)
+
+
+def _assert_same_order(tree, schedule, frames, **kwargs) -> None:
+    new_log: List[object] = []
+    old_log: List[object] = []
+    new = AggregationSimulator(tree, schedule, _trace(new_log)).run(frames, **kwargs)
+    old = SlotwiseSimulator(tree, schedule, _trace(old_log)).run(frames, **kwargs)
+    assert dataclasses.asdict(new) == dataclasses.asdict(old), kwargs
+    assert new.values_correct and len(new_log) == new.frames_completed
+    assert new_log == old_log, kwargs
+
+
+@functools.lru_cache(maxsize=None)
+def _instance(topology: str, mode: str, n: int) -> Tuple[AggregationTree, Schedule]:
+    art = Pipeline(
+        PipelineConfig(topology=topology, n=n, power=mode, num_frames=0),
+        store=StageStore(),
+    ).run()
+    return art.tree, art.schedule
+
+
+def _regimes(period: int):
+    """Injection at rate, at 2C, at C+1, at C//2 and every slot, each
+    with the default and with a truncating ``max_slots``."""
+    for injection in (None, 2 * period, period + 1, max(1, period // 2), 1):
+        for max_slots in (None, 3 * period + 1):
+            yield {"injection_period": injection, "max_slots": max_slots}
+
+
+class TestPipelineGrid:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_every_field_equal(self, topology, mode, n):
+        tree, schedule = _instance(topology, mode, n)
+        for kwargs in _regimes(schedule.num_slots):
+            for function in FUNCTIONS:
+                _assert_same(tree, schedule, function, FRAMES, rng=n, **kwargs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_combination_order_equal(self, topology, mode):
+        tree, schedule = _instance(topology, mode, 40)
+        for kwargs in _regimes(schedule.num_slots):
+            _assert_same_order(tree, schedule, FRAMES, rng=3, **kwargs)
+
+    def test_wrong_values_flagged_alike(self):
+        # Subtraction is not associative, so the network computes other
+        # values than the centralised reference: both simulators must
+        # flag them, for exact (int) and float (isclose) values.
+        tree, schedule = _instance("square", "global", 40)
+        for function in (
+            AggregationFunction("minus-int", lift=int, combine=lambda a, b: a - b),
+            AggregationFunction("minus", lift=float, combine=lambda a, b: a - b),
+        ):
+            for kwargs in _regimes(schedule.num_slots):
+                _assert_same(tree, schedule, function, FRAMES, rng=5, **kwargs)
+            result = AggregationSimulator(tree, schedule, function).run(FRAMES, rng=5)
+            assert result.frames_completed and not result.values_correct
+
+    def test_explicit_readings(self):
+        tree, schedule = _instance("square", "global", 40)
+        readings = np.arange(3 * 40, dtype=float).reshape(3, 40)
+        for function in FUNCTIONS:
+            _assert_same(tree, schedule, function, 3, readings=readings)
+
+
+@st.composite
+def _random_schedules(draw):
+    """A random tree with a random sink, under a random slot partition
+    built without SINR validation: a node's receive and transmit can
+    share a slot, in either in-slot order."""
+    n = draw(st.integers(2, 10))
+    attach = draw(st.permutations(range(n)))
+    edges = [
+        (attach[i], attach[draw(st.integers(0, i - 1))]) for i in range(1, n)
+    ]
+    tree = AggregationTree(
+        PointSet(np.arange(n, dtype=float)), edges, sink=draw(st.integers(0, n - 1))
+    )
+    links = tree.links()
+    colors = draw(st.lists(st.integers(0, n - 2), min_size=n - 1, max_size=n - 1))
+    in_slot = draw(st.permutations(range(n - 1)))
+    slots = []
+    for color in sorted(set(colors)):
+        members = tuple(i for i in in_slot if colors[i] == color)
+        slots.append(Slot(members, (1.0,) * len(members)))
+    schedule = Schedule(links, slots, SINRModel(alpha=3.0, beta=1.0), validate=False)
+    return tree, schedule
+
+
+class TestRandomPartitions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=_random_schedules(),
+        frames=st.integers(1, 6),
+        injection=st.one_of(st.none(), st.integers(1, 12)),
+        max_slots=st.one_of(st.none(), st.integers(1, 60)),
+        function=st.sampled_from(FUNCTIONS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_field_equal(self, instance, frames, injection, max_slots, function, seed):
+        tree, schedule = instance
+        _assert_same(
+            tree, schedule, function, frames,
+            injection_period=injection, max_slots=max_slots, rng=seed,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=_random_schedules(),
+        frames=st.integers(1, 6),
+        injection=st.one_of(st.none(), st.integers(1, 12)),
+        max_slots=st.one_of(st.none(), st.integers(1, 60)),
+    )
+    def test_combination_order_equal(self, instance, frames, injection, max_slots):
+        tree, schedule = instance
+        _assert_same_order(
+            tree, schedule, frames, injection_period=injection, max_slots=max_slots
+        )
+
+    def test_in_slot_handover(self):
+        # Chain 2 -> 1 -> 0 with both links in one slot: child first
+        # hands frame 0 over within the slot, parent first waits a period.
+        tree = AggregationTree(PointSet([0.0, 1.0, 2.0]), [(0, 1), (1, 2)], sink=0)
+        model = SINRModel(alpha=3.0, beta=1.0)
+        child_first = Schedule(tree.links(), [Slot((1, 0), (1.0, 1.0))], model, validate=False)
+        parent_first = Schedule(tree.links(), [Slot((0, 1), (1.0, 1.0))], model, validate=False)
+        fast = AggregationSimulator(tree, child_first).run(1)
+        slow = AggregationSimulator(tree, parent_first).run(1)
+        assert fast.latencies == [1] and slow.latencies == [2]
+        for schedule in (child_first, parent_first):
+            for function in FUNCTIONS:
+                _assert_same(tree, schedule, function, 4, injection_period=1)
+
+
+def test_median_via_counting_same_through_both(model, monkeypatch):
+    points = PointSet(as_generator(7).uniform(0.0, 1.0, size=(25, 2)))
+    tree = AggregationTree.mst(points)
+    schedule = ScheduleBuilder(model, "global").build_for_tree(tree)
+    readings = as_generator(8).uniform(0.0, 100.0, size=25)
+    new = median_via_counting(readings, tree=tree, schedule=schedule)
+    monkeypatch.setattr(median_module, "AggregationSimulator", SlotwiseSimulator)
+    old = median_via_counting(readings, tree=tree, schedule=schedule)
+    assert new == old
+    assert new.slots_used > 0
