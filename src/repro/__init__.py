@@ -30,7 +30,6 @@ from repro.aggregation import (
 from repro.api import (
     Finding,
     LintReport,
-    NumericBackend,
     Pipeline,
     PipelineConfig,
     Registry,
@@ -40,8 +39,6 @@ from repro.api import (
     SimulationResult,
     lint_paths,
     lint_rules,
-    numeric_backends,
-    register_backend,
     register_lint_rule,
     register_scenario,
 )
@@ -146,7 +143,6 @@ __all__ = [
     "MEAN",
     "MIN",
     "MstSuboptimalFamily",
-    "NumericBackend",
     "ObliviousPower",
     "Orchestrator",
     "Pipeline",
@@ -191,14 +187,12 @@ __all__ = [
     "mean_power",
     "median_via_counting",
     "mst_edges",
-    "numeric_backends",
     "oblivious_graph",
     "predicted_slots",
     "predicted_slots_cor1",
     "predicted_slots_global",
     "predicted_slots_oblivious",
     "protocol_model_schedule",
-    "register_backend",
     "register_lint_rule",
     "register_scenario",
     "run_convergecast",

@@ -170,7 +170,7 @@ def _store_001(ctx: ModuleContext) -> Iterator[tuple]:
     description=(
         "np.outer / np.power and private dense-buffer access (._dense) are "
         "reserved to repro/backend/ and sinr/kernels.py: every other module "
-        "must go through the NumericBackend block interface so the "
+        "must go through the kernel cache and its block functions so the "
         "bit-identity contract (backends share store keys) stays closed."
     ),
     contract="PR 7 pluggable numeric backends (bit-identical by contract)",

@@ -1,6 +1,6 @@
 """repro.api — the registry-backed public composition surface.
 
-Eight registries make every axis of the reproduction pluggable:
+Seven registries make every axis of the reproduction pluggable:
 
 * :data:`~repro.api.components.topologies` — deployment families,
 * :data:`~repro.api.components.trees` — aggregation-tree builders,
@@ -10,9 +10,6 @@ Eight registries make every axis of the reproduction pluggable:
   extractors,
 * :data:`~repro.scenarios.transforms.scenarios` — dynamic scenario
   transforms (churn, mobility, fading, online arrivals),
-* :data:`~repro.backend.numeric_backends` — numeric backends for the
-  SINR kernel core (bit-identical by contract; never a cache-key
-  ingredient),
 * :data:`~repro.analysis.core.lint_rules` — reprolint invariant rules
   (the static-analysis gate over the contracts above).
 
@@ -69,17 +66,7 @@ from repro.scenarios import (
     scenarios,
 )
 
-# Imported last: repro.backend pulls in numpy-heavy implementations and
-# must never be on the import path of the component modules above (they
-# import it lazily, inside functions).
-from repro.backend import (
-    NumericBackend,
-    numeric_backends,
-    register_backend,
-    resolve_backend,
-)
-
-# Also after backend: the distributed-sweep surface reaches back into
+# Imported last: the distributed-sweep surface reaches back into
 # repro.jobs, whose service module needs the config/pipeline modules
 # already importable.
 from repro.cluster import Orchestrator, ServeApp, Worker
@@ -90,7 +77,6 @@ __all__ = [
     "LintReport",
     "LintRule",
     "MeasurementContext",
-    "NumericBackend",
     "Orchestrator",
     "Pipeline",
     "PipelineConfig",
@@ -110,15 +96,12 @@ __all__ = [
     "lint_rules",
     "lint_source",
     "measurements",
-    "numeric_backends",
     "power_schemes",
-    "register_backend",
     "register_lint_rule",
     "register_measurement",
     "register_scenario",
     "register_topology",
     "register_tree",
-    "resolve_backend",
     "scenarios",
     "schedulers",
     "topologies",

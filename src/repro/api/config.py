@@ -21,17 +21,62 @@ repro.errors.ConfigurationError: unknown tree builder 'steiner'; available: mst,
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Union
 
-from repro.api.components import power_schemes, schedulers, topologies, trees
+from repro.api.components import (
+    SchedulerSpec,
+    TopologySpec,
+    TreeSpec,
+    power_schemes,
+    schedulers,
+    topologies,
+    trees,
+)
 from repro.api.measurements import measurements
+from repro.backend import check_backend
 from repro.constants import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.errors import ConfigurationError
 from repro.scheduling.builder import PowerMode
 from repro.sinr.model import SINRModel
 
 __all__ = ["PipelineConfig"]
+
+#: Keyword arguments the pipeline passes to each component itself, which
+#: are therefore never valid keys of the matching ``*_params`` mapping.
+_PIPELINE_KWARGS: Dict[str, FrozenSet[str]] = {
+    "topology_params": frozenset({"rng"}),
+    "tree_params": frozenset({"sink"}),
+    "scheduler_params": frozenset({"prev_state", "link_ids"}),
+}
+
+
+def _check_params(
+    field_name: str,
+    params: Mapping[str, Any],
+    spec: Union[TopologySpec, TreeSpec, SchedulerSpec],
+) -> None:
+    """:class:`ConfigurationError` unless every key of ``params`` is a
+    keyword-only parameter of ``spec.build`` that the pipeline does not
+    pass itself; a ``build`` taking ``**kwargs`` accepts any key."""
+    if not params:
+        return
+    parameters = inspect.signature(spec.build).parameters.values()
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
+        return
+    valid = [
+        p.name
+        for p in parameters
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+        and p.name not in _PIPELINE_KWARGS[field_name]
+    ]
+    unknown = [key for key in params if key not in valid]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {field_name} key(s) {', '.join(map(repr, unknown))} for "
+            f"{spec.name!r}; available: {', '.join(valid) or 'none'}"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,8 +100,8 @@ class PipelineConfig:
     num_frames:
         Convergecast frames to simulate (0 = schedule only).
     backend:
-        Numeric-backend registry name (:mod:`repro.backend`) for the
-        kernel math.  Backends are bit-identical by contract, so this
+        Numeric-backend name (:mod:`repro.backend`) for the kernel
+        math.  Backends are bit-identical by contract, so this
         field changes performance characteristics only — it never
         splits a stage cache key (:mod:`repro.store.keys`).
     topology_params, tree_params, scheduler_params:
@@ -92,16 +137,13 @@ class PipelineConfig:
             if not isinstance(value, Mapping):
                 raise ConfigurationError(f"{name} must be a mapping, got {value!r}")
             object.__setattr__(self, name, dict(value))
-        # Eager name validation: every component must resolve *now*.
-        topologies.get(self.topology)
-        trees.get(self.tree)
+        # Eager name validation: every component must resolve *now*, and
+        # so must the names in its params mapping.
+        _check_params("topology_params", self.topology_params, topologies.get(self.topology))
+        _check_params("tree_params", self.tree_params, trees.get(self.tree))
         power_schemes.get(self.power)
-        schedulers.get(self.scheduler)
-        # Imported lazily: repro.backend sits below the api package in
-        # the import graph and must not load during api.__init__.
-        from repro.backend import numeric_backends
-
-        numeric_backends.get(self.backend)
+        _check_params("scheduler_params", self.scheduler_params, schedulers.get(self.scheduler))
+        check_backend(self.backend)
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError(f"n must be a positive int, got {self.n!r}")
         if not isinstance(self.sink, int) or self.sink < 0:

@@ -1,70 +1,56 @@
-"""Pluggable numeric backends — the seventh registry.
+"""The numeric backend: kernel block math plus one ``sparse`` bit.
 
-The SINR compute layer (kernel blocks, reductions, feasibility linear
-algebra, conflict-adjacency assembly) sits behind the
-:class:`~repro.backend.base.NumericBackend` interface, selected by name
-like every other pipeline axis:
+The SINR compute layer's inner math is a set of plain functions: gap and
+sender-receiver distance blocks and the additive, relative and
+affectance kernels, full and blockwise (:mod:`repro.backend.blocks`),
+and conflict-adjacency assembly from boolean tiles
+(:func:`~repro.backend.sparse.assemble_adjacency`).
+:class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
+them — memoization, lazy promotion, chunking, statistics — and the one
+switch a backend name selects, ``KernelCache.sparse``:
 
 ``dense-numpy``
-    The reference backend — plain vectorised numpy with dense
-    memoization, byte-identical to the seed implementation.  Default.
+    The default: dense memoization for link sets of up to
+    ``KERNEL_MAX_DENSE_LINKS`` links, dense boolean conflict adjacency.
 ``blocked-sparse``
-    Streams every block, forbids dense ``n x n`` memos
+    ``sparse = True``: never memoizes a dense ``n x n`` matrix
     (``dense_builds == 0`` by construction) and assembles the conflict
-    adjacency as CSR — the backend that schedules 100k-link networks.
+    adjacency as CSR (:class:`SparseAdjacency`) — the setting that
+    schedules 100k-link networks.
 
-All backends are **bit-identical by contract**: schedules, slot
-assignments and measurements do not depend on the backend, which is why
-backend choice never splits a store key (:mod:`repro.store.keys`) and
-sweep rows remain comparable across backends.  Register additional
-backends with :func:`register_backend`; they become selectable through
-``PipelineConfig(backend=...)`` and the CLI ``--backend`` flag.
+Both run the same block functions, so schedules, slot assignments and
+measurements never depend on the name.  That is why it never splits a
+store key (:mod:`repro.store.keys`) and sweep rows stay comparable
+across backends.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from repro.api.registry import Registry
-from repro.backend.base import NumericBackend
-from repro.backend.dense import DenseNumpyBackend
-from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
+from repro.backend.sparse import SparseAdjacency, assemble_adjacency
+from repro.errors import ConfigurationError
 
 __all__ = [
-    "BlockedSparseBackend",
+    "BACKENDS",
     "DEFAULT_BACKEND",
-    "DenseNumpyBackend",
-    "NumericBackend",
+    "SPARSE_BACKEND",
     "SparseAdjacency",
-    "numeric_backends",
-    "register_backend",
-    "resolve_backend",
+    "assemble_adjacency",
+    "check_backend",
 ]
 
-#: Name of the default (reference) backend.
+#: Name of the default backend.
 DEFAULT_BACKEND = "dense-numpy"
-
-#: The numeric-backend registry — the seventh pluggable axis.
-numeric_backends: Registry[NumericBackend] = Registry("numeric backend")
-numeric_backends.register(DEFAULT_BACKEND, DenseNumpyBackend())
-numeric_backends.register("blocked-sparse", BlockedSparseBackend())
-
-
-def register_backend(
-    name: str, backend: Optional[NumericBackend] = None, *, overwrite: bool = False
-):
-    """Register a backend instance (direct or decorator form)."""
-    if backend is None:
-        return numeric_backends.register(name, overwrite=overwrite)
-    return numeric_backends.register(name, backend, overwrite=overwrite)
+#: Name of the backend that sets ``KernelCache.sparse``.
+SPARSE_BACKEND = "blocked-sparse"
+#: Every backend name, the default first.
+BACKENDS = (DEFAULT_BACKEND, SPARSE_BACKEND)
 
 
-def resolve_backend(
-    backend: Union[None, str, NumericBackend] = None
-) -> NumericBackend:
-    """Resolve a backend spec (name, instance or ``None``) to an instance."""
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if isinstance(backend, NumericBackend):
-        return backend
-    return numeric_backends.get(backend)
+def check_backend(name: str) -> str:
+    """``name`` if it names a backend; otherwise a
+    :class:`~repro.errors.ConfigurationError` listing the valid names."""
+    if name not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown numeric backend {name!r}; available: {', '.join(BACKENDS)}"
+        )
+    return name

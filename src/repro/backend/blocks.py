@@ -1,0 +1,139 @@
+"""Kernel block math — the exact expressions every kernel entry uses.
+
+The full-matrix builders (``*_full``) are the expressions the seed
+:class:`~repro.sinr.kernels.KernelCache` used inline; the block builders
+(``*_block``) compute the same entries restricted to global
+``rows x cols`` indices, byte-identical to the matching slice of the
+full matrix.  :class:`~repro.sinr.kernels.KernelCache` decides when to
+call which (memoization, promotion, chunking); nothing here keeps state.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.geometry.distances import cross_distances
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.links.linkset import LinkSet
+
+__all__ = [
+    "additive_block",
+    "additive_full",
+    "affectance_block",
+    "affectance_full",
+    "gap_block",
+    "relative_block",
+    "relative_full",
+    "srdist_block",
+]
+
+
+# ----------------------------------------------------------------------
+# Geometry blocks
+# ----------------------------------------------------------------------
+def gap_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gap distances ``d(i, j)`` (4-way sender/receiver minimum), zero
+    where global indices coincide."""
+    s, r = links.senders, links.receivers
+    gap = cross_distances(s[rows], s[cols])
+    np.minimum(gap, cross_distances(r[rows], r[cols]), out=gap)
+    np.minimum(gap, cross_distances(s[rows], r[cols]), out=gap)
+    np.minimum(gap, cross_distances(r[rows], s[cols]), out=gap)
+    gap[rows[:, None] == cols[None, :]] = 0.0
+    return gap
+
+
+def srdist_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sender-receiver distances ``D[j, i] = d(s_j, r_i)``."""
+    return cross_distances(links.senders[rows], links.receivers[cols])
+
+
+# ----------------------------------------------------------------------
+# Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
+# ----------------------------------------------------------------------
+def additive_full(links: "LinkSet", alpha: float) -> np.ndarray:
+    """Dense additive kernel."""
+    gap = links.link_distances()
+    lengths = links.lengths
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = (lengths[:, None] / gap) ** alpha
+    m = np.minimum(1.0, ratio)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def additive_block(
+    links: "LinkSet", alpha: float, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Additive kernel restricted to ``rows x cols``."""
+    gap = gap_block(links, rows, cols)
+    lengths = links.lengths
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = (lengths[rows][:, None] / gap) ** alpha
+    m = np.minimum(1.0, ratio)
+    m[rows[:, None] == cols[None, :]] = 0.0
+    return m
+
+
+# ----------------------------------------------------------------------
+# Relative kernel  R[j, i] = (P_j/P_i) (l_i/d_ji)^alpha
+# ----------------------------------------------------------------------
+def relative_full(links: "LinkSet", vec: np.ndarray, alpha: float) -> np.ndarray:
+    """Dense relative kernel under the full-length power vector ``vec``."""
+    dist = links.sender_receiver_distances()
+    lengths = links.lengths
+    with np.errstate(divide="ignore", over="ignore"):
+        r = (vec[:, None] / vec[None, :]) * (lengths[None, :] / dist) ** alpha
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def relative_block(
+    links: "LinkSet",
+    vec: np.ndarray,
+    alpha: float,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Relative kernel restricted to ``rows x cols``."""
+    dist = srdist_block(links, rows, cols)
+    lengths = links.lengths
+    with np.errstate(divide="ignore", over="ignore"):
+        rel = (vec[rows][:, None] / vec[cols][None, :]) * (
+            lengths[cols][None, :] / dist
+        ) ** alpha
+    rel[rows[:, None] == cols[None, :]] = 0.0
+    return rel
+
+
+# ----------------------------------------------------------------------
+# Affectance kernel  A[i, j] = beta * l_i^alpha / d_ji^alpha
+# ----------------------------------------------------------------------
+def affectance_full(links: "LinkSet", alpha: float, beta: float) -> np.ndarray:
+    """Dense normalised affectance."""
+    dist = links.sender_receiver_distances()
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = (links.lengths[None, :] / dist) ** alpha
+    a = beta * ratio.T
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def affectance_block(
+    links: "LinkSet",
+    alpha: float,
+    beta: float,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Affectance restricted to ``rows`` (receivers) x ``cols`` (senders)."""
+    dist = srdist_block(links, cols, rows)  # [j, i]
+    lengths = links.lengths
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = (lengths[rows][None, :] / dist) ** alpha  # [j, i]
+    a = beta * ratio.T  # [i, j]
+    a[rows[:, None] == cols[None, :]] = 0.0
+    return a

@@ -1,39 +1,31 @@
-"""``blocked-sparse`` — streamed blocks + CSR conflict adjacency.
+"""Conflict-adjacency assembly, dense or CSR, from boolean tiles.
 
-In the near-threshold regime most affectance entries are negligible and
-the conflict adjacency is sparse (bounded degree by the paper's
-diversity argument), so the two dense ``O(n^2)`` allocations that
-dominate large instances — memoized kernel matrices and the boolean
-conflict adjacency — are both avoidable:
+In the near-threshold regime the conflict adjacency is sparse (bounded
+degree by the paper's diversity argument), so on a ``sparse`` kernel
+cache (the ``blocked-sparse`` backend) :func:`assemble_adjacency` scans
+each boolean tile for edges and keeps only the ``O(n * max_degree)``
+index arrays of a CSR :class:`SparseAdjacency`; otherwise it fills a
+dense boolean ``n x n`` matrix.  Either way every entry comes from the
+same tile function, so the two forms hold the same edge set.
 
-* kernel blocks use the exact ``dense-numpy`` expressions (bit-identity
-  contract: no entry is ever dropped, however small), but the backend
-  sets ``allows_dense = False`` so the kernel cache never promotes a
-  full ``n x n`` matrix — ``dense_builds == 0`` by construction, and
-  column sums stream over row blocks;
-* conflict adjacency is assembled blockwise into CSR
-  (:class:`SparseAdjacency`): boolean row blocks are scanned for edges
-  and only the ``O(n * max_degree)`` index arrays are kept.
-
-The CSR assembly is hand-rolled (COO chunks -> indptr/indices) so the
-backend has no hard scipy dependency; :meth:`SparseAdjacency.to_scipy`
-exports a ``csr_matrix`` when scipy is installed.
+The CSR assembly is hand-rolled (COO chunks -> indptr/indices) so there
+is no hard scipy dependency; :meth:`SparseAdjacency.to_scipy` exports a
+``csr_matrix`` when scipy is installed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend.base import CandidateSource, map_blocks_ordered
-from repro.backend.dense import DenseNumpyBackend
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.geometry.spatial import GridCandidateGenerator
     from repro.sinr.kernels import KernelCache
 
-__all__ = ["BlockedSparseBackend", "SparseAdjacency"]
+__all__ = ["SparseAdjacency", "assemble_adjacency"]
 
 #: Largest dense boolean adjacency (in bytes) that
 #: :meth:`SparseAdjacency.to_dense` will materialise on demand.
@@ -126,47 +118,58 @@ class SparseAdjacency:
         return f"SparseAdjacency(n={self.n}, edges={self.edge_count})"
 
 
-class BlockedSparseBackend(DenseNumpyBackend):
-    """Identical block math, but never-dense memos + CSR adjacency."""
+def assemble_adjacency(
+    cache: "KernelCache",
+    block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    candidates: Optional["GridCandidateGenerator"] = None,
+) -> Union[np.ndarray, SparseAdjacency]:
+    """Assemble the conflict adjacency from boolean tiles.
 
-    name = "blocked-sparse"
-    allows_dense = False
-    sparse_adjacency = True
+    ``block_fn(rows, cols)`` returns the boolean adjacency block for the
+    given global indices (diagonal already cleared).  Returns a
+    :class:`SparseAdjacency` when ``cache.sparse``, else a dense
+    boolean ``n x n`` matrix.
 
-    def assemble_adjacency(
-        self,
-        cache: "KernelCache",
-        block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        candidates: Optional[CandidateSource] = None,
-    ) -> SparseAdjacency:
-        n = cache.n
-        tiles = self._adjacency_pairs(cache, candidates)
-        row_chunks: List[np.ndarray] = []
-        col_chunks: List[np.ndarray] = []
-
-        def build(tile: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-            return block_fn(tile[0], tile[1])
-
-        for (rows, cols), block in map_blocks_ordered(
-            build, tiles, cache.block_workers
-        ):
-            local_rows, local_cols = np.nonzero(block)
-            if local_rows.size:
-                row_chunks.append(rows[local_rows].astype(np.int64, copy=False))
-                col_chunks.append(cols[local_cols].astype(np.int64, copy=False))
-        if row_chunks:
-            edge_rows = np.concatenate(row_chunks)
-            edge_cols = np.concatenate(col_chunks)
-            # Canonicalise the COO chunks to CSR order (rows ascending,
-            # columns sorted within each row); each global (i, j) lives
-            # in exactly one tile, so no duplicate handling is needed.
-            order = np.lexsort((edge_cols, edge_rows))
-            edge_rows = edge_rows[order]
-            indices = edge_cols[order]
-            counts = np.bincount(edge_rows, minlength=n).astype(np.int64)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return SparseAdjacency(indptr, indices)
+    ``candidates`` is the spatial-pruning seam: when given, only its
+    tiles are evaluated and every other tile is left empty — sound
+    because the candidate generator covers all edges, and bit-identical
+    because a skipped tile is exactly all-``False``.  Without it every
+    row-block x col-block tile is evaluated; the unpruned path is
+    tile-granular too (not row strips), so ``KernelStats.block_evals``
+    counts the same unit of work either way.
+    """
+    n = cache.n
+    tiles: Iterable[Tuple[np.ndarray, np.ndarray]]
+    if candidates is not None:
+        tiles = candidates.pairs()
+    else:
+        blocks = list(cache.iter_blocks(np.arange(n)))
+        tiles = ((rows, cols) for rows in blocks for cols in blocks)
+    if not cache.sparse:
+        adjacent = np.zeros((n, n), dtype=bool)
+        for rows, cols in tiles:
+            adjacent[np.ix_(rows, cols)] = block_fn(rows, cols)
+        return adjacent
+    row_chunks: List[np.ndarray] = []
+    col_chunks: List[np.ndarray] = []
+    for rows, cols in tiles:
+        local_rows, local_cols = np.nonzero(block_fn(rows, cols))
+        if local_rows.size:
+            row_chunks.append(rows[local_rows].astype(np.int64, copy=False))
+            col_chunks.append(cols[local_cols].astype(np.int64, copy=False))
+    if row_chunks:
+        edge_rows = np.concatenate(row_chunks)
+        edge_cols = np.concatenate(col_chunks)
+        # Canonicalise the COO chunks to CSR order (rows ascending,
+        # columns sorted within each row); each global (i, j) lives
+        # in exactly one tile, so no duplicate handling is needed.
+        order = np.lexsort((edge_cols, edge_rows))
+        edge_rows = edge_rows[order]
+        indices = edge_cols[order]
+        counts = np.bincount(edge_rows, minlength=n).astype(np.int64)
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return SparseAdjacency(indptr, indices)

@@ -46,7 +46,7 @@ from repro._version import __version__
 from repro.api.components import power_schemes, schedulers, topologies, trees
 from repro.api.config import PipelineConfig
 from repro.api.pipeline import Pipeline
-from repro.backend import numeric_backends
+from repro.backend import BACKENDS
 from repro.core.capacity import compare_power_modes
 from repro.errors import ConfigurationError, JobError, ReproError
 from repro.geometry.generators import topology_uses_seed
@@ -138,7 +138,7 @@ def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=list(numeric_backends.names()),
+        choices=list(BACKENDS),
         default="dense-numpy",
         help="numeric backend for the SINR kernel core (both backends are "
         "bit-identical; blocked-sparse never materialises dense n x n "

@@ -10,11 +10,12 @@ reproduces that gap so tests and benchmarks can exhibit it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["cycle_multicoloring_demo", "MulticoloringResult"]
 
@@ -41,6 +42,8 @@ class MulticoloringResult:
 
 def _edge_conflict_graph(cycle_length: int) -> nx.Graph:
     """Line graph of the cycle C_k: edges conflict iff they share a node."""
+    import networkx as nx
+
     cycle = nx.cycle_graph(cycle_length)
     return nx.line_graph(cycle)
 
@@ -55,6 +58,8 @@ def cycle_multicoloring_demo(cycle_length: int = 5) -> MulticoloringResult:
     """
     if cycle_length < 3 or cycle_length % 2 == 0:
         raise ConfigurationError("demo requires an odd cycle length >= 3")
+    import networkx as nx
+
     conflict = _edge_conflict_graph(cycle_length)
     coloring = nx.coloring.greedy_color(conflict, strategy="smallest_last")
     colors_used = 1 + max(coloring.values())

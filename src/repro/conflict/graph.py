@@ -3,12 +3,13 @@
 A :class:`ConflictGraph` is the graph ``G_f(L)`` over a link set: links
 are vertices, and ``i ~ j`` iff they are *f-conflicting* (Appendix A).
 Construction is fully vectorised and routed through the link set's
-numeric backend (:mod:`repro.backend`): dense backends fill a boolean
-adjacency matrix; sparse backends (``blocked-sparse``) assemble a CSR
-:class:`~repro.backend.sparse.SparseAdjacency` blockwise so no ``n x n``
-array is ever allocated — the path that makes 100k-link conflict graphs
-fit in memory.  All query methods (``neighbors``, ``degree``,
-``is_independent``, ...) work identically on both representations.
+kernel cache: by default it fills a boolean adjacency matrix; a
+``sparse`` cache (the ``blocked-sparse`` backend, :mod:`repro.backend`)
+assembles a CSR :class:`~repro.backend.sparse.SparseAdjacency` blockwise
+so no ``n x n`` array is ever allocated — the path that makes 100k-link
+conflict graphs fit in memory.  All query methods (``neighbors``,
+``degree``, ``is_independent``, ...) work identically on both
+representations.
 
 Blockwise builds are *spatially pruned* by default: conflicts only
 exist within the threshold's conservative conflict radius
@@ -21,11 +22,11 @@ unpruned build — and can be disabled with ``prune=False``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
+from repro.backend import assemble_adjacency
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -36,6 +37,9 @@ from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
 from repro.errors import ConfigurationError
 from repro.geometry.spatial import conflict_candidates
 from repro.links.linkset import LinkSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["ConflictGraph", "g1_graph", "oblivious_graph", "arbitrary_graph"]
 
@@ -51,8 +55,8 @@ class ConflictGraph:
         The function ``f`` defining independence.
     prune:
         Spatial pruning of the blockwise build.  ``None`` (default)
-        prunes whenever the build is blockwise (sparse backend or
-        chunked kernel); ``False`` always evaluates every block pair;
+        prunes whenever the build is blockwise (chunked kernel, which
+        every sparse kernel is); ``False`` always evaluates every block pair;
         ``True`` additionally routes small dense builds through the
         pruned blockwise path.  The edge set is identical either way.
     """
@@ -68,7 +72,7 @@ class ConflictGraph:
         self.threshold = threshold
         self.prune = prune
         self.candidates = None  # GridCandidateGenerator when pruning ran
-        self._sparse = None  # SparseAdjacency when the backend is sparse
+        self._sparse = None  # SparseAdjacency when the kernel is sparse
         self._adjacency = self._build()
 
     def _adjacent_block(self, kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -88,34 +92,29 @@ class ConflictGraph:
         # finite and warning-free.
         lengths = self.links.lengths
         kernel = self.links.kernel()
-        backend = kernel.backend
-        blockwise = backend.sparse_adjacency or kernel.chunked or self.prune is True
+        blockwise = kernel.chunked or self.prune is True
         if blockwise and self.prune is not False:
             self.candidates = conflict_candidates(
                 self.links, self.threshold, block_size=kernel.block_size
             )
-        if backend.sparse_adjacency:
-            self._sparse = backend.assemble_adjacency(
+        if blockwise:
+            # Large link sets: stream gap distances in tiles via the
+            # kernel cache so no n x n float64 array is allocated (the
+            # boolean adjacency is 8x smaller, CSR smaller still),
+            # skipping tiles the candidate generator proves edge-free.
+            adjacent = assemble_adjacency(
                 kernel,
                 lambda rows, cols: self._adjacent_block(kernel, rows, cols),
                 candidates=self.candidates,
             )
-            return None
-        if not blockwise:
+            if kernel.sparse:
+                self._sparse = adjacent
+                return None
+        else:
             gap = self.links.link_distances()
             lmin = np.minimum(lengths[:, None], lengths[None, :])
             lmax = np.maximum(lengths[:, None], lengths[None, :])
             adjacent = gap <= lmin * self.threshold(lmax / lmin)
-        else:
-            # Large link sets: stream gap distances in row blocks via
-            # the kernel cache so no n x n float64 array is allocated
-            # (the boolean adjacency is 8x smaller), skipping block
-            # pairs the candidate generator proves edge-free.
-            adjacent = backend.assemble_adjacency(
-                kernel,
-                lambda rows, cols: self._adjacent_block(kernel, rows, cols),
-                candidates=self.candidates,
-            )
         np.fill_diagonal(adjacent, False)
         adjacent.setflags(write=False)
         return adjacent
@@ -186,6 +185,8 @@ class ConflictGraph:
 
     def to_networkx(self) -> nx.Graph:
         """Export as a :mod:`networkx` graph (vertex = link index)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         if self._sparse is not None:

@@ -20,11 +20,10 @@ Two layers live here:
 * :class:`GridCandidateGenerator` — the conflict-graph *candidate
   source*: links are sorted into a spatially coherent order (by sender
   cell), partitioned into row blocks, and only block pairs whose
-  expanded grid cells overlap are yielded via :meth:`pairs`.  The
-  numeric backends (:meth:`repro.backend.base.NumericBackend.assemble_adjacency`)
-  evaluate exactly those tiles; every skipped tile provably contains no
-  edge, so the assembled adjacency is byte-identical to the unpruned
-  build.
+  expanded grid cells overlap are yielded via :meth:`pairs`.
+  :func:`repro.backend.sparse.assemble_adjacency` evaluates exactly
+  those tiles; every skipped tile provably contains no edge, so the
+  assembled adjacency is byte-identical to the unpruned build.
 
 Conservativeness is load-bearing and has two guards:
 

@@ -17,6 +17,7 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backend import SPARSE_BACKEND
 from repro.errors import DegenerateLinkError, LinkError
 from repro.geometry.distances import cross_distances
 from repro.links.link import Link
@@ -220,10 +221,7 @@ class LinkSet:
         self,
         *,
         block_size: Optional[int] = None,
-        max_dense_links: Optional[int] = None,
-        force_chunked: Optional[bool] = None,
-        backend=None,
-        block_workers: Optional[int] = None,
+        backend: Optional[str] = None,
     ):
         """The :class:`~repro.sinr.kernels.KernelCache` attached to this
         link set (created lazily, shared by all consumers).
@@ -239,35 +237,17 @@ class LinkSet:
         """
         from repro.sinr.kernels import KernelCache
 
-        explicit = (
-            block_size is not None
-            or max_dense_links is not None
-            or force_chunked is not None
-            or backend is not None
-            or block_workers is not None
-        )
-        if self._kernel_cache is None or explicit:
-            if self._kernel_cache is not None:
-                current_bs, current_mdl, current_fc, current_be, current_bw = (
-                    self._kernel_cache.config()
-                )
-                block_size = current_bs if block_size is None else block_size
-                max_dense_links = (
-                    current_mdl if max_dense_links is None else max_dense_links
-                )
-                force_chunked = current_fc if force_chunked is None else force_chunked
-                backend = current_be if backend is None else backend
-                block_workers = current_bw if block_workers is None else block_workers
-            requested = KernelCache(
-                self,
-                block_size=block_size,
-                max_dense_links=max_dense_links,
-                force_chunked=bool(force_chunked),
-                backend=backend,
-                block_workers=block_workers,
-            )
-            if self._kernel_cache is None or self._kernel_cache.config() != requested.config():
-                self._kernel_cache = requested
+        current = self._kernel_cache
+        if current is not None:
+            if block_size is None and backend is None:
+                return current
+            if block_size is None:
+                block_size = current.block_size
+            if backend is None and current.sparse:
+                backend = SPARSE_BACKEND
+        requested = KernelCache(self, block_size=block_size, backend=backend)
+        if current is None or current.config() != requested.config():
+            self._kernel_cache = requested
         return self._kernel_cache
 
     # ------------------------------------------------------------------

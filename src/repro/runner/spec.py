@@ -21,6 +21,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.api.components import power_schemes, schedulers, topologies, trees
 from repro.api.measurements import measurements
+from repro.backend import check_backend
 from repro.errors import ConfigurationError
 from repro.scenarios.transforms import scenarios as scenario_registry
 from repro.scheduling.builder import PowerMode
@@ -193,10 +194,7 @@ class SweepSpec:
             measurements.get(m)
         for scenario in self.scenarios:
             scenario_registry.get(scenario)
-        # Lazy import: repro.backend must not load during api.__init__.
-        from repro.backend import numeric_backends
-
-        numeric_backends.get(self.backend)
+        check_backend(self.backend)
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise ConfigurationError(
                 f"epochs must be a positive int, got {self.epochs!r}"

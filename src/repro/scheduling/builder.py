@@ -41,6 +41,7 @@ from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.model import SINRModel
 from repro.sinr.powercontrol import feasible_power_assignment, is_feasible_some_power
 from repro.spanning.tree import AggregationTree
+from repro.util.validation import check_int_min
 
 __all__ = ["PowerMode", "ScheduleBuilder", "BuildReport"]
 
@@ -103,10 +104,6 @@ class ScheduleBuilder:
         Optional row-block size for the link set's interference kernel
         cache (see :mod:`repro.sinr.kernels`); tune it when scheduling
         10k+ link networks whose dense matrices would not fit in memory.
-    backend:
-        Optional numeric-backend name or instance (:mod:`repro.backend`)
-        pinned onto the link set's kernel cache before building; results
-        are bit-identical across backends by contract.
     """
 
     def __init__(
@@ -118,21 +115,17 @@ class ScheduleBuilder:
         delta: float = DEFAULT_DELTA,
         tau: float = DEFAULT_TAU,
         kernel_block_size: Optional[int] = None,
-        backend=None,
     ) -> None:
         self.model = model
         self.mode = PowerMode(mode)
         if gamma <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        if kernel_block_size is not None and kernel_block_size <= 0:
-            raise ConfigurationError(
-                f"kernel_block_size must be positive, got {kernel_block_size}"
-            )
+        if kernel_block_size is not None:
+            kernel_block_size = check_int_min("kernel_block_size", kernel_block_size, minimum=1)
         self.gamma = float(gamma)
         self.delta = float(delta)
         self.tau = float(tau)
         self.kernel_block_size = kernel_block_size
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def conflict_graph(self, links: LinkSet) -> ConflictGraph:
@@ -170,8 +163,8 @@ class ScheduleBuilder:
         cache; fixed-power modes additionally use the incremental
         row-sum repair pass.
         """
-        if self.kernel_block_size is not None or self.backend is not None:
-            links.kernel(block_size=self.kernel_block_size, backend=self.backend)
+        if self.kernel_block_size is not None:
+            links.kernel(block_size=self.kernel_block_size)
         graph = self.conflict_graph(links)
         colors = greedy_coloring(graph)
         classes = color_classes(colors)

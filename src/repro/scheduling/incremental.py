@@ -233,11 +233,9 @@ class IncrementalScheduler:
     :class:`ScheduleState`.  GLOBAL power mode is rejected: the
     incremental eviction oracle is the fixed-power row-sum condition.
 
-    Builder kwargs (``gamma``/``delta``/``tau``/``kernel_block_size``/
-    ``backend``) are forwarded verbatim, so the eviction and re-insert
-    probes run on the same pluggable numeric backend
-    (:mod:`repro.backend`) as a from-scratch build — with bit-identical
-    results by the backend contract.
+    Builder kwargs (``gamma``/``delta``/``tau``/``kernel_block_size``)
+    are forwarded verbatim, so the eviction and re-insert probes read
+    the same kernel cache configuration as a from-scratch build.
     """
 
     def __init__(

@@ -20,9 +20,9 @@ Two implementations are provided:
   ``O(|slot|^2)`` rebuild per probe.
 
 Both passes read interference exclusively through the link set's kernel
-cache, which delegates block math to the pluggable numeric backend
-(:mod:`repro.backend`); repair decisions are therefore bit-identical
-across backends.
+cache, whose entries come from one set of block functions
+(:mod:`repro.backend.blocks`); repair decisions are therefore
+bit-identical across backends.
 """
 
 from __future__ import annotations

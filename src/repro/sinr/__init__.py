@@ -19,7 +19,7 @@ from repro.sinr.feasibility import (
     max_relative_interference,
     sinr_values,
 )
-from repro.sinr.kernels import KernelCache, KernelStats, get_kernel
+from repro.sinr.kernels import KernelCache, KernelStats
 from repro.sinr.model import SINRModel
 from repro.sinr.robustness import FadingChannel, measure_retransmissions
 from repro.sinr.powercontrol import (
@@ -39,7 +39,6 @@ __all__ = [
     "additive_interference_matrix",
     "affectance_matrix",
     "feasible_power_assignment",
-    "get_kernel",
     "is_feasible_some_power",
     "is_feasible_with_power",
     "max_relative_interference",

@@ -15,10 +15,9 @@ All entry computation and caching lives in the kernel layer
 (:mod:`repro.sinr.kernels`): dense matrices are memoized on the link
 set's :class:`~repro.sinr.kernels.KernelCache` and point queries such
 as :func:`additive_interference` read only the entries they need
-instead of rebuilding ``n x n`` arrays.  The kernel cache in turn
-delegates block computation to the pluggable numeric backend
-(:mod:`repro.backend`), whose implementations are bit-identical by
-contract — these operators never depend on the backend choice.
+instead of rebuilding ``n x n`` arrays.  The kernel cache computes
+every entry with the block functions of :mod:`repro.backend.blocks`,
+so these operators never depend on the backend choice.
 """
 
 from __future__ import annotations

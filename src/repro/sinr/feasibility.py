@@ -10,10 +10,10 @@ interference row sums come from the link set's
 :class:`~repro.sinr.kernels.KernelCache`: repeated queries against the
 same power vector are served from the memoized relative-interference
 matrix, and very large link sets are evaluated in blocks without ever
-materialising an ``n x n`` array.  The block math itself is supplied by
-the link set's pluggable numeric backend (:mod:`repro.backend`), so
-these oracles are backend-transparent: every backend returns bitwise
-identical feasibility verdicts.
+materialising an ``n x n`` array.  The block math itself is the block
+functions of :mod:`repro.backend.blocks`, so these oracles are
+backend-transparent: every backend returns bitwise identical
+feasibility verdicts.
 """
 
 from __future__ import annotations

@@ -24,17 +24,17 @@ replaces that: one cache is attached to each (immutable)
   queried more than :data:`~repro.constants.KERNEL_DENSE_PROMOTE_AFTER`
   times, so a one-off row/submatrix query costs ``O(rows * cols)``, not
   ``O(n^2)``;
-* **chunks** when the link set is large (``n > max_dense_links``) or
-  when ``force_chunked`` is set: queries and column sums are streamed in
-  row blocks of ``block_size`` and no ``n x n`` float64 array is ever
-  allocated.
+* **chunks** when the link set is large (``n > KERNEL_MAX_DENSE_LINKS``)
+  or the cache is ``sparse`` (the ``blocked-sparse`` backend): queries
+  and column sums are streamed in row blocks of ``block_size`` and no
+  ``n x n`` float64 array is ever allocated.
 
-The *inner math* — how each block is actually computed — lives behind
-the pluggable :class:`~repro.backend.base.NumericBackend` interface
-(``dense-numpy`` / ``blocked-sparse``); the cache keeps
-only the orchestration: memoization, lazy promotion, chunk iteration
-and statistics.  Backends are bit-identical by contract, so swapping
-one never changes a schedule, a measurement or a store key.
+The *inner math* — how each block is actually computed — is the plain
+functions of :mod:`repro.backend.blocks`; the cache keeps only the
+orchestration: memoization, lazy promotion, chunk iteration and
+statistics.  Every path computes its entries with the same functions,
+so the backend name never changes a schedule, a measurement or a store
+key.
 
 Link sets are immutable, so the geometry underneath a cache can never go
 stale.  Power vectors are keyed by content digest
@@ -48,13 +48,13 @@ users) can verify the memory ceiling.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import SPARSE_BACKEND, blocks, check_backend
 from repro.constants import (
     KERNEL_BLOCK_SIZE,
     KERNEL_DENSE_BUDGET_BYTES,
@@ -62,10 +62,9 @@ from repro.constants import (
     KERNEL_MAX_DENSE_LINKS,
 )
 from repro.links.linkset import LinkSet
-from repro.util.parallel import map_blocks_ordered
 from repro.util.validation import check_int_min
 
-__all__ = ["KernelCache", "KernelStats", "get_kernel", "power_digest"]
+__all__ = ["KernelCache", "KernelStats", "power_digest"]
 
 #: Upper bound on memoized dense matrices per cache (LRU-evicted; the
 #: byte budget in constants.py usually binds first for large n).
@@ -103,30 +102,11 @@ class KernelStats:
     dense_hits: int = 0
     block_evals: int = 0
     entries_served: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # Locks are not picklable; counters travel, the lock is rebuilt.
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def count_block(self, entries: int) -> None:
-        """Record one block evaluation serving ``entries`` entries.
-
-        Blocks may be evaluated from worker threads when
-        ``block_workers > 1``, so the counters are bumped under a lock
-        to stay exact.
-        """
-        with self._lock:
-            self.block_evals += 1
-            self.entries_served += entries
+        """Record one block evaluation serving ``entries`` entries."""
+        self.block_evals += 1
+        self.entries_served += entries
 
     def snapshot(self) -> dict:
         """Counters as a plain dict (for reports and benchmarks)."""
@@ -148,20 +128,10 @@ class KernelCache:
         instance with ``links.kernel()`` rather than constructing one
         directly, so all consumers share the same memo.
     block_size:
-        Row-block size for chunked evaluation.
-    max_dense_links:
-        Largest ``n`` for which dense memoization is allowed (>= 1; use
-        ``force_chunked=True`` to disable dense memoization entirely).
-    force_chunked:
-        Never allocate a dense matrix, regardless of ``n``.
+        Row-block size for chunked evaluation (an integer >= 1).
     backend:
-        Numeric backend name or instance (default ``dense-numpy``); see
-        :mod:`repro.backend`.
-    block_workers:
-        Threads used for independent block evaluations (adjacency tiles,
-        chunked column sums).  Default 1 (serial).  Results are consumed
-        in deterministic submission order regardless of the worker
-        count, so parallel runs stay bit-identical to serial ones.
+        Numeric-backend name (default ``dense-numpy``; see
+        :mod:`repro.backend`).  ``blocked-sparse`` sets :attr:`sparse`.
     """
 
     def __init__(
@@ -169,32 +139,17 @@ class KernelCache:
         links: LinkSet,
         *,
         block_size: Optional[int] = None,
-        max_dense_links: Optional[int] = None,
-        force_chunked: bool = False,
-        backend=None,
-        block_workers: Optional[int] = None,
+        backend: Optional[str] = None,
     ) -> None:
-        from repro.backend import resolve_backend
-
         self.links = links
-        self.backend = resolve_backend(backend)
         self.block_size = check_int_min(
             "block_size",
             KERNEL_BLOCK_SIZE if block_size is None else block_size,
             minimum=1,
         )
-        self.max_dense_links = check_int_min(
-            "max_dense_links",
-            KERNEL_MAX_DENSE_LINKS if max_dense_links is None else max_dense_links,
-            minimum=1,
-            hint="use force_chunked=True to disable dense memoization entirely",
-        )
-        self.block_workers = check_int_min(
-            "block_workers",
-            1 if block_workers is None else block_workers,
-            minimum=1,
-        )
-        self.force_chunked = bool(force_chunked)
+        #: Never memoize a dense ``n x n`` matrix, and assemble conflict
+        #: adjacency as CSR.
+        self.sparse = backend is not None and check_backend(backend) == SPARSE_BACKEND
         self._dense: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         self._uses: dict = {}
         self.stats = KernelStats()
@@ -210,21 +165,11 @@ class KernelCache:
     @property
     def chunked(self) -> bool:
         """Whether dense ``n x n`` materialisation is forbidden."""
-        return (
-            self.force_chunked
-            or not self.backend.allows_dense
-            or self.n > self.max_dense_links
-        )
+        return self.sparse or self.n > KERNEL_MAX_DENSE_LINKS
 
-    def config(self) -> Tuple[int, int, bool, str, int]:
+    def config(self) -> Tuple[int, bool]:
         """The tuple identifying this cache's configuration."""
-        return (
-            self.block_size,
-            self.max_dense_links,
-            self.force_chunked,
-            self.backend.name,
-            self.block_workers,
-        )
+        return (self.block_size, self.sparse)
 
     def invalidate(self) -> None:
         """Drop every memoized matrix and promotion counter."""
@@ -235,7 +180,7 @@ class KernelCache:
         mode = "chunked" if self.chunked else "dense"
         return (
             f"KernelCache(n={self.n}, {mode}, block={self.block_size}, "
-            f"backend={self.backend.name}, cached={len(self._dense)})"
+            f"sparse={self.sparse}, cached={len(self._dense)})"
         )
 
     # ------------------------------------------------------------------
@@ -309,7 +254,7 @@ class KernelCache:
         """
         rows = as_index_array(rows)
         cols = as_index_array(cols)
-        gap = self.backend.gap_block(self.links, rows, cols)
+        gap = blocks.gap_block(self.links, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return gap
 
@@ -317,16 +262,16 @@ class KernelCache:
         """Sender-receiver distances ``D[j, i] = d(s_j, r_i)``."""
         rows = as_index_array(rows)
         cols = as_index_array(cols)
-        return self.backend.srdist_block(self.links, rows, cols)
+        return blocks.srdist_block(self.links, rows, cols)
 
     # ------------------------------------------------------------------
     # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
     # ------------------------------------------------------------------
     def _additive_builder(self, alpha: float) -> Callable[[], np.ndarray]:
-        return lambda: self.backend.additive_full(self.links, alpha)
+        return lambda: blocks.additive_full(self.links, alpha)
 
     def _additive_block(self, alpha: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        m = self.backend.additive_block(self.links, alpha, rows, cols)
+        m = blocks.additive_block(self.links, alpha, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return m
 
@@ -351,8 +296,13 @@ class KernelCache:
         return self._additive_block(alpha, rows, cols)
 
     def additive_query(self, alpha: float, source, target: int) -> float:
-        """``I(S, i) = sum_{j in S} I[j, i]`` as an O(|S|) query."""
-        return self.backend.additive_interference(self, alpha, source, target)
+        """``I(S, i) = sum_{j in S} I[j, i]`` as an O(|S|) query,
+        streamed in blocks."""
+        src = as_index_array(source)
+        total = 0.0
+        for block in self.iter_blocks(src):
+            total += float(self.additive_submatrix(alpha, block, [int(target)]).sum())
+        return total
 
     # ------------------------------------------------------------------
     # Relative-interference kernel  R[j, i] = (P_j/P_i) (l_i/d_ji)^alpha
@@ -362,12 +312,12 @@ class KernelCache:
         return ("relative", float(alpha), power_digest(vec))
 
     def _relative_builder(self, vec: np.ndarray, alpha: float) -> Callable[[], np.ndarray]:
-        return lambda: self.backend.relative_full(self.links, vec, alpha)
+        return lambda: blocks.relative_full(self.links, vec, alpha)
 
     def _relative_block(
         self, vec: np.ndarray, alpha: float, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
-        rel = self.backend.relative_block(self.links, vec, alpha, rows, cols)
+        rel = blocks.relative_block(self.links, vec, alpha, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return rel
 
@@ -408,33 +358,25 @@ class KernelCache:
         dense = self._dense_for_query(key, self._relative_builder(vec, alpha))
         if dense is not None:
             self.stats.entries_served += idx.size * idx.size
-            return self.backend.colsums(dense[np.ix_(idx, idx)])
+            return dense[np.ix_(idx, idx)].sum(axis=0)
         if not self.chunked:
             # Bounded n: one block, bit-identical to the seed path.
-            return self.backend.colsums(self._relative_block(vec, alpha, idx, idx))
+            return self._relative_block(vec, alpha, idx, idx).sum(axis=0)
         sums = np.zeros(idx.size)
-        blocks = list(self.iter_blocks(idx))
-
-        def partial(block: np.ndarray) -> np.ndarray:
-            return self.backend.colsums(self._relative_block(vec, alpha, block, idx))
-
-        # Partials are accumulated strictly in block order (ordered
-        # consumption), so the float sum is bit-identical at any
-        # worker count.
-        for _, part in map_blocks_ordered(partial, blocks, self.block_workers):
-            sums += part
+        for block in self.iter_blocks(idx):
+            sums += self._relative_block(vec, alpha, block, idx).sum(axis=0)
         return sums
 
     # ------------------------------------------------------------------
     # Affectance kernel  A[i, j] = beta * l_i^alpha / d_ji^alpha
     # ------------------------------------------------------------------
     def _affectance_builder(self, alpha: float, beta: float) -> Callable[[], np.ndarray]:
-        return lambda: self.backend.affectance_full(self.links, alpha, beta)
+        return lambda: blocks.affectance_full(self.links, alpha, beta)
 
     def _affectance_block(
         self, alpha: float, beta: float, rows: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
-        a = self.backend.affectance_block(self.links, alpha, beta, rows, cols)
+        a = blocks.affectance_block(self.links, alpha, beta, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return a
 
@@ -449,22 +391,3 @@ class KernelCache:
             return dense[np.ix_(rows, cols)]
         return self._affectance_block(model.alpha, model.beta, rows, cols)
 
-
-def get_kernel(
-    links: LinkSet,
-    *,
-    block_size: Optional[int] = None,
-    max_dense_links: Optional[int] = None,
-    force_chunked: Optional[bool] = None,
-    backend=None,
-    block_workers: Optional[int] = None,
-) -> KernelCache:
-    """The :class:`KernelCache` attached to ``links`` (see
-    :meth:`LinkSet.kernel`)."""
-    return links.kernel(
-        block_size=block_size,
-        max_dense_links=max_dense_links,
-        force_chunked=force_chunked,
-        backend=backend,
-        block_workers=block_workers,
-    )

@@ -59,16 +59,18 @@ def affectance_matrix(
     return a
 
 
-def spectral_radius(matrix: np.ndarray, *, backend=None) -> float:
-    """Spectral radius of a non-negative square matrix.
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Spectral radius ``max |eigenvalue|`` of a square matrix.
 
-    Delegates to the numeric backend (:mod:`repro.backend`); every
-    backend shares the dense ``eigvals`` reference implementation, so
-    the result never depends on the backend choice.
+    Slot matrices are small even in 100k-link networks, so the dense
+    ``eigvals`` is exact and cheap at every scale the library runs.
     """
-    from repro.backend import resolve_backend
-
-    return resolve_backend(backend).spectral_radius(matrix)
+    a = np.asarray(matrix, dtype=float)
+    if a.shape[0] == 0:
+        return 0.0
+    if a.shape[0] == 1:
+        return float(abs(a[0, 0]))
+    return float(np.abs(np.linalg.eigvals(a)).max())
 
 
 def is_feasible_some_power(
@@ -91,8 +93,7 @@ def is_feasible_some_power(
         a = affectance_matrix(links, model, active)
     except InfeasibleError:
         return False
-    backend = links.kernel().backend
-    return backend.spectral_radius(a) < 1.0 - margin
+    return spectral_radius(a) < 1.0 - margin
 
 
 def feasible_power_assignment(
@@ -123,8 +124,7 @@ def feasible_power_assignment(
         p = max(model.min_power(float(lengths[0])), 1.0)
         return np.array([p])
     a = affectance_matrix(links, model, idx)
-    backend = links.kernel().backend
-    rho = backend.spectral_radius(a)
+    rho = spectral_radius(a)
     if rho >= 1.0 - margin:
         raise InfeasibleError(
             f"set of {idx.size} links is infeasible under any power "

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import GeometryError
 from repro.geometry.point import PointSet
 from repro.links.linkset import LinkSet
@@ -62,6 +60,8 @@ def k_connected_links(points: PointSet, k: int) -> LinkSet:
 
 def edge_connectivity(n: int, edges: List[Edge]) -> int:
     """Exact edge connectivity of the structure (networkx mincut)."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)

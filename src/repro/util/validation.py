@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -14,15 +16,15 @@ __all__ = [
 ]
 
 
-def check_int_min(name: str, value: int, *, minimum: int, hint: str = "") -> int:
-    """Validate that ``value`` is an integer of at least ``minimum``."""
-    value = int(value)
-    if value < minimum:
-        suffix = f" ({hint})" if hint else ""
+def check_int_min(name: str, value: object, *, minimum: int) -> int:
+    """``value`` as an ``int``; :class:`ConfigurationError` unless it is
+    an integer (numpy integers included, ``bool`` not) of at least
+    ``minimum``.  Floats and strings are rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigurationError(
-            f"{name} must be an integer >= {minimum}, got {value}{suffix}"
+            f"{name} must be an integer >= {minimum}, got {value!r}"
         )
-    return value
+    return int(value)
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:

@@ -165,6 +165,19 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match="available"):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,key,valid",
+        [
+            ("topology_params", "bogus", "available: side"),
+            ("topology_params", "rng", "available: side"),  # the pipeline passes rng
+            ("tree_params", "bogus", "available: method"),
+            ("scheduler_params", "bogus", "available: gamma, delta, tau, kernel_block_size"),
+        ],
+    )
+    def test_unknown_component_param_rejected_eagerly(self, field, key, valid):
+        with pytest.raises(ConfigurationError, match=f"unknown {field} .*'{key}'.*{valid}"):
+            PipelineConfig(**{field: {key: 1}})
+
     def test_bad_numbers_rejected(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig(n=0)

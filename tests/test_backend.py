@@ -1,25 +1,18 @@
-"""Tests for the pluggable numeric-backend layer (``repro.backend``)."""
+"""Tests for the numeric-backend layer (``repro.backend``): the block
+functions, the ``sparse`` bit and CSR conflict adjacency."""
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    DEFAULT_BACKEND,
-    NumericBackend,
-    numeric_backends,
-    register_backend,
-    resolve_backend,
-)
-from repro.backend.dense import DenseNumpyBackend
-from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
+from repro.backend import DEFAULT_BACKEND, SparseAdjacency, blocks
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
+from repro.scheduling.builder import ScheduleBuilder
 from repro.sinr.kernels import KernelCache
+from repro.sinr.model import SINRModel
 from repro.sinr.powercontrol import spectral_radius
-
-ALL_BACKENDS = ("dense-numpy", "blocked-sparse")
 
 
 def _random_links(n: int, rng: int = 0) -> LinkSet:
@@ -40,81 +33,55 @@ def _line_links(n: int) -> LinkSet:
 
 
 # ----------------------------------------------------------------------
-# Registry surface
+# Backend names
 # ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtin_backends(self):
-        assert set(ALL_BACKENDS) <= set(numeric_backends.names())
-
-    def test_resolve_default(self):
-        backend = resolve_backend(None)
-        assert backend.name == DEFAULT_BACKEND == "dense-numpy"
-
-    def test_resolve_passes_instances_through(self):
-        instance = DenseNumpyBackend()
-        assert resolve_backend(instance) is instance
-
-    def test_resolve_by_name(self):
-        assert resolve_backend("blocked-sparse").name == "blocked-sparse"
+class TestBackendNames:
+    @pytest.mark.parametrize(
+        "backend,sparse", [(None, False), (DEFAULT_BACKEND, False), ("blocked-sparse", True)]
+    )
+    def test_name_sets_the_sparse_bit(self, backend, sparse):
+        assert KernelCache(_random_links(4), backend=backend).sparse is sparse
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ConfigurationError, match="dense-numpy"):
-            resolve_backend("fortran77")
-
-    def test_register_backend_roundtrip(self):
-        class Custom(DenseNumpyBackend):
-            name = "custom-test-backend"
-
-        register_backend("custom-test-backend", Custom())
-        try:
-            assert resolve_backend("custom-test-backend").name == "custom-test-backend"
-        finally:
-            numeric_backends.unregister("custom-test-backend")
-
-    def test_abstract_backend_blocks_raise(self):
-        links = _random_links(4)
-        with pytest.raises(NotImplementedError):
-            NumericBackend().gap_block(links, np.arange(4), np.arange(4))
+        with pytest.raises(
+            ConfigurationError,
+            match="unknown numeric backend 'fortran77'; available: dense-numpy, blocked-sparse",
+        ):
+            KernelCache(_random_links(4), backend="fortran77")
 
 
 # ----------------------------------------------------------------------
-# Block-level bit-identity across backends
+# Every block is byte-identical to the slice of the full matrix
 # ----------------------------------------------------------------------
-class TestBlockIdentity:
-    @pytest.mark.parametrize("name", ALL_BACKENDS[1:])
+class TestBlockIsSliceOfFull:
     @pytest.mark.parametrize("make_links", [_random_links, _line_links])
-    def test_gap_blocks_byte_identical(self, name, make_links):
+    def test_gap_block_matches_link_distances(self, make_links):
         links = make_links(23)
         rows, cols = np.arange(0, 23, 2), np.arange(23)
-        ref = DenseNumpyBackend().gap_block(links, rows, cols)
-        got = resolve_backend(name).gap_block(links, rows, cols)
-        assert got.tobytes() == ref.tobytes()
+        full = links.link_distances()[np.ix_(rows, cols)]
+        assert blocks.gap_block(links, rows, cols).tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS[1:])
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
-    def test_additive_blocks_byte_identical(self, name, alpha):
+    def test_additive_block_matches_full(self, alpha):
         links = _random_links(19, rng=7)
         rows, cols = np.arange(5, 19), np.arange(19)
-        ref = DenseNumpyBackend().additive_block(links, alpha, rows, cols)
-        got = resolve_backend(name).additive_block(links, alpha, rows, cols)
-        assert got.tobytes() == ref.tobytes()
+        full = blocks.additive_full(links, alpha)[np.ix_(rows, cols)]
+        got = blocks.additive_block(links, alpha, rows, cols)
+        assert got.tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS[1:])
-    def test_affectance_blocks_byte_identical(self, name):
+    def test_affectance_block_matches_full(self):
         links = _random_links(17, rng=3)
-        rows, cols = np.arange(17), np.arange(17)
-        ref = DenseNumpyBackend().affectance_block(links, 3.0, 1.0, rows, cols)
-        got = resolve_backend(name).affectance_block(links, 3.0, 1.0, rows, cols)
-        assert got.tobytes() == ref.tobytes()
+        rows, cols = np.arange(17)[::-1], np.arange(3, 17)
+        full = blocks.affectance_full(links, 3.0, 1.0)[np.ix_(rows, cols)]
+        got = blocks.affectance_block(links, 3.0, 1.0, rows, cols)
+        assert got.tobytes() == full.tobytes()
 
-    def test_spectral_radius_matches_reference(self):
-        backend = resolve_backend(None)
+    def test_spectral_radius(self):
         gen = np.random.default_rng(0)
         a = np.abs(gen.normal(size=(8, 8))) * 0.1
-        assert backend.spectral_radius(a) == spectral_radius(a)
-        assert backend.spectral_radius(np.empty((0, 0))) == 0.0
-        assert backend.spectral_radius(np.array([[-2.5]])) == 2.5
-        assert backend.feasibility_margin(a) == 1.0 - backend.spectral_radius(a)
+        assert spectral_radius(a) == float(np.abs(np.linalg.eigvals(a)).max())
+        assert spectral_radius(np.empty((0, 0))) == 0.0
+        assert spectral_radius(np.array([[-2.5]])) == 2.5
 
 
 # ----------------------------------------------------------------------
@@ -180,44 +147,41 @@ class TestBlockedSparseNeverDense:
     def test_kernel_is_chunked_regardless_of_n(self):
         links = _random_links(10)
         kernel = KernelCache(links, backend="blocked-sparse")
-        assert kernel.chunked and not kernel.backend.allows_dense
+        assert kernel.chunked and kernel.sparse
 
     def test_schedule_with_zero_dense_builds(self):
-        from repro.scheduling.builder import ScheduleBuilder
-        from repro.sinr.model import SINRModel
-
         links = _random_links(40, rng=4)
-        builder = ScheduleBuilder(
-            SINRModel(alpha=3.0, beta=1.0), mode="uniform", backend="blocked-sparse"
-        )
+        links.kernel(backend="blocked-sparse")
+        builder = ScheduleBuilder(SINRModel(alpha=3.0, beta=1.0), mode="uniform")
         schedule, report = builder.build_with_report(links)
         assert schedule.num_slots >= 1
         assert links.kernel().stats.dense_builds == 0
-        assert links.kernel().backend.name == "blocked-sparse"
+        assert links.kernel().sparse
 
 
 # ----------------------------------------------------------------------
-# KernelCache parameter validation (satellite fix)
+# KernelCache parameter validation
 # ----------------------------------------------------------------------
+#: Block sizes that are not integers >= 1: none may be coerced.
+BAD_BLOCK_SIZES = [0, -8, 2.5, True, "8", "abc"]
+
+
 class TestKernelValidation:
-    @pytest.mark.parametrize("bad", [0, -1, -100])
-    def test_max_dense_links_must_be_positive(self, bad):
-        links = _random_links(5)
-        with pytest.raises(ConfigurationError, match="max_dense_links"):
-            KernelCache(links, max_dense_links=bad)
-
-    @pytest.mark.parametrize("bad", [0, -8])
+    @pytest.mark.parametrize("bad", BAD_BLOCK_SIZES)
     def test_block_size_must_be_positive(self, bad):
         links = _random_links(5)
         with pytest.raises(ConfigurationError, match="block_size"):
             KernelCache(links, block_size=bad)
+        with pytest.raises(ConfigurationError, match="block_size"):
+            links.kernel(block_size=bad)
 
-    def test_error_points_at_force_chunked(self):
-        links = _random_links(5)
-        with pytest.raises(ConfigurationError, match="force_chunked"):
-            KernelCache(links, max_dense_links=0)
+    @pytest.mark.parametrize("bad", BAD_BLOCK_SIZES)
+    def test_builder_kernel_block_size_must_be_positive(self, bad):
+        with pytest.raises(ConfigurationError, match="kernel_block_size"):
+            ScheduleBuilder(SINRModel(alpha=3.0, beta=1.0), kernel_block_size=bad)
 
     def test_minimum_values_accepted(self):
         links = _random_links(5)
-        kernel = KernelCache(links, block_size=1, max_dense_links=1)
-        assert kernel.chunked  # 5 links > max_dense_links=1
+        assert KernelCache(links, block_size=1).block_size == 1
+        kernel = KernelCache(links, block_size=np.int64(4))
+        assert kernel.block_size == 4 and type(kernel.block_size) is int

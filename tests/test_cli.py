@@ -1,11 +1,35 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro._version import __version__
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class TestImportCost:
+    def test_entry_points_do_not_load_networkx(self):
+        """networkx serves three narrow functions; the CLI, the sweep
+        engine and cluster workers must not pay its import time."""
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
+        code = (
+            "import sys, repro.cli, repro.runner.engine, repro.cluster.worker; "
+            "print('networkx' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestParser:

@@ -215,6 +215,16 @@ class TestColoringProperties:
 # ---------------------------------------------------------------------------
 # Stage-store cache keys
 # ---------------------------------------------------------------------------
+#: One keyword parameter of each built-in topology builder.
+TOPOLOGY_PARAM = {
+    "square": "side",
+    "disk": "radius",
+    "grid": "spacing",
+    "clusters": "cluster_std",
+    "exponential": "base",
+}
+
+
 def pipeline_configs():
     """Valid PipelineConfigs across every registry axis and the numeric
     model/instance parameters the stage keys read."""
@@ -322,9 +332,8 @@ class TestStoreKeyProperties:
     @settings(max_examples=50, deadline=None)
     @given(pipeline_configs())
     def test_topology_params_split_the_deploy_key(self, config):
-        other = config.replace(
-            topology_params={**config.topology_params, "side": 2.0}
-        )
+        param = TOPOLOGY_PARAM[config.topology]
+        other = config.replace(topology_params={**config.topology_params, param: 2.0})
         assert deploy_key(other) != deploy_key(config)
 
     @settings(max_examples=25, deadline=None)

@@ -16,7 +16,7 @@ from repro.sinr.affectance import (
     relative_interference_matrix,
 )
 from repro.sinr.feasibility import is_feasible_with_power, sinr_values
-from repro.sinr.kernels import KernelCache, get_kernel, power_digest
+from repro.sinr.kernels import KernelCache, power_digest
 from repro.sinr.powercontrol import affectance_matrix
 
 
@@ -45,28 +45,25 @@ class TestAttachment:
     def test_kernel_is_shared_per_linkset(self, square_links):
         assert square_links.kernel() is square_links.kernel()
 
-    def test_get_kernel_returns_attached(self, square_links):
-        assert get_kernel(square_links) is square_links.kernel()
-
     def test_new_linkset_gets_fresh_cache(self, square_links):
         other = square_links.subset(np.arange(len(square_links)))
         assert other.kernel() is not square_links.kernel()
 
     def test_reconfigure_replaces_cache(self, square_links):
         default = square_links.kernel()
-        forced = square_links.kernel(force_chunked=True, block_size=7)
+        forced = square_links.kernel(backend="blocked-sparse", block_size=7)
         assert forced is not default
         assert forced.chunked and forced.block_size == 7
         # Same explicit config is idempotent; no-arg call keeps it.
-        assert square_links.kernel(force_chunked=True, block_size=7) is forced
+        assert square_links.kernel(backend="blocked-sparse", block_size=7) is forced
         assert square_links.kernel() is forced
 
     def test_partial_reconfigure_preserves_other_options(self, square_links):
-        square_links.kernel(force_chunked=True)
+        square_links.kernel(backend="blocked-sparse")
         merged = square_links.kernel(block_size=64)
         # Unspecified options keep the attached cache's values: the
         # earlier memory constraint is not silently dropped.
-        assert merged.force_chunked and merged.block_size == 64
+        assert merged.sparse and merged.block_size == 64
         assert square_links.kernel(block_size=64) is merged
 
 
@@ -129,7 +126,7 @@ class TestChunkedEquality:
         coords = _random_links(90, rng=5)
         dense = coords
         chunked = LinkSet(coords.senders, coords.receivers)
-        chunked.kernel(force_chunked=True, block_size=13)
+        chunked.kernel(backend="blocked-sparse", block_size=13)
         return dense, chunked
 
     def test_additive(self, pair, model):
@@ -278,7 +275,7 @@ class TestIncrementalRepair:
     def test_chunked_repair(self, model):
         coords = _random_links(40, rng=2, spacing=0.8)
         chunked = LinkSet(coords.senders, coords.receivers)
-        chunked.kernel(force_chunked=True, block_size=5)
+        chunked.kernel(backend="blocked-sparse", block_size=5)
         vec = np.ones(40)
         class_indices = list(range(0, 40, 2))
         fast = split_into_feasible_slots_fixed_power(chunked, class_indices, vec, model)
@@ -294,52 +291,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             KernelCache(square_links, block_size=0)
 
-    def test_bad_block_workers(self, square_links):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            KernelCache(square_links, block_workers=0)
-
     def test_stats_snapshot(self, square_links, model):
         additive_interference(square_links, model.alpha, [0, 1], 2)
         snap = square_links.kernel().stats.snapshot()
         assert snap["entries_served"] >= 2
 
 
-class TestBlockWorkers:
-    def test_default_is_serial(self, square_links):
-        assert square_links.kernel().block_workers == 1
-
-    def test_config_tuple_includes_workers(self):
-        links = _random_links(10, 0)
-        cache = links.kernel(block_workers=3)
-        assert cache.config()[-1] == 3
-        # Reconfiguring another option preserves the worker count.
-        cache2 = links.kernel(block_size=7)
-        assert cache2.block_workers == 3
-
-    def test_parallel_colsums_bit_identical(self, model):
-        links_serial = _random_links(40, 4)
-        links_serial.kernel(force_chunked=True, block_size=5)
-        links_par = _random_links(40, 4)
-        links_par.kernel(force_chunked=True, block_size=5, block_workers=4)
-        vec = np.linspace(1.0, 2.0, 40)
-        idx = np.arange(40)
-        serial = links_serial.kernel().relative_colsums(vec, model.alpha, idx)
-        parallel = links_par.kernel().relative_colsums(vec, model.alpha, idx)
-        assert serial.tobytes() == parallel.tobytes()
-
-    def test_parallel_stats_are_exact(self, model):
+class TestKernelStats:
+    def test_chunked_colsums_count_blocks(self, model):
         links = _random_links(40, 4)
-        cache = links.kernel(force_chunked=True, block_size=5, block_workers=4)
+        cache = links.kernel(backend="blocked-sparse", block_size=5)
         cache.relative_colsums(np.ones(40), model.alpha, np.arange(40))
         assert cache.stats.block_evals == 8  # ceil(40 / 5) blocks
 
     def test_stats_pickle_roundtrip(self, square_links, model):
         import pickle
 
+        # Pool jobs pickle RunArtifacts, kernel counters included.
         additive_interference(square_links, model.alpha, [0, 1], 2)
         stats = square_links.kernel().stats
         clone = pickle.loads(pickle.dumps(stats))
         assert clone.snapshot() == stats.snapshot()
-        clone.count_block(4)  # the rebuilt lock works
+        clone.count_block(4)
+        assert clone.block_evals == stats.block_evals + 1

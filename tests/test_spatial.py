@@ -6,8 +6,7 @@ The two properties that make pruning safe to turn on by default:
   some candidate block pair (locked by a hypothesis property over all
   three threshold functions and uniform/clustered deployments);
 * **bit-identical** — the pruned adjacency is byte-equal to the
-  unpruned build, per backend, including under ``block_workers``
-  parallelism.
+  unpruned build, per backend.
 """
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sinr.kernels
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -145,12 +145,16 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse"])
     @pytest.mark.parametrize("threshold", THRESHOLDS, ids=lambda t: t.name)
     @pytest.mark.parametrize("topology", ["uniform", "clustered"])
-    def test_pruned_equals_unpruned(self, backend, threshold, topology):
+    def test_pruned_equals_unpruned(self, backend, threshold, topology, monkeypatch):
+        # 220 links above the dense limit: dense-numpy takes the
+        # chunked-kernel + dense-adjacency path, blocked-sparse the CSR one.
+        monkeypatch.setattr(repro.sinr.kernels, "KERNEL_MAX_DENSE_LINKS", 16)
         n = 220
         pruned_links = _deployment(n, 7, topology)
-        pruned_links.kernel(backend=backend, force_chunked=True, block_size=32)
+        pruned_links.kernel(backend=backend, block_size=32)
         plain_links = _deployment(n, 7, topology)
-        plain_links.kernel(backend=backend, force_chunked=True, block_size=32)
+        plain_links.kernel(backend=backend, block_size=32)
+        assert pruned_links.kernel().chunked and plain_links.kernel().chunked
         pruned = ConflictGraph(pruned_links, threshold)
         plain = ConflictGraph(plain_links, threshold, prune=False)
         if pruned._sparse is not None:
@@ -165,19 +169,6 @@ class TestBitIdentity:
             _deployment(100, 11, "uniform"), ConstantThreshold(1.5), prune=True
         )
         assert seed_path.adjacency.tobytes() == forced.adjacency.tobytes()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_block_workers_parity(self, workers):
-        serial_links = _deployment(200, 13, "clustered")
-        serial_links.kernel(backend="blocked-sparse", block_size=32)
-        par_links = _deployment(200, 13, "clustered")
-        par_links.kernel(
-            backend="blocked-sparse", block_size=32, block_workers=workers
-        )
-        serial = ConflictGraph(serial_links, ConstantThreshold(1.5))
-        parallel = ConflictGraph(par_links, ConstantThreshold(1.5))
-        assert serial._sparse.indptr.tobytes() == parallel._sparse.indptr.tobytes()
-        assert serial._sparse.indices.tobytes() == parallel._sparse.indices.tobytes()
 
 
 class TestPruningEffect:
