@@ -34,7 +34,6 @@ from repro.api.components import (
     topologies,
     trees,
 )
-from repro.api.measurements import measurements
 from repro.backend import check_backend
 from repro.constants import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.errors import ConfigurationError
@@ -191,9 +190,3 @@ class PipelineConfig:
                 f"valid fields: {sorted(known)}"
             )
         return cls(**dict(data))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def valid_measurements() -> tuple:
-        """Names the measurement registry currently serves (sweep axis)."""
-        return measurements.names()

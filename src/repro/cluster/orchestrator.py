@@ -202,10 +202,7 @@ class Orchestrator:
                     message = conn.recv(timeout=None)
                 except ClusterError:
                     return  # peer went away; leases expire on their own
-                try:
-                    reply = self._dispatch(message)
-                except ClusterError as exc:
-                    reply = protocol.make_message("error", detail=str(exc))
+                reply = self._dispatch(message)
                 try:
                     conn.send(reply, timeout=5.0)
                 except ClusterError:
@@ -214,18 +211,25 @@ class Orchestrator:
                     return
 
     def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The one reply to one validated frame.  A frame the
+        orchestrator cannot serve gets an ``error`` reply; handlers
+        decode their whole payload before touching sweep state, so such
+        a frame changes nothing."""
         msg_type = message["type"]
         worker_id = str(message.get("worker_id", "?"))
-        if msg_type == "hello":
-            return self._handle_hello(worker_id)
-        if msg_type == "lease_request":
-            return self._handle_lease_request(worker_id)
-        if msg_type == "result":
-            return self._handle_result(message)
-        if msg_type == "heartbeat":
-            return self._handle_heartbeat(worker_id)
-        if msg_type == "goodbye":
-            return self._handle_goodbye(worker_id)
+        try:
+            if msg_type == "hello":
+                return self._handle_hello(worker_id)
+            if msg_type == "lease_request":
+                return self._handle_lease_request(worker_id)
+            if msg_type == "result":
+                return self._handle_result(message)
+            if msg_type == "heartbeat":
+                return self._handle_heartbeat(worker_id)
+            if msg_type == "goodbye":
+                return self._handle_goodbye(worker_id)
+        except ClusterError as exc:
+            return protocol.make_message("error", detail=str(exc))
         return protocol.make_message(
             "error", detail=f"orchestrator cannot serve {msg_type!r} messages"
         )
@@ -272,7 +276,7 @@ class Orchestrator:
 
     def _handle_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
         result = protocol.decode_result(message.get("result", {}))
-        store_delta = message.get("store_stats") or {}
+        store_delta = protocol.decode_store_stats(message.get("store_stats"))
         with self._lock:
             if result.cell_id not in self._cells:
                 return protocol.make_message(

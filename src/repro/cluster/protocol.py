@@ -46,6 +46,7 @@ __all__ = [
     "PROTOCOL_SCHEMA_VERSION",
     "decode_cell",
     "decode_result",
+    "decode_store_stats",
     "encode_cell",
     "encode_result",
     "make_message",
@@ -130,9 +131,9 @@ def decode_cell(data: Dict[str, Any]) -> CellSpec:
             f"lease cell must be a JSON object, got {type(data).__name__}"
         )
     payload = dict(data)
-    if "measure" in payload:
-        payload["measure"] = tuple(payload["measure"])
     try:
+        if "measure" in payload:
+            payload["measure"] = tuple(payload["measure"])
         return CellSpec(**payload)
     except TypeError as exc:
         raise ProtocolError(f"malformed lease cell: {exc}") from None
@@ -150,9 +151,29 @@ def decode_result(data: Dict[str, Any]) -> CellResult:
             f"result payload must be a JSON object, got {type(data).__name__}"
         )
     try:
-        return CellResult.from_json_dict(data)
+        result = CellResult.from_json_dict(data)
     except (ConfigurationError, TypeError) as exc:
         raise ProtocolError(f"malformed cell result: {exc}") from None
+    if not isinstance(result.cell_id, str):
+        raise ProtocolError(
+            f"malformed cell result: cell_id must be a string, got {result.cell_id!r}"
+        )
+    return result
+
+
+def decode_store_stats(data: Any) -> Dict[str, Dict[str, int]]:
+    """Check a ``result`` frame's store-counter delta: stage name ->
+    counter name -> int (absent or null means no delta)."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict) or not all(
+        isinstance(stage, str)
+        and isinstance(counters, dict)
+        and all(isinstance(k, str) and type(v) is int for k, v in counters.items())
+        for stage, counters in data.items()
+    ):
+        raise ProtocolError(f"store_stats must map stage -> counter -> int, got {data!r}")
+    return data
 
 
 # ----------------------------------------------------------------------

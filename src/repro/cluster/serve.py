@@ -41,6 +41,7 @@ import multiprocessing
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.cluster.protocol import parse_address
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.spec import SweepSpec
 
@@ -136,6 +137,8 @@ class ServeApp:
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise ConfigurationError(f"jobs must be a positive int, got {jobs!r}")
         cluster = payload.pop("cluster", None)
+        if cluster is not None:
+            parse_address(cluster)
         spec = SweepSpec.from_dict(payload)
         total = sum(1 for _ in spec.cells())
         job_id = f"job-{self._next_id:04d}"

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.sinr.affectance import additive_interference_matrix
-from repro.util.ordering import argsort_by_length_nonincreasing
+from repro.util.ordering import first_fit
 
 __all__ = ["refine_by_interference"]
 
@@ -36,18 +34,10 @@ def refine_by_interference(
     if budget <= 0:
         raise ConfigurationError(f"budget must be positive, got {budget}")
     m = additive_interference_matrix(links, alpha)  # m[i, j] = I(i, j)
-    order = argsort_by_length_nonincreasing(links.lengths)
-    buckets: List[List[int]] = []
-    for i in order:
-        placed = False
-        for bucket in buckets:
-            # I(i, S) = sum over j in S of I(i, j): interference that i
-            # *induces* on the (all at-least-as-long) bucket members.
-            induced = float(m[i, bucket].sum())
-            if induced < budget:
-                bucket.append(int(i))
-                placed = True
-                break
-        if not placed:
-            buckets.append([int(i)])
-    return buckets
+    # I(i, S) = sum over j in S of I(i, j): interference that i *induces*
+    # on the (all at-least-as-long) bucket members.
+    return first_fit(
+        links.lengths,
+        range(len(links)),
+        lambda bucket, i: float(m[i, bucket].sum()) < budget,
+    )

@@ -255,13 +255,6 @@ class GridCandidateGenerator:
         """All block pairs — what an unpruned tile build evaluates."""
         return self.num_blocks**2
 
-    @property
-    def pruned_fraction(self) -> float:
-        """Fraction of tiles skipped by spatial pruning."""
-        if self.total_pairs == 0:
-            return 0.0
-        return 1.0 - self.pair_count / self.total_pairs
-
     def pairs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield candidate ``(rows, cols)`` global-index block pairs, in
         deterministic (row-block, col-block) order."""

@@ -15,8 +15,6 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -25,7 +23,7 @@ from repro.power.base import PowerAssignment
 from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
-from repro.util.ordering import argsort_by_length_nonincreasing
+from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
 
 __all__ = [
     "trivial_tdma_schedule",
@@ -53,18 +51,11 @@ def greedy_sinr_schedule(
     occupants remain feasible with it; opens a new slot otherwise.
     """
     vec = np.asarray(power.powers(links), dtype=float)
-    order = argsort_by_length_nonincreasing(links.lengths)
-    slots: List[List[int]] = []
-    for i in order:
-        placed = False
-        for slot in slots:
-            candidate = slot + [int(i)]
-            if is_feasible_with_power(links, vec, model, candidate):
-                slot.append(int(i))
-                placed = True
-                break
-        if not placed:
-            slots.append([int(i)])
+    slots = first_fit(
+        links.lengths,
+        range(len(links)),
+        lambda slot, link: is_feasible_with_power(links, vec, model, slot + [link]),
+    )
     return Schedule(
         links,
         [Slot.from_arrays(s, vec[s]) for s in slots],

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -47,12 +47,23 @@ __all__ = ["PowerMode", "ScheduleBuilder", "BuildReport"]
 
 
 class PowerMode(str, enum.Enum):
-    """Power-control mode of the scheduling pipeline."""
+    """Power-control mode of the scheduling pipeline.
+
+    ``PowerMode(name)`` is the one conversion from a mode name: an
+    unknown name raises :class:`~repro.errors.ConfigurationError`
+    listing the valid modes (via :meth:`_missing_`), not a bare
+    ``ValueError``.
+    """
 
     GLOBAL = "global"
     OBLIVIOUS = "oblivious"
     UNIFORM = "uniform"
     LINEAR = "linear"
+
+    @classmethod
+    def _missing_(cls, value: object) -> NoReturn:
+        valid = ", ".join(mode.value for mode in cls)
+        raise ConfigurationError(f"unknown power mode {value!r}; valid modes: {valid}")
 
 
 @dataclass

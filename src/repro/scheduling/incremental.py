@@ -12,19 +12,22 @@ actually touched:
   model changed or one of its members moved (geometry or power).  For a
   fixed power vector, removing links from a feasible slot only lowers
   the remaining members' interference sums, so a slot that merely lost
-  members is still feasible and is never re-examined.  Dirty slots get
-  one incremental row-sum check (the PR-1 kernel-cache repair path of
-  :mod:`repro.scheduling.repair`): members whose relative denominator
-  ``D_i = sum_j R[j,i] + N l_i^alpha / P_i`` exceeds ``1/beta`` are
-  evicted, the rest keep their slot.
+  members is still feasible and is never re-examined.  Every carried
+  slot goes to :meth:`~repro.scheduling.repair.FixedPowerPacker.carry`;
+  a dirty one gets one row-sum check there: members whose relative
+  denominator ``D_i = sum_j R[j,i] + N l_i^alpha / P_i`` exceeds
+  ``1/beta`` are evicted, the rest keep their slot.
 * **Re-matching insertion** — evicted plus newly arrived links are
-  re-inserted longest-first, first-fit into the surviving slots (lazily
-  materialising a slot's denominator vector only when it is first
-  probed), opening a new slot only when no existing slot accepts — the
-  greedy matching pass of the bipartite links x slots assignment.
+  re-inserted by the same packer's
+  :meth:`~repro.scheduling.repair.FixedPowerPacker.pack`: longest-first,
+  first-fit into the surviving slots (lazily materialising a slot's
+  denominator vector only when it is first probed), opening a new slot
+  only when no existing slot accepts — the greedy matching pass of the
+  bipartite links x slots assignment.
 * **Repair cost** — :class:`RepairCost` counters (links re-examined,
-  per-link feasibility evaluations, slots opened) make the O(affected)
-  vs O(n) distinction measurable per epoch.
+  per-link feasibility evaluations, slots opened, tallied by the
+  packer) make the O(affected) vs O(n) distinction measurable per
+  epoch.
 
 Only fixed-power modes are supported: the row-sum oracle *is* the
 fixed-power feasibility condition, whereas GLOBAL power re-derives a
@@ -46,10 +49,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.scheduling.builder import BuildReport, PowerMode, ScheduleBuilder
-from repro.scheduling.repair import _sinr_ok
+from repro.scheduling.repair import FixedPowerPacker
 from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.model import SINRModel
-from repro.util.ordering import argsort_by_length_nonincreasing
 
 __all__ = [
     "CarriedLink",
@@ -308,24 +310,11 @@ class IncrementalScheduler:
             raise ConfigurationError("link ids must be unique")
 
         model = self.model
-        alpha = model.alpha
-        threshold = model.beta
         scheme = self._builder._power_scheme(links)
         vec = np.asarray(scheme.powers(links), dtype=float)
         if self._builder.kernel_block_size is not None:
             links.kernel(block_size=self._builder.kernel_block_size)
-        kernel = links.kernel()
-        # One content digest for the whole pass (as in repair.py): the
-        # probes below are O(|slot|) and must not each hash the vector.
-        key = kernel.relative_key(vec, alpha)
-
-        def rel_noise(link: int) -> float:
-            if model.noise == 0.0:
-                return 0.0
-            with np.errstate(over="ignore"):
-                return float(
-                    model.noise * links.lengths[link] ** alpha / vec[link]
-                )
+        packer = FixedPowerPacker(links, vec, model)
 
         cost = RepairCost(links_total=n)
         delta = EpochDelta()
@@ -361,94 +350,28 @@ class IncrementalScheduler:
         groups: Dict[int, List[int]] = {}
         for i in carried:
             groups.setdefault(assignment[ids[i]].slot, []).append(i)
-        for members in groups.values():
-            members.sort(key=lambda i: assignment[ids[i]].pos)
-
-        reexamined: set = set()
-        slot_members: List[List[int]] = []
-        # Aligned with slot_members; None = denominators not yet
-        # materialised (clean slot never probed).
-        slot_denoms: List[Optional[np.ndarray]] = []
         evicted: List[int] = []
-
-        def materialise(
-            members: List[int],
-        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """A slot's ``(denominators, submatrix, noise)``, one kernel
-            call for the whole member block."""
-            sub = kernel.relative_submatrix(vec, alpha, members, members, key=key)
-            noise = np.array([rel_noise(i) for i in members])
-            cost.feasibility_evals += len(members)
-            reexamined.update(members)
-            return sub.sum(axis=0) + noise, sub, noise
-
         for old_slot in sorted(groups):
-            members = groups[old_slot]
-            dirty = model_changed or any(changed[i] for i in members)
-            if not dirty:
-                # Subset monotonicity: the slot lost members at most,
-                # every survivor's denominator only went down.
-                delta.slot_map[old_slot] = len(slot_members)
-                slot_members.append(list(members))
-                slot_denoms.append(None)
-                continue
-            denoms, sub, noise = materialise(members)
-            with np.errstate(divide="ignore"):
-                sinr = np.where(denoms > 0, 1.0 / denoms, np.inf)
-            ok = sinr >= threshold
-            keep = [m for m, good in zip(members, ok) if good]
-            evicted.extend(m for m, good in zip(members, ok) if not good)
-            if not keep:
-                continue
-            keep_pos = [p for p, good in enumerate(ok) if good]
-            delta.slot_map[old_slot] = len(slot_members)
-            slot_members.append(keep)
-            slot_denoms.append(
-                sub[np.ix_(keep_pos, keep_pos)].sum(axis=0) + noise[keep_pos]
+            members = sorted(groups[old_slot], key=lambda i: assignment[ids[i]].pos)
+            new_slot = len(packer.slots)
+            # A clean slot lost members at most, so (subset monotonicity)
+            # every survivor's denominator only went down.
+            evicted += packer.carry(
+                members, recheck=model_changed or bool(changed[members].any())
             )
+            if len(packer.slots) > new_slot:
+                delta.slot_map[old_slot] = new_slot
         cost.links_evicted = len(evicted)
-        cost.slots_carried = len(slot_members)
+        cost.slots_carried = len(packer.slots)
         delta.evicted = sorted(ids[i] for i in evicted)
 
         # ---- insertion: longest-first, first-fit re-matching ----------
         to_insert = evicted + new_idx
         cost.links_inserted = len(to_insert)
-        if to_insert:
-            order = [
-                to_insert[k]
-                for k in argsort_by_length_nonincreasing(
-                    links.lengths[to_insert]
-                )
-            ]
-            for i in order:
-                own_noise = rel_noise(i)
-                placed = False
-                for k, members in enumerate(slot_members):
-                    if slot_denoms[k] is None:
-                        slot_denoms[k] = materialise(members)[0]
-                    onto = kernel.relative_submatrix(
-                        vec, alpha, [i], members, key=key
-                    )[0]
-                    frm = kernel.relative_submatrix(
-                        vec, alpha, members, [i], key=key
-                    )[:, 0]
-                    member_denoms = slot_denoms[k] + onto
-                    link_denom = float(frm.sum()) + own_noise
-                    cost.feasibility_evals += len(members) + 1
-                    if _sinr_ok(member_denoms, threshold) and _sinr_ok(
-                        np.array([link_denom]), threshold
-                    ):
-                        members.append(i)
-                        slot_denoms[k] = np.append(member_denoms, link_denom)
-                        placed = True
-                        break
-                if not placed:
-                    slot_members.append([i])
-                    slot_denoms.append(np.array([own_noise]))
-                    cost.slots_opened += 1
-                    cost.feasibility_evals += 1
-                reexamined.add(i)
-        cost.links_reexamined = len(reexamined)
+        slot_members = packer.pack(to_insert)
+        cost.links_reexamined = len(packer.reexamined)
+        cost.feasibility_evals = packer.feasibility_evals
+        cost.slots_opened = packer.slots_opened
 
         slots = [
             Slot.from_arrays(members, vec[np.asarray(members, dtype=int)])

@@ -12,30 +12,37 @@ Two implementations are provided:
 
 * :func:`split_into_feasible_slots` — oracle-driven: each candidate
   placement calls an opaque feasibility predicate (needed for global
-  power control, where feasibility is a spectral-radius question).
+  power control, where feasibility is a spectral-radius question), via
+  the generic :func:`repro.util.ordering.first_fit`.
 * :func:`split_into_feasible_slots_fixed_power` — for a *fixed* power
-  vector the SINR condition is a per-link interference row sum, so the
-  pass maintains each open slot's row sums incrementally: testing a
-  candidate costs ``O(|slot|)`` kernel-cache entries instead of a full
-  ``O(|slot|^2)`` rebuild per probe.
+  vector the SINR condition is a per-link interference row sum, so a
+  :class:`FixedPowerPacker` maintains each open slot's row sums
+  incrementally: testing a candidate costs ``O(|slot|)`` kernel-cache
+  entries instead of a full ``O(|slot|^2)`` rebuild per probe.
 
-Both passes read interference exclusively through the link set's kernel
-cache, whose entries come from one set of block functions
-(:mod:`repro.backend.blocks`); repair decisions are therefore
-bit-identical across backends.
+The same packer repairs carried slots in
+:mod:`repro.scheduling.incremental`.  Both passes read interference
+exclusively through the link set's kernel cache, whose entries come
+from one set of block functions (:mod:`repro.backend.blocks`); repair
+decisions are therefore bit-identical across backends.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.links.linkset import LinkSet
+from repro.sinr.feasibility import sinr_from_denominators
 from repro.sinr.model import SINRModel
-from repro.util.ordering import argsort_by_length_nonincreasing
+from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
 
-__all__ = ["split_into_feasible_slots", "split_into_feasible_slots_fixed_power"]
+__all__ = [
+    "FixedPowerPacker",
+    "split_into_feasible_slots",
+    "split_into_feasible_slots_fixed_power",
+]
 
 FeasibilityPredicate = Callable[[Sequence[int]], bool]
 
@@ -66,31 +73,119 @@ def split_into_feasible_slots(
         return []
     if is_feasible(idx):
         return [idx]
-    lengths = links.lengths[idx]
-    order = [idx[k] for k in argsort_by_length_nonincreasing(lengths)]
-    slots: List[List[int]] = []
-    for link in order:
-        placed = False
-        for slot in slots:
-            candidate = slot + [link]
-            if is_feasible(candidate):
-                slot.append(link)
-                placed = True
-                break
-        if not placed:
-            slots.append([link])
-    return slots
+    return first_fit(
+        links.lengths[idx], idx, lambda slot, link: is_feasible(slot + [link])
+    )
 
 
-def _sinr_ok(denoms: np.ndarray, threshold: float) -> bool:
-    """Whether every relative denominator admits SINR >= threshold.
+class FixedPowerPacker:
+    """First-fit, longest-first packing of links into fixed-power slots.
 
-    Mirrors :func:`repro.sinr.feasibility.sinr_values` exactly: a zero
-    denominator means infinite SINR (always feasible).
+    Each open slot carries the relative-interference denominator
+    ``D_i = sum_j R[j, i] + N l_i^alpha / P_i`` of its members, so
+    probing link ``x`` against a slot only needs the cross entries
+    ``R[x, members]`` and ``R[members, x]`` from the link set's kernel
+    cache, and accepting updates the sums in place.  Slots come from
+    :meth:`place` / :meth:`pack` or from :meth:`carry`.
+    ``feasibility_evals``, ``slots_opened`` and ``reexamined`` are the
+    :class:`~repro.scheduling.incremental.RepairCost` tallies.
     """
-    with np.errstate(divide="ignore"):
-        sinr = np.where(denoms > 0, 1.0 / denoms, np.inf)
-    return bool(np.all(sinr >= threshold))
+
+    def __init__(
+        self, links: LinkSet, power: np.ndarray, model: SINRModel, *, slack: float = 0.0
+    ) -> None:
+        self.links = links
+        self.power = power
+        self.model = model
+        self.threshold = model.beta * (1.0 + slack)
+        self.kernel = links.kernel()
+        # One content digest for the whole pass: the probes are
+        # O(|slot|) and must not each pay an O(n) hash of the vector.
+        self.key = self.kernel.relative_key(power, model.alpha)
+        self.slots: List[List[int]] = []
+        #: Aligned with ``slots``; None = a carried slot not yet probed.
+        self.denoms: List[Optional[np.ndarray]] = []
+        self.feasibility_evals = 0
+        self.slots_opened = 0
+        self.reexamined: Set[int] = set()
+
+    def _relative(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        return self.kernel.relative_submatrix(
+            self.power, self.model.alpha, rows, cols, key=self.key
+        )
+
+    def _noise(self, link: int) -> float:
+        """``N l^alpha / P`` of one link (a scalar power, not an array
+        one: numpy's array ``power`` can round differently)."""
+        model = self.model
+        if model.noise == 0.0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(
+                model.noise * self.links.lengths[link] ** model.alpha / self.power[link]
+            )
+
+    def _feasible(self, denoms: np.ndarray) -> np.ndarray:
+        return sinr_from_denominators(denoms) >= self.threshold
+
+    def _materialise(
+        self, members: List[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A slot's ``(denominators, submatrix, noise)``, one kernel
+        call for the whole member block."""
+        sub = self._relative(members, members)
+        noise = np.array([self._noise(i) for i in members])
+        self.feasibility_evals += len(members)
+        self.reexamined.update(members)
+        return sub.sum(axis=0) + noise, sub, noise
+
+    def carry(self, members: List[int], *, recheck: bool) -> List[int]:
+        """Carry a previous slot over; returns the members it evicts.
+
+        Without ``recheck`` the slot is kept whole, its denominators
+        computed only at its first probe.  With it, members failing the
+        SINR test are evicted and the survivors, if any, keep the slot.
+        """
+        if not recheck:
+            self.slots.append(list(members))
+            self.denoms.append(None)
+            return []
+        denoms, sub, noise = self._materialise(members)
+        ok = self._feasible(denoms)
+        keep = [p for p, good in enumerate(ok) if good]
+        if keep:
+            self.slots.append([members[p] for p in keep])
+            self.denoms.append(sub[np.ix_(keep, keep)].sum(axis=0) + noise[keep])
+        return [m for m, good in zip(members, ok) if not good]
+
+    def place(self, link: int) -> None:
+        """First-fit ``link`` into the open slots, opening a new one
+        when none accepts it."""
+        own_noise = self._noise(link)
+        self.reexamined.add(link)
+        for k, members in enumerate(self.slots):
+            current = self.denoms[k]
+            if current is None:
+                current = self.denoms[k] = self._materialise(members)[0]
+            onto = self._relative([link], members)[0]
+            frm = self._relative(members, [link])[:, 0]
+            self.feasibility_evals += len(members) + 1
+            candidate = np.append(current + onto, float(frm.sum()) + own_noise)
+            if self._feasible(candidate).all():
+                members.append(link)
+                self.denoms[k] = candidate
+                return
+        self.slots.append([link])
+        self.denoms.append(np.array([own_noise]))
+        self.slots_opened += 1
+        self.feasibility_evals += 1
+
+    def pack(self, indices: List[int]) -> List[List[int]]:
+        """:meth:`place` every link of ``indices``, longest first;
+        returns all slots."""
+        for k in argsort_by_length_nonincreasing(self.links.lengths[indices]):
+            self.place(indices[k])
+        return self.slots
 
 
 def split_into_feasible_slots_fixed_power(
@@ -102,17 +197,8 @@ def split_into_feasible_slots_fixed_power(
     slack: float = 0.0,
 ) -> List[List[int]]:
     """Incremental-row-sum variant of :func:`split_into_feasible_slots`
-    for a fixed power vector.
-
-    Same ordering and placement policy (first-fit, longest first), but
-    instead of re-deriving the whole slot's feasibility per probe, each
-    open slot carries the relative-interference denominator
-    ``D_i = sum_j R[j, i] + N l_i^alpha / P_i`` of its members.  Probing
-    link ``x`` against a slot only needs the new cross entries
-    ``R[x, members]`` and ``R[members, x]`` — served by the link set's
-    :class:`~repro.sinr.kernels.KernelCache` — and accepting updates the
-    sums in place.
-    """
+    for a fixed power vector: the whole class if it is feasible,
+    otherwise a :class:`FixedPowerPacker` pass over it."""
     from repro.sinr.feasibility import _as_power_vector, is_feasible_with_power
 
     idx = [int(i) for i in np.atleast_1d(class_indices)]
@@ -121,38 +207,4 @@ def split_into_feasible_slots_fixed_power(
     vec = _as_power_vector(links, power)
     if is_feasible_with_power(links, vec, model, idx, slack=slack):
         return [idx]
-    threshold = model.beta * (1.0 + slack)
-    alpha = model.alpha
-    kernel = links.kernel()
-    # One content digest for the whole pass: the probes below are
-    # O(|slot|) and must not each pay an O(n) hash of the power vector.
-    key = kernel.relative_key(vec, alpha)
-
-    def rel_noise(link: int) -> float:
-        if model.noise == 0.0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            return float(model.noise * links.lengths[link] ** alpha / vec[link])
-
-    order = [idx[k] for k in argsort_by_length_nonincreasing(links.lengths[idx])]
-    slots: List[List[int]] = []
-    denoms: List[np.ndarray] = []  # aligned with slots, one entry per member
-    for link in order:
-        own_noise = rel_noise(link)
-        placed = False
-        for k, slot in enumerate(slots):
-            onto_members = kernel.relative_submatrix(vec, alpha, [link], slot, key=key)[0]
-            from_members = kernel.relative_submatrix(vec, alpha, slot, [link], key=key)[:, 0]
-            member_denoms = denoms[k] + onto_members
-            link_denom = float(from_members.sum()) + own_noise
-            if _sinr_ok(member_denoms, threshold) and _sinr_ok(
-                np.array([link_denom]), threshold
-            ):
-                slot.append(link)
-                denoms[k] = np.append(member_denoms, link_denom)
-                placed = True
-                break
-        if not placed:
-            slots.append([link])
-            denoms.append(np.array([own_noise]))
-    return slots
+    return FixedPowerPacker(links, vec, model, slack=slack).pack(idx)

@@ -26,7 +26,12 @@ from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.sinr.model import SINRModel
 
-__all__ = ["sinr_values", "is_feasible_with_power", "max_relative_interference"]
+__all__ = [
+    "sinr_values",
+    "sinr_from_denominators",
+    "is_feasible_with_power",
+    "max_relative_interference",
+]
 
 
 def _as_power_vector(links: LinkSet, power) -> np.ndarray:
@@ -42,6 +47,19 @@ def _as_power_vector(links: LinkSet, power) -> np.ndarray:
     if np.any(vec <= 0) or not np.all(np.isfinite(vec)):
         raise ConfigurationError("powers must be positive and finite")
     return vec
+
+
+def sinr_from_denominators(denom: np.ndarray) -> np.ndarray:
+    """SINR from relative denominators ``D_i = sum_j R[j, i] + N l_i^alpha / P_i``.
+
+    ``SINR_i = 1 / D_i``; a zero denominator (a lone link in a
+    noiseless model) means infinite SINR.  The one place this rule is
+    written: :func:`sinr_values` and the incremental row-sum repair
+    (:class:`~repro.scheduling.repair.FixedPowerPacker`) both call it,
+    so their feasibility verdicts agree by construction.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
 def sinr_values(
@@ -73,7 +91,7 @@ def sinr_values(
     with np.errstate(over="ignore", divide="ignore"):
         rel_noise = model.noise * lengths**model.alpha / p if model.noise else 0.0
         denom = interference + rel_noise
-        return np.where(denom > 0, 1.0 / denom, np.inf)
+    return sinr_from_denominators(denom)
 
 
 def is_feasible_with_power(

@@ -258,12 +258,6 @@ class KernelCache:
         self.stats.count_block(rows.size * cols.size)
         return gap
 
-    def srdist_submatrix(self, rows, cols) -> np.ndarray:
-        """Sender-receiver distances ``D[j, i] = d(s_j, r_i)``."""
-        rows = as_index_array(rows)
-        cols = as_index_array(cols)
-        return blocks.srdist_block(self.links, rows, cols)
-
     # ------------------------------------------------------------------
     # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
     # ------------------------------------------------------------------

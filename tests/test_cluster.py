@@ -117,6 +117,8 @@ class TestProtocol:
             protocol.decode_cell({"topology": "grid", "n": 9, "bogus": 1})
         with pytest.raises(ProtocolError, match="JSON object"):
             protocol.decode_cell([1, 2])
+        with pytest.raises(ProtocolError, match="malformed lease cell"):
+            protocol.decode_cell({"measure": 5})
 
     def test_result_codec_roundtrip(self):
         result = CellResult(
@@ -375,6 +377,78 @@ class TestOrchestrator:
             Orchestrator([], batch_size=0)
 
 
+class TestResultFrameValidation:
+    """Malformed ``result`` frames, driven through ``_dispatch`` without
+    a connection: the reply is ``error`` and nothing changes, so the
+    worker's honest retry is still accepted and the sweep completes."""
+
+    @pytest.fixture
+    def orch(self):
+        cells = TestOrchestrator().cells(2)
+        accepted = []
+        orch = Orchestrator(
+            cells, batch_size=2, on_result=lambda cid, r: accepted.append(cid)
+        )
+        orch.accepted = accepted
+        yield orch
+        orch._server.stop()
+
+    @staticmethod
+    def frame(cell, *, lease_id, store_stats=None, **result_overrides):
+        result = dict(protocol.encode_result(result_for(cell)), **result_overrides)
+        return protocol.make_message(
+            "result", worker_id="wA", lease_id=lease_id, result=result,
+            store_stats=store_stats,
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"store_stats": {"deploy": 5}},
+            {"store_stats": {"deploy": {"builds": "1"}}},
+            {"store_stats": {"deploy": {"builds": True}}},
+            {"store_stats": [1]},
+            {"cell_id": ["grid", 9]},
+            {"cell_id": 7},
+        ],
+        ids=[
+            "stats-not-mapping", "stats-str-count", "stats-bool-count",
+            "stats-list", "cell-id-list", "cell-id-int",
+        ],
+    )
+    def test_malformed_result_changes_nothing(self, orch, bad):
+        lease = orch._dispatch(
+            protocol.make_message("lease_request", worker_id="wA")
+        )
+        assert lease["type"] == "lease"
+        cells = [protocol.decode_cell(c) for c in lease["cells"]]
+        leases_before = dict(orch._leases)
+
+        reply = orch._dispatch(self.frame(cells[0], lease_id=lease["lease_id"], **bad))
+        assert reply["type"] == "error"
+        assert "malformed" in reply["detail"] or "store_stats" in reply["detail"]
+        assert orch._results == {}
+        assert orch.accepted == []
+        assert orch.stats.results_accepted == 0
+        assert orch.stats.store_stats == {}
+        assert orch._leases == leases_before
+        assert not orch._done.is_set()
+
+        for cell in cells:
+            ack = orch._dispatch(
+                self.frame(
+                    cell, lease_id=lease["lease_id"],
+                    store_stats={"deploy": {"builds": 1}},
+                )
+            )
+            assert ack == protocol.make_message(
+                "result_ack", cell_id=cell.cell_id, duplicate=False
+            )
+        assert orch.accepted == [c.cell_id for c in cells]
+        assert orch.stats.store_stats["deploy"]["builds"] == 2
+        assert sorted(orch.wait(timeout=1.0)) == sorted(c.cell_id for c in cells)
+
+
 # ----------------------------------------------------------------------
 # Engine-level cluster backend
 # ----------------------------------------------------------------------
@@ -625,6 +699,8 @@ class TestServeHttp:
             (post_jobs({"topologies": ["grid"]}), "['ns', 'modes']"),
             (post_jobs(dict(SERVE_SPEC, jobs="two")), "jobs"),
             (post_jobs(dict(SERVE_SPEC, jobs=0)), "jobs"),
+            (post_jobs(dict(SERVE_SPEC, cluster="nohost")), "HOST:PORT"),
+            (post_jobs(dict(SERVE_SPEC, cluster="host:port")), "port"),
             (post_jobs("{not json"), "not JSON"),
             (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "Content-Length"),
         ],
@@ -633,6 +709,8 @@ class TestServeHttp:
             "missing-fields",
             "jobs-not-int",
             "jobs-zero",
+            "cluster-no-port",
+            "cluster-bad-port",
             "body-not-json",
             "bad-content-length",
         ],

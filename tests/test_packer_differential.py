@@ -1,0 +1,282 @@
+"""Differential suite: the first-fit packers against the loops they replaced.
+
+:class:`~repro.scheduling.repair.FixedPowerPacker` replaced two
+hand-written fixed-power first-fit loops, and
+:func:`~repro.util.ordering.first_fit` three predicate-driven ones.
+The fixed-power loops live on verbatim in ``tests/oracles/repair_loops.py``;
+the predicate loops are kept below as reference functions.  Every case
+runs both sides on fresh, identical link sets and asserts equal slots,
+equal :class:`~repro.scheduling.incremental.RepairCost` counters and
+epoch deltas, and equal kernel-cache counters — so the packer issues
+the same kernel calls, in the same order, as the loops did.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+import pytest
+
+from oracles.repair_loops import (
+    LoopIncrementalScheduler,
+    split_into_feasible_slots_fixed_power as loop_split_fixed_power,
+)
+from repro.api.config import PipelineConfig
+from repro.coloring.refinement import refine_by_interference
+from repro.geometry.generators import cluster_points, exponential_line, uniform_square
+from repro.links.linkset import LinkSet
+from repro.power.oblivious import ObliviousPower
+from repro.scenarios import ScenarioRunner
+from repro.scheduling.baselines import greedy_sinr_schedule
+from repro.scheduling.incremental import IncrementalScheduler, ScheduleState
+from repro.scheduling.repair import split_into_feasible_slots_fixed_power
+from repro.sinr.affectance import additive_interference_matrix
+from repro.sinr.feasibility import is_feasible_with_power
+from repro.sinr.model import SINRModel
+from repro.spanning.tree import AggregationTree
+from repro.store.store import StageStore
+from repro.util.ordering import argsort_by_length_nonincreasing
+
+MODEL = SINRModel(alpha=3.0, beta=1.0)
+NOISY = SINRModel(alpha=3.0, beta=1.0, noise=0.05)
+
+
+def crowded_links(n: int, seed: int, side: float = 4.0) -> LinkSet:
+    """``n`` random links of length 0.2..1 in a ``side`` square: dense
+    enough that uniform-power classes need several slots."""
+    gen = np.random.default_rng(seed)
+    senders = gen.uniform(0.0, side, size=(n, 2))
+    angles = gen.uniform(0.0, 2 * np.pi, size=n)
+    lengths = gen.uniform(0.2, 1.0, size=n)
+    offsets = lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return LinkSet(senders, senders + offsets)
+
+
+def twin(links: LinkSet) -> LinkSet:
+    """A fresh link set with the same geometry and an empty kernel cache."""
+    return LinkSet(
+        links.senders, links.receivers,
+        sender_ids=links.sender_ids, receiver_ids=links.receiver_ids,
+    )
+
+
+def stats(links: LinkSet) -> dict:
+    return links.kernel().stats.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# split_into_feasible_slots_fixed_power
+# ---------------------------------------------------------------------------
+SPLIT_CASES = [
+    # (id, model, tau, slack, kernel kwargs)
+    ("crowded-uniform", MODEL, 0.0, 0.0, {}),
+    ("crowded-oblivious", MODEL, 0.5, 0.0, {}),
+    ("crowded-linear", MODEL, 1.0, 0.0, {}),
+    ("noisy", NOISY, 0.5, 0.0, {}),
+    ("slack", MODEL, 0.0, 0.5, {}),
+    ("blocked-sparse", MODEL, 0.0, 0.0, {"backend": "blocked-sparse", "block_size": 5}),
+]
+
+
+class TestSplitFixedPower:
+    @pytest.mark.parametrize(
+        "model,tau,slack,kernel_kwargs",
+        [case[1:] for case in SPLIT_CASES],
+        ids=[case[0] for case in SPLIT_CASES],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_packer_matches_the_loop(self, model, tau, slack, kernel_kwargs, seed):
+        new = crowded_links(60, seed)
+        old = twin(new)
+        if kernel_kwargs:
+            new.kernel(**kernel_kwargs)
+            old.kernel(**kernel_kwargs)
+        vec = ObliviousPower(tau, model.alpha).rescaled_for_noise(new, model).powers(new)
+        gen = np.random.default_rng(100 + seed)
+        # Several classes per link set: the first probes of a power
+        # vector are block-evaluated, later ones hit the promoted dense
+        # matrix (unless the kernel is chunked).
+        classes = [np.arange(60)] + [
+            gen.choice(60, size=size, replace=False) for size in (35, 20, 45, 1)
+        ]
+        split_pieces = 0
+        for cls in classes:
+            got = split_into_feasible_slots_fixed_power(new, cls, vec, model, slack=slack)
+            want = loop_split_fixed_power(old, cls, vec, model, slack=slack)
+            assert got == want
+            assert stats(new) == stats(old)
+            split_pieces += len(got) > 1
+        assert split_pieces >= 2  # the packer, not the shortcut, ran
+        if kernel_kwargs:
+            assert new.kernel().stats.dense_builds == 0
+
+
+# ---------------------------------------------------------------------------
+# IncrementalScheduler._warm_build
+# ---------------------------------------------------------------------------
+TIMELINES = [
+    ("churn", {"p_leave": 0.08}),
+    ("mobility", {"speed": 0.05}),
+    ("fading", {"sigma": 0.15}),
+]
+
+
+class RecordingRunner(ScenarioRunner):
+    """Records every warm build's inputs: epoch model, links, ids and
+    the carried state."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.warm_inputs = []
+
+    def _resolve_schedule(self, inst, links, sig, carried=None, link_ids=None):
+        if carried is not None:
+            self.warm_inputs.append((inst.model, links, link_ids, carried))
+        return super()._resolve_schedule(
+            inst, links, sig, carried=carried, link_ids=link_ids
+        )
+
+
+def assert_same_warm_build(model, links, link_ids, state, mode="oblivious"):
+    """Run both warm builds on twins of ``links``; returns the repair cost."""
+    new_links, old_links = twin(links), twin(links)
+    new = IncrementalScheduler(model, mode)
+    old = LoopIncrementalScheduler(model, mode)
+    new_sched, new_report = new.schedule(new_links, link_ids=link_ids, prev_state=state)
+    old_sched, old_report = old.schedule(old_links, link_ids=link_ids, prev_state=state)
+    assert [(s.link_indices, s.powers) for s in new_sched.slots] == [
+        (s.link_indices, s.powers) for s in old_sched.slots
+    ]
+    assert new_report.repair_cost == old_report.repair_cost
+    assert new_report.slot_sizes == old_report.slot_sizes
+    assert new_report.initial_colors == old_report.initial_colors
+    assert vars(new.last_delta) == vars(old.last_delta)
+    assert stats(new_links) == stats(old_links)
+    return new_report.repair_cost
+
+
+class TestWarmBuild:
+    @pytest.mark.parametrize("scenario,params", TIMELINES)
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_timeline_warm_builds_match_the_loop(self, scenario, params, n):
+        config = PipelineConfig(
+            topology="square", n=n, seed=3, power="oblivious",
+            scheduler="incremental-certified",
+        )
+        runner = RecordingRunner(
+            config, scenario, epochs=3, params=params, store=StageStore()
+        )
+        runner.run()
+        assert len(runner.warm_inputs) == 3
+        costs = [assert_same_warm_build(*inputs) for inputs in runner.warm_inputs]
+        if scenario == "mobility":
+            # Moving nodes break carried slots: eviction and re-insertion
+            # into new slots both ran.
+            assert max(c["links_evicted"] for c in costs) > 0
+            assert max(c["slots_opened"] for c in costs) > 0
+
+    @pytest.mark.parametrize(
+        "changed",
+        [SINRModel(alpha=3.0, beta=1.5), SINRModel(alpha=3.0, beta=1.0, noise=0.02)],
+        ids=["beta", "noise"],
+    )
+    def test_model_change_rechecks_every_slot_like_the_loop(self, changed):
+        links = AggregationTree.mst(uniform_square(80, side=12.0, rng=11)).links()
+        ids = [(i, 1000 + i) for i in range(len(links))]
+        schedule, _ = IncrementalScheduler(MODEL, "oblivious").schedule(links)
+        state = ScheduleState.from_schedule(schedule, ids, MODEL)
+        cost = assert_same_warm_build(changed, links, ids, state)
+        # Every carried slot was dirty, so every link was re-examined.
+        assert cost["links_reexamined"] == len(links)
+        assert cost["links_evicted"] > 0
+
+    @pytest.mark.parametrize("mode", ["uniform", "linear"])
+    def test_arrivals_into_clean_slots_match_the_loop(self, mode):
+        # Clean carried slots are materialised lazily, at their first
+        # insertion probe; new links far from and close to the old ones.
+        base = crowded_links(40, 5, side=10.0)
+        ids = [(i, 1000 + i) for i in range(len(base))]
+        schedule, _ = IncrementalScheduler(MODEL, mode).schedule(base)
+        state = ScheduleState.from_schedule(schedule, ids, MODEL)
+        extra = crowded_links(15, 6, side=10.0)
+        links = LinkSet(
+            np.vstack([base.senders[5:], extra.senders]),
+            np.vstack([base.receivers[5:], extra.receivers]),
+        )
+        new_ids = ids[5:] + [(5000 + j, 6000 + j) for j in range(len(extra))]
+        cost = assert_same_warm_build(MODEL, links, new_ids, state, mode=mode)
+        assert cost["links_inserted"] == len(extra)
+
+
+# ---------------------------------------------------------------------------
+# first_fit callers against their original loops
+# ---------------------------------------------------------------------------
+def loop_greedy_sinr_slots(links, vec, model) -> List[List[int]]:
+    """The original ``greedy_sinr_schedule`` packing loop."""
+    order = argsort_by_length_nonincreasing(links.lengths)
+    slots: List[List[int]] = []
+    for i in order:
+        placed = False
+        for slot in slots:
+            candidate = slot + [int(i)]
+            if is_feasible_with_power(links, vec, model, candidate):
+                slot.append(int(i))
+                placed = True
+                break
+        if not placed:
+            slots.append([int(i)])
+    return slots
+
+
+def loop_refine(links, alpha, budget=1.0) -> List[List[int]]:
+    """The original ``refine_by_interference`` loop."""
+    m = additive_interference_matrix(links, alpha)
+    order = argsort_by_length_nonincreasing(links.lengths)
+    buckets: List[List[int]] = []
+    for i in order:
+        placed = False
+        for bucket in buckets:
+            induced = float(m[i, bucket].sum())
+            if induced < budget:
+                bucket.append(int(i))
+                placed = True
+                break
+        if not placed:
+            buckets.append([int(i)])
+    return buckets
+
+
+def topologies():
+    return {
+        "square-mst": AggregationTree.mst(uniform_square(60, side=10.0, rng=21)).links(),
+        "clustered-mst": AggregationTree.mst(
+            cluster_points(3, 15, cluster_std=0.4, side=8.0, rng=22)
+        ).links(),
+        "exponential-chain": AggregationTree.mst(exponential_line(14)).links(),
+        "crowded": crowded_links(50, 3),
+        "sparse": crowded_links(40, 4, side=30.0),
+    }
+
+
+TOPOLOGIES = topologies()
+
+
+class TestFirstFitCallers:
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_greedy_sinr_matches_the_loop(self, name, tau):
+        links = TOPOLOGIES[name]
+        scheme = ObliviousPower(tau, MODEL.alpha)
+        vec = np.asarray(scheme.powers(links), dtype=float)
+        schedule = greedy_sinr_schedule(twin(links), scheme, MODEL)
+        want = loop_greedy_sinr_slots(twin(links), vec, MODEL)
+        assert [list(s.link_indices) for s in schedule.slots] == want
+        assert [list(s.powers) for s in schedule.slots] == [list(vec[s]) for s in want]
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("budget", [0.5, 1.0])
+    def test_refinement_matches_the_loop(self, name, budget):
+        links = TOPOLOGIES[name]
+        got = refine_by_interference(twin(links), MODEL.alpha, budget=budget)
+        assert got == loop_refine(twin(links), MODEL.alpha, budget=budget)

@@ -5,7 +5,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.geometry.generators import exponential_line, uniform_square
+from repro.core.theory import predicted_slots
 from repro.scheduling.builder import PowerMode, ScheduleBuilder
+from repro.scheduling.distributed import DistributedSchedulingSimulator
+from repro.scheduling.incremental import IncrementalScheduler
 from repro.scheduling.repair import split_into_feasible_slots
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.powercontrol import is_feasible_some_power
@@ -80,8 +83,27 @@ class TestBuilderModes:
         assert ScheduleBuilder(model, "oblivious").mode is PowerMode.OBLIVIOUS
 
     def test_unknown_mode_rejected(self, model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown power mode 'psychic'"):
             ScheduleBuilder(model, "psychic")
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda model, mode: ScheduleBuilder(model, mode),
+            lambda model, mode: IncrementalScheduler(model, mode),
+            lambda model, mode: DistributedSchedulingSimulator(model, mode),
+            lambda model, mode: predicted_slots(mode, 16.0, 10),
+        ],
+        ids=["builder", "incremental", "distributed", "theory"],
+    )
+    def test_unknown_mode_is_a_typed_error_listing_modes(self, model, entry_point):
+        with pytest.raises(ConfigurationError) as err:
+            entry_point(model, "bogus")
+        assert str(err.value) == (
+            "unknown power mode 'bogus'; valid modes: "
+            "global, oblivious, uniform, linear"
+        )
+        entry_point(model, "oblivious")  # valid names still convert
 
 
 class TestBuilderQuality:
