@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.aggregation.functions import threshold_count
-from repro.aggregation.simulator import AggregationSimulator
+from repro.aggregation.simulator import AggregationSimulator, as_readings
 from repro.errors import SimulationError
 from repro.scheduling.schedule import Schedule
 from repro.spanning.tree import AggregationTree
@@ -54,8 +52,11 @@ def median_via_counting(
     * supply ``tree`` and ``schedule`` — probes run through the full
       convergecast simulator, and ``slots_used`` reports the total
       number of TDMA slots consumed (probes x latency per probe).
+
+    Every reading must be a number other than NaN
+    (:class:`SimulationError` otherwise).
     """
-    values = np.asarray(list(readings), dtype=float)
+    values = as_readings(list(readings))
     if values.size == 0:
         raise SimulationError("median of zero readings is undefined")
     n = values.size

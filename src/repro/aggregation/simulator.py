@@ -51,11 +51,24 @@ event count over those slots (``+n`` per injection, ``-1`` per forward,
 order — its own reading first, then its children's partials by send slot
 and position in the slot — the order a slot-by-slot run applies them
 in, so float partials are bit-identical to it.
+
+**Values over whole frames.**  For an aggregate with a whole-array form
+(every built-in, see :mod:`repro.aggregation.functions`) a level's
+readings are lifted in one call, and each inner node combines one row
+per child covering all its frames, in the same arrival order; where that
+order differs between frames, the children's rows are ranked per frame
+first.  Each frame thus sees the same elementwise IEEE operations in the
+same order as a per-frame fold, and the centralised reference folds the
+readings in node order the same way (``aggregate_frames``).  User
+aggregates without an array form, and runs that carry fewer than
+:data:`ARRAY_MIN_FRAMES` frames (each ``median_via_counting`` probe
+carries one), combine Python values frame by frame.
 """
 
 from __future__ import annotations
 
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
@@ -68,6 +81,12 @@ from repro.spanning.tree import AggregationTree
 from repro.util.rng import RngLike, as_generator
 
 __all__ = ["AggregationSimulator", "SimulationResult"]
+
+#: Runs carrying fewer frames than this combine one Python value per
+#: frame even when the aggregate has an array form: below it, numpy's
+#: per-call cost outweighs the fold (the two break even at about 8
+#: frames for n = 100-400, sum and threshold counts alike).
+ARRAY_MIN_FRAMES = 8
 
 
 @dataclass
@@ -119,6 +138,18 @@ class SimulationResult:
         return (
             not self.truncated and self.frames_completed == self.frames_injected
         )
+
+
+def as_readings(readings: object) -> np.ndarray:
+    """``readings`` as a float array; :class:`SimulationError` unless
+    every reading is a number other than NaN (infinities pass)."""
+    try:
+        values = np.asarray(readings, dtype=float)
+    except (TypeError, ValueError):
+        raise SimulationError("readings must be numbers") from None
+    if np.isnan(values).any():
+        raise SimulationError("readings must not be NaN")
+    return values
 
 
 def _count(name: str, value: object) -> int:
@@ -254,7 +285,8 @@ class AggregationSimulator:
             uniform readings otherwise.
 
         ``num_frames``, ``injection_period`` and ``max_slots`` must be
-        integers of at least 1 (:class:`SimulationError` otherwise).
+        integers of at least 1, and every reading a number other than
+        NaN (:class:`SimulationError` otherwise).
         """
         num_frames = _count("num_frames", num_frames)
         period = self.schedule.num_slots
@@ -264,10 +296,9 @@ class AggregationSimulator:
         if max_slots is not None:
             max_slots = _count("max_slots", max_slots)
         n = len(self.tree.points)
-        gen = as_generator(rng)
         if readings is None:
-            readings = gen.uniform(0.0, 100.0, size=(num_frames, n))
-        readings = np.asarray(readings, dtype=float)
+            readings = as_generator(rng).uniform(0.0, 100.0, size=(num_frames, n))
+        readings = as_readings(readings)
         if readings.shape != (num_frames, n):
             raise SimulationError(
                 f"readings must have shape ({num_frames}, {n}), got {readings.shape}"
@@ -293,23 +324,39 @@ class AggregationSimulator:
         # injection); the last level handed up to is the sink's.
         ready = np.tile(injected_at, (len(self._levels[0].nodes), 1))
         send = np.empty((0, injected), dtype=np.int64)
+        # Values over whole frames when the aggregate has an array form
+        # and the run carries enough frames; one Python value per frame
+        # otherwise.  Python floats overflow to inf, and make NaN of
+        # inf - inf, silently; so must the array folds.
+        arrays = self.function.combine_array is not None and injected >= ARRAY_MIN_FRAMES
         partials: List[List[object]] = []
-        for level in self._levels:
-            first = ready + (level.slot - ready) % period
-            below, send = send, np.maximum.accumulate(first - spacing, axis=1) + spacing
-            sent = send < max_slots
-            change = _drop(change, send[sent])
-            partials = [
-                self._gather(own[v, :k], kids, below, partials)
-                for v, k, kids in zip(level.nodes, sent.sum(axis=1).tolist(), level.kids)
-            ]
-            ready = np.tile(injected_at, (level.above, 1))
-            np.maximum.at(ready, level.up, send + level.delay)
-        # The sink completes a frame one slot after its last child's send.
-        complete = ready[0]
-        completed = int(np.searchsorted(complete, max_slots, side="right"))
-        change = _drop(change, complete[:completed] - 1)
-        values = self._gather(own[self.tree.sink, :completed], self._sink_kids, send, partials)
+        carriers = np.empty(0)
+        with np.errstate(over="ignore", invalid="ignore") if arrays else nullcontext():
+            for level in self._levels:
+                first = ready + (level.slot - ready) % period
+                below, send = send, np.maximum.accumulate(first - spacing, axis=1) + spacing
+                sent = send < max_slots
+                change = _drop(change, send[sent])
+                frames = sent.sum(axis=1).tolist()
+                if arrays:
+                    carriers = self._fold(own[level.nodes], level.kids, frames, below, carriers)
+                else:
+                    partials = [
+                        self._gather(own[v, :k], kids, below, partials)
+                        for v, k, kids in zip(level.nodes, frames, level.kids)
+                    ]
+                ready = np.tile(injected_at, (level.above, 1))
+                np.maximum.at(ready, level.up, send + level.delay)
+            # The sink completes a frame one slot after its last child's send.
+            complete = ready[0]
+            completed = int(np.searchsorted(complete, max_slots, side="right"))
+            change = _drop(change, complete[:completed] - 1)
+            sink = self.tree.sink
+            if arrays:
+                row = self._fold(own[[sink], :completed], [self._sink_kids], [completed], send, carriers)[0]
+                values = np.moveaxis(row, -1, 0).tolist()
+            else:
+                values = self._gather(own[sink, :completed], self._sink_kids, send, partials)
 
         slots_elapsed = int(complete[-1]) if completed == num_frames else max_slots
         backlog = np.cumsum(change[:slots_elapsed])
@@ -321,7 +368,7 @@ class AggregationSimulator:
             max_backlog=int(backlog.max()),
             final_backlog=int(backlog[-1]),
             slots_elapsed=slots_elapsed,
-            values_correct=self._verify(values, readings),
+            values_correct=self._verify(values, readings, arrays),
         )
 
     # ------------------------------------------------------------------
@@ -356,18 +403,62 @@ class AggregationSimulator:
             acc = map(combine, acc, partials[c])
         return list(acc)
 
-    def _verify(self, partials: List[object], readings: np.ndarray) -> bool:
+    def _fold(
+        self,
+        readings: np.ndarray,
+        kids: List[List[int]],
+        frames: List[int],
+        send: np.ndarray,
+        below: np.ndarray,
+    ) -> np.ndarray:
+        """The partial aggregates of one level's nodes as one carrier
+        array, a row per node with the frame last: row ``i`` lifts
+        ``readings[i]`` and, on its first ``frames[i]`` frames, combines
+        its children's rows (rows ``kids[i]`` of ``send`` and ``below``,
+        one level down) in arrival order.  Later frames of a row are
+        never read: a parent sends no frame its children did not."""
+        lift, combine = self.function.lift_array, self.function.combine_array
+        assert lift is not None and combine is not None  # run() folds only with an array form
+        rows = lift(readings)
+        for i, (children, k) in enumerate(zip(kids, frames)):
+            if not children or not k:
+                continue
+            inputs = [below[c, ..., :k] for c in children]
+            if len(children) > 1:
+                arrival = np.argsort(send[children, :k], axis=0, kind="stable")
+                if (arrival == arrival[:, :1]).all():
+                    inputs = [inputs[j] for j in arrival[:, 0].tolist()]
+                else:
+                    # The arrival order differs between frames: rank the
+                    # children's rows frame by frame.
+                    stacked = np.stack(inputs)
+                    shape = arrival.shape[:1] + (1,) * (stacked.ndim - 2) + arrival.shape[1:]
+                    inputs = list(np.take_along_axis(stacked, arrival.reshape(shape), axis=0))
+            acc = rows[i, ..., :k]
+            for row in inputs:
+                acc = combine(acc, row)
+            rows[i, ..., :k] = acc
+        return rows
+
+    def _verify(self, partials: List[object], readings: np.ndarray, arrays: bool) -> bool:
         """Whether each completed frame's in-network value matches the
-        centralised reference (floats within ``isclose``, others equal)."""
-        finalize, aggregate = self.function.finalize, self.function.aggregate
+        centralised reference (floats within ``isclose``, others equal),
+        folded over whole frames when ``arrays`` is set.  Each value is
+        finalised once, in frame order."""
+        function, finalize = self.function, self.function.finalize
+        rows = readings[: len(partials)]
+        reference = (
+            function.aggregate_frames(rows) if arrays else map(function.aggregate, rows.tolist())
+        )
         floats = []
-        for value, row in zip(partials, readings[: len(partials)].tolist()):
-            got, want = finalize(value), aggregate(row)
+        exact = True
+        for value, want in zip(partials, reference):
+            got = finalize(value)
             if isinstance(got, float) and isinstance(want, float):
                 floats.append((got, want))
             elif got != want:
-                return False
+                exact = False
         if not floats:
-            return True
+            return exact
         got, want = np.array(floats).T
-        return bool(np.isclose(got, want, rtol=1e-9, atol=1e-9).all())
+        return exact and bool(np.isclose(got, want, rtol=1e-9, atol=1e-9).all())

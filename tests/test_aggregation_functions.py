@@ -1,4 +1,6 @@
-"""Tests for aggregation functions (monoid structure)."""
+"""Tests for aggregation functions (monoid structure, array form)."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from repro.aggregation.functions import (
     AggregationFunction,
     threshold_count,
 )
+from repro.errors import SimulationError
+
+BUILTINS = [SUM, MAX, MIN, COUNT, MEAN, threshold_count(0.0)]
 
 
 class TestReferenceEvaluation:
@@ -75,3 +80,38 @@ class TestMonoidLaws:
         balanced = func.finalize(layer[0])
         assert skewed == pytest.approx(reference)
         assert balanced == pytest.approx(reference)
+
+
+def _bits(values):
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("func", BUILTINS, ids=lambda f: f.name)
+    def test_aggregate_frames_equals_aggregate(self, func: AggregationFunction):
+        # Wide magnitudes make the summation order visible, and signed
+        # zeros make max/min's tie rule visible: a pairwise reduce or
+        # np.maximum would differ from the left fold in some frame.
+        rng = np.random.default_rng(2)
+        readings = rng.standard_normal((40, 100)) * 10.0 ** rng.integers(-3, 17, (40, 100))
+        zeros = rng.choice([0.0, -0.0], size=(10, 100))
+        for rows in (readings, zeros, np.vstack([zeros, readings])):
+            want = [func.aggregate(row) for row in rows.tolist()]
+            assert _bits(func.aggregate_frames(rows)) == _bits(want)
+
+    def test_aggregate_frames_without_array_form(self):
+        minus = AggregationFunction("minus", lift=float, combine=lambda a, b: a - b)
+        rows = np.arange(12.0).reshape(3, 4)
+        assert minus.aggregate_frames(rows) == [minus.aggregate(r) for r in rows.tolist()]
+
+    def test_half_an_array_form_rejected(self):
+        with pytest.raises(SimulationError, match="both"):
+            AggregationFunction("sum", lift=float, combine=lambda a, b: a + b, combine_array=np.add)
+
+    def test_threshold_compared_as_float(self):
+        # 2**53 + 3 is no float; compared as one (2**53 + 4), the scalar
+        # and array forms agree on the reading 2**53 + 4.
+        f = threshold_count(2**53 + 3)
+        reading = float(2**53 + 4)
+        assert f.lift(reading) == 0
+        assert f.aggregate_frames(np.array([[reading]])) == [0]

@@ -129,6 +129,13 @@ class TestMedian:
         with pytest.raises(SimulationError):
             median_via_counting([], runner=lambda t: 0)
 
+    @pytest.mark.parametrize(
+        "readings", [[3.0, float("nan"), 1.0, 2.0], [1.0, "x"], [1.0, None]], ids=repr
+    )
+    def test_bad_readings_rejected(self, readings):
+        with pytest.raises(SimulationError):
+            median_via_counting(readings, runner=lambda t: 0)
+
     def test_requires_runner_or_pair(self):
         with pytest.raises(SimulationError):
             median_via_counting([1.0, 2.0])

@@ -171,6 +171,30 @@ class TestValidation:
         with pytest.raises(SimulationError):
             AggregationSimulator(tree, schedule).run(2, readings=np.zeros((1, 3)))
 
+    def test_rejects_non_numeric_readings(self, small_setup):
+        tree, schedule = small_setup
+        n = len(tree.points)
+        for readings in ([["a"] * n], [[object()] * n]):
+            with pytest.raises(SimulationError, match="numbers"):
+                AggregationSimulator(tree, schedule).run(1, readings=readings)
+
+    @pytest.mark.parametrize("frames", [1, 8])
+    def test_rejects_nan_readings(self, small_setup, frames):
+        tree, schedule = small_setup
+        readings = np.ones((frames, len(tree.points)))
+        readings[-1, 3] = np.nan
+        with pytest.raises(SimulationError, match="NaN"):
+            AggregationSimulator(tree, schedule).run(frames, readings=readings)
+
+    @pytest.mark.parametrize("frames", [1, 8])
+    def test_accepts_infinite_readings(self, small_setup, frames):
+        tree, schedule = small_setup
+        readings = np.ones((frames, len(tree.points)))
+        readings[:, 3] = np.inf
+        for function in (SUM, MAX):
+            result = AggregationSimulator(tree, schedule, function).run(frames, readings=readings)
+            assert result.stable and result.values_correct
+
     def test_rejects_mismatched_schedule(self, model, small_setup):
         tree, _schedule = small_setup
         other = AggregationTree.mst(uniform_square(8, rng=9))

@@ -6,16 +6,23 @@ node's send slots for all frames at once;
 ``tests/oracles/simulator_slotwise.py`` keeps the original simulator
 that steps the schedule slot by slot.  Every test here runs both on the
 same input and asserts that every :class:`SimulationResult` field is
-equal — and, through a tracing aggregate whose partials record their
-own combination tree, that values are combined in the same order.
+equal, and that the finalised sink value of every completed frame is
+equal bit for bit (a logging ``finalize``).  A tracing aggregate whose
+partials record their own combination tree checks that values are
+combined in the same order on the list path, and an order-sensitive
+aggregate with an array form (``2a + b``) checks it on the array path,
+which folds the built-ins over whole frames from
+``ARRAY_MIN_FRAMES`` frames on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import struct
+import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -25,14 +32,16 @@ from hypothesis import strategies as st
 import repro.aggregation.median as median_module
 from oracles.simulator_slotwise import SlotwiseSimulator
 from repro.aggregation.functions import (
+    COUNT,
     MAX,
     MEAN,
+    MIN,
     SUM,
     AggregationFunction,
     threshold_count,
 )
 from repro.aggregation.median import median_via_counting
-from repro.aggregation.simulator import AggregationSimulator
+from repro.aggregation.simulator import ARRAY_MIN_FRAMES, AggregationSimulator
 from repro.api import Pipeline, PipelineConfig
 from repro.geometry.point import PointSet
 from repro.scheduling.builder import ScheduleBuilder
@@ -45,8 +54,19 @@ from repro.util.rng import as_generator
 TOPOLOGIES = ("square", "disk", "grid", "clusters", "exponential")
 MODES = ("uniform", "oblivious", "global")
 SIZES = (2, 3, 7, 40, 120)
-FUNCTIONS = (SUM, MAX, MEAN, threshold_count(50.0))
+FUNCTIONS = (SUM, MAX, MIN, COUNT, MEAN, threshold_count(50.0))
 FRAMES = 8
+assert FRAMES >= ARRAY_MIN_FRAMES  # the grid runs the array path
+
+#: Order-sensitive, with an array form: a partial's weight records when
+#: it was combined, so equal values mean equal combination orders.
+ORDERED = AggregationFunction(
+    "ordered",
+    lift=float,
+    combine=lambda a, b: 2.0 * a + b,
+    lift_array=lambda r: np.asarray(r, dtype=float),
+    combine_array=lambda a, b: 2.0 * a + b,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +89,45 @@ def _trace(log: List[object]) -> AggregationFunction:
     )
 
 
+@dataclass(frozen=True)
+class _Logged(AggregationFunction):
+    """An aggregate whose ``finalize`` also logs each in-network value
+    the simulator verifies; the centralised references are those of
+    ``reference`` and log nothing."""
+
+    reference: Optional[AggregationFunction] = None
+
+    def aggregate(self, readings):
+        return self.reference.aggregate(readings)
+
+    def aggregate_frames(self, readings):
+        return self.reference.aggregate_frames(readings)
+
+
+def _logged(function: AggregationFunction, log: List[object]) -> AggregationFunction:
+    def finalize(value):
+        log.append(function.finalize(value))
+        return log[-1]
+
+    fields = {f.name: getattr(function, f.name) for f in dataclasses.fields(AggregationFunction)}
+    return _Logged(**{**fields, "finalize": finalize}, reference=function)
+
+
+def _bits(values: List[object]) -> List[object]:
+    """Each value with its type; a float as its IEEE bits, so that
+    ``0.0`` and ``-0.0`` differ."""
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
+
+
 def _assert_same(tree, schedule, function, frames, **kwargs) -> None:
-    new = AggregationSimulator(tree, schedule, function).run(frames, **kwargs)
-    old = SlotwiseSimulator(tree, schedule, function).run(frames, **kwargs)
+    """Equal results, and bit-identical finalised sink values."""
+    new_log: List[object] = []
+    old_log: List[object] = []
+    new = AggregationSimulator(tree, schedule, _logged(function, new_log)).run(frames, **kwargs)
+    old = SlotwiseSimulator(tree, schedule, _logged(function, old_log)).run(frames, **kwargs)
     assert dataclasses.asdict(new) == dataclasses.asdict(old), (function, kwargs)
+    assert len(new_log) == new.frames_completed, (function, kwargs)
+    assert _bits(new_log) == _bits(old_log), (function, kwargs)
 
 
 def _assert_same_order(tree, schedule, frames, **kwargs) -> None:
@@ -118,6 +173,7 @@ class TestPipelineGrid:
         tree, schedule = _instance(topology, mode, 40)
         for kwargs in _regimes(schedule.num_slots):
             _assert_same_order(tree, schedule, FRAMES, rng=3, **kwargs)
+            _assert_same(tree, schedule, ORDERED, FRAMES, rng=3, **kwargs)
 
     def test_wrong_values_flagged_alike(self):
         # Subtraction is not associative, so the network computes other
@@ -138,6 +194,44 @@ class TestPipelineGrid:
         readings = np.arange(3 * 40, dtype=float).reshape(3, 40)
         for function in FUNCTIONS:
             _assert_same(tree, schedule, function, 3, readings=readings)
+
+    def test_one_frame_runs(self):
+        # Each median_via_counting probe is a one-frame run.
+        tree, schedule = _instance("square", "global", 40)
+        for kwargs in _regimes(schedule.num_slots):
+            for function in FUNCTIONS + (ORDERED,):
+                _assert_same(tree, schedule, function, 1, rng=4, **kwargs)
+
+    def test_arrival_order_differs_between_frames(self):
+        # Injecting one slot slower than the schedule's rate: with the
+        # same readings in every frame, the traced combination trees
+        # differ between frames, so some node's children arrive in
+        # another order in some frame, and the array fold must rank
+        # their rows frame by frame.
+        tree, schedule = _instance("square", "uniform", 40)
+        kwargs = {"injection_period": schedule.num_slots + 1}
+        readings = np.tile(np.arange(40, dtype=float), (FRAMES, 1))
+        log: List[object] = []
+        AggregationSimulator(tree, schedule, _trace(log)).run(FRAMES, readings=readings, **kwargs)
+        assert len(log) == FRAMES and len(set(log)) > 1
+        for function in FUNCTIONS + (ORDERED,):
+            _assert_same(tree, schedule, function, FRAMES, readings=readings, **kwargs)
+            _assert_same(tree, schedule, function, FRAMES, rng=6, **kwargs)
+
+    def test_signed_zeros_and_infinities(self):
+        # Python's max(0.0, -0.0) and min(0.0, -0.0) keep their first
+        # argument; -0.0 + -0.0 is -0.0; inf - inf is NaN and 1e308 +
+        # 1e308 overflows, silently.  The array path must agree, bit for
+        # bit and without numpy warnings.
+        tree, schedule = _instance("square", "global", 40)
+        gen = as_generator(11)
+        zeros = gen.choice([0.0, -0.0], size=(FRAMES, 40))
+        specials = gen.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e308], size=(FRAMES, 40))
+        for readings in (zeros, specials, -np.abs(zeros)):
+            for function in FUNCTIONS + (ORDERED,):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _assert_same(tree, schedule, function, FRAMES, readings=readings)
 
 
 @st.composite
@@ -168,10 +262,10 @@ class TestRandomPartitions:
     @settings(max_examples=60, deadline=None)
     @given(
         instance=_random_schedules(),
-        frames=st.integers(1, 6),
+        frames=st.integers(1, 12),
         injection=st.one_of(st.none(), st.integers(1, 12)),
         max_slots=st.one_of(st.none(), st.integers(1, 60)),
-        function=st.sampled_from(FUNCTIONS),
+        function=st.sampled_from(FUNCTIONS + (ORDERED,)),
         seed=st.integers(0, 2**16),
     )
     def test_every_field_equal(self, instance, frames, injection, max_slots, function, seed):
@@ -184,7 +278,7 @@ class TestRandomPartitions:
     @settings(max_examples=60, deadline=None)
     @given(
         instance=_random_schedules(),
-        frames=st.integers(1, 6),
+        frames=st.integers(1, 12),
         injection=st.one_of(st.none(), st.integers(1, 12)),
         max_slots=st.one_of(st.none(), st.integers(1, 60)),
     )
