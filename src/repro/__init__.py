@@ -64,14 +64,13 @@ from repro.errors import (
     DegenerateLinkError,
     GeometryError,
     InfeasibleError,
-    JobError,
     LinkError,
     ProtocolError,
     ReproError,
     ScheduleError,
     SimulationError,
 )
-from repro.jobs import JobHandle, JobService, JobStatus
+from repro.jobs import JobService
 from repro.geometry import (
     PointSet,
     cluster_points,
@@ -130,10 +129,7 @@ __all__ = [
     "GeometryError",
     "GlobalPowerSolver",
     "InfeasibleError",
-    "JobError",
-    "JobHandle",
     "JobService",
-    "JobStatus",
     "LinearPower",
     "Link",
     "LinkError",

@@ -10,6 +10,7 @@ is the schedule length times the number of probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -53,12 +54,15 @@ def median_via_counting(
       convergecast simulator, and ``slots_used`` reports the total
       number of TDMA slots consumed (probes x latency per probe).
 
-    Every reading must be a number other than NaN
-    (:class:`SimulationError` otherwise).
+    Every reading must be a finite number (:class:`SimulationError`
+    otherwise): the binary search runs over the value domain.
     """
     values = as_readings(list(readings))
     if values.size == 0:
         raise SimulationError("median of zero readings is undefined")
+    lo, hi = float(values.min()), float(values.max())
+    if math.isinf(lo) or math.isinf(hi):
+        raise SimulationError("median readings must be finite")
     n = values.size
     half = n // 2  # strictly-above count of the lower median is <= half
 
@@ -80,7 +84,6 @@ def median_via_counting(
             # verified the in-network value matches it.
             return int((values > threshold).sum())
 
-    lo, hi = float(values.min()), float(values.max())
     probes = 0
     # Invariant: count(> hi) <= half < count(> lo - eps); binary search
     # shrinks [lo, hi] onto the smallest value with count(> v) <= half.

@@ -14,7 +14,8 @@ stage cache).
 fading, online arrivals) over one instance and print the per-epoch
 degradation table.
 ``batch``      — run a file of pipeline configs (JSON array or JSONL)
-through the :class:`~repro.jobs.JobService`.
+through :meth:`~repro.jobs.JobService.run`, one row per config in file
+order; a failing config becomes a ``status=error`` row.
 ``cache``      — inspect or clear an on-disk stage cache directory.
 ``lint``       — run reprolint, the AST-based invariant linter
 (:mod:`repro.analysis`), over source paths; exit 2 on error findings.
@@ -48,7 +49,7 @@ from repro.api.config import PipelineConfig
 from repro.api.pipeline import Pipeline
 from repro.backend import BACKENDS
 from repro.core.capacity import compare_power_modes
-from repro.errors import ConfigurationError, JobError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.geometry.generators import topology_uses_seed
 from repro.scenarios.transforms import scenarios as scenario_registry
 from repro.sinr.model import SINRModel
@@ -599,16 +600,15 @@ def _run_batch(args: argparse.Namespace) -> int:
     rows = []
     failed = 0
     with JobService(workers=args.jobs, cache_dir=args.cache_dir) as service:
-        handles = service.submit_many(configs)
-        for index, (config, handle) in enumerate(zip(configs, handles)):
+        for index, (config, outcome) in enumerate(zip(configs, service.run(configs))):
             row = {"index": index, "config": config.to_dict()}
-            try:
-                artifact = handle.result()
-            except JobError:
+            if outcome.error is not None:
                 failed += 1
-                row.update(status="error", error=handle.error())
-                print(f"[{index}] error: {handle.error()}")
+                error = f"{type(outcome.error).__name__}: {outcome.error}"
+                row.update(status="error", error=error)
+                print(f"[{index}] error: {error}")
             else:
+                artifact = outcome.value
                 row.update(
                     status="ok",
                     slots=artifact.num_slots,

@@ -14,7 +14,6 @@ length prefix cannot make a peer swallow gigabytes.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -30,8 +29,6 @@ __all__ = [
     "FrameConnection",
     "FrameServer",
     "connect",
-    "read_frame_async",
-    "write_frame_async",
 ]
 
 #: Upper bound on one frame's JSON payload; a sweep cell or result row
@@ -235,34 +232,3 @@ class FrameServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-
-# ----------------------------------------------------------------------
-# asyncio variants (used by repro serve's JSONL streaming endpoints)
-# ----------------------------------------------------------------------
-async def read_frame_async(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one validated frame from an asyncio stream."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-        (length,) = _LENGTH.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"incoming frame of {length} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte frame limit"
-            )
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, OSError) as exc:
-        raise ClusterError(f"cluster recv failed: {exc}") from None
-    return _decode_payload(payload)
-
-
-async def write_frame_async(
-    writer: asyncio.StreamWriter, message: Dict[str, Any]
-) -> None:
-    """Write one frame to an asyncio stream and drain."""
-    writer.write(_encode_frame(message))
-    try:
-        await writer.drain()
-    except OSError as exc:
-        raise ClusterError(f"cluster send failed: {exc}") from None
-

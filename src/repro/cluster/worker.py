@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import platform
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.cluster import protocol
 from repro.cluster.transport import connect
@@ -42,19 +42,6 @@ __all__ = ["Worker", "default_worker_id"]
 def default_worker_id() -> str:
     """``<node>-<pid>``: unique per worker process on a shared host."""
     return f"{platform.node() or 'worker'}-{os.getpid()}"
-
-
-def _stats_diff(
-    after: Dict[str, Dict[str, int]], before: Dict[str, Dict[str, int]]
-) -> Dict[str, Dict[str, int]]:
-    """Per-stage counter increments between two cumulative snapshots."""
-    out: Dict[str, Dict[str, int]] = {}
-    for stage, counters in after.items():
-        base = before.get(stage, {})
-        delta = {k: v - base.get(k, 0) for k, v in counters.items()}
-        if any(delta.values()):
-            out[stage] = delta
-    return out
 
 
 class Worker:
@@ -163,17 +150,20 @@ class Worker:
                 )
             lease_id = reply.get("lease_id")
             for cell_data in reply.get("cells", []):
-                cell = protocol.decode_cell(cell_data)
-                before = service.store_stats()
-                result = service.submit_cells([cell])[0].result()
-                delta = _stats_diff(service.store_stats(), before)
+                # run_cell records every failure in its row, so no
+                # outcome of a cell job carries an error.
+                [outcome] = service.run([protocol.decode_cell(cell_data)])
                 ack = conn.request(
                     protocol.make_message(
                         "result",
                         worker_id=self.worker_id,
                         lease_id=lease_id,
-                        result=protocol.encode_result(result),
-                        store_stats=delta,
+                        result=protocol.encode_result(outcome.value),
+                        store_stats={
+                            stage: counters
+                            for stage, counters in outcome.delta.items()
+                            if any(counters.values())
+                        },
                     ),
                     timeout=30.0,
                 )

@@ -64,11 +64,6 @@ class ConfigurationError(ReproError):
     """Invalid model or protocol configuration parameters."""
 
 
-class JobError(ReproError):
-    """A submitted job failed or was cancelled before producing a result
-    (see :class:`repro.jobs.JobService`)."""
-
-
 class ClusterError(ReproError):
     """A distributed-sweep failure: a peer is unreachable after the
     reconnect budget, a message timed out, or the orchestrator gave up

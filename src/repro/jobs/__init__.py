@@ -1,24 +1,24 @@
-"""repro.jobs — the asynchronous job-service execution API.
+"""repro.jobs — the job-service execution API.
 
 Where :class:`~repro.api.pipeline.Pipeline` runs one config,
-:class:`JobService` runs *workloads*: submit a config (or a batch, or a
-sweep's cells) and collect :class:`JobHandle` results — with worker
-pools, per-worker stage stores (:mod:`repro.store`) and summable cache
-counters.  The sweep engine and the ``repro batch`` CLI are both thin
-layers over this service.
+:class:`JobService` runs *workloads*: :meth:`JobService.run` takes a
+batch of configs (or a sweep's cells) and yields one :class:`Outcome`
+per job, in order — with worker pools, per-worker stage stores
+(:mod:`repro.store`) and summable cache counters.  The sweep engine,
+the cluster worker and the ``repro batch`` CLI are all thin layers
+over this service.
 
 >>> from repro.api.config import PipelineConfig
 >>> from repro.jobs import JobService
 >>> with JobService() as service:
-...     handles = service.submit_many(
+...     outcomes = list(service.run(
 ...         [PipelineConfig(topology="grid", n=9, power=mode).to_dict()
 ...          for mode in ("global", "uniform")]
-...     )
-...     slots = [h.result().num_slots for h in handles]
->>> len(slots)
-2
+...     ))
+>>> [o.error for o in outcomes], len({o.value.config.power for o in outcomes})
+([None, None], 2)
 """
 
-from repro.jobs.service import JobHandle, JobService, JobStatus
+from repro.jobs.service import JobService, Outcome
 
-__all__ = ["JobHandle", "JobService", "JobStatus"]
+__all__ = ["JobService", "Outcome"]

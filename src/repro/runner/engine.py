@@ -331,10 +331,10 @@ class SweepEngine:
     ) -> Dict[str, CellResult]:
         """Run the pending cells via the job service.
 
-        All cells are submitted up front (the pool executes them
-        concurrently in any order); results are *collected* — and
-        appended to the output file — in canonical cell order, so the
-        on-disk order never depends on completion order.
+        Results are *collected* — and appended to the output file — in
+        canonical cell order, so the on-disk order never depends on
+        completion order.  Inline, a cell runs only once the previous
+        row is on disk; a pool executes all cells concurrently.
         """
         fresh: Dict[str, CellResult] = {}
         if not pending:
@@ -347,11 +347,9 @@ class SweepEngine:
             cell_runner=self.cell_runner if self.cell_runner is not run_cell else None,
         )
         try:
-            handles = service.submit_cells(pending)
-            for cell, handle in zip(pending, handles):
-                try:
-                    result = handle.result()
-                except Exception as exc:  # pragma: no cover - pool death
+            for cell, outcome in zip(pending, service.run(pending)):
+                result = outcome.value
+                if outcome.error is not None:  # pragma: no cover - pool death
                     result = CellResult(
                         cell_id=cell.cell_id,
                         topology=cell.topology,
@@ -365,7 +363,7 @@ class SweepEngine:
                         scenario=cell.scenario,
                         scenario_epochs=cell.epochs if cell.is_dynamic else None,
                         status="error",
-                        error=f"worker failure: {exc!r}",
+                        error=f"worker failure: {outcome.error!r}",
                     )
                 fresh[cell.cell_id] = result
                 if self.out_path is not None:

@@ -136,6 +136,16 @@ class TestMedian:
         with pytest.raises(SimulationError):
             median_via_counting(readings, runner=lambda t: 0)
 
+    @pytest.mark.parametrize(
+        "readings", [[1.0, 2.0, float("inf")], [-float("inf"), 1.0, 2.0]], ids=repr
+    )
+    def test_infinite_readings_rejected(self, readings):
+        # The binary search runs over [min, max]; an infinite end never
+        # narrows, so these returned inf and 2.0 after 128 probes.
+        values = np.asarray(readings)
+        with pytest.raises(SimulationError, match="finite"):
+            median_via_counting(readings, runner=lambda t: int((values > t).sum()))
+
     def test_requires_runner_or_pair(self):
         with pytest.raises(SimulationError):
             median_via_counting([1.0, 2.0])

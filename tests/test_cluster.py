@@ -22,6 +22,7 @@ from repro.errors import ClusterError, ConfigurationError, ProtocolError
 from repro.runner import SweepEngine, SweepSpec
 from repro.runner.results import CellResult
 from repro.runner.spec import CellSpec
+from repro.store import reset_default_store
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -493,6 +494,27 @@ class TestClusterEngine:
         assert report.executed == 0
         assert report.skipped == spec.num_cells
         assert report.cluster_stats is None
+
+    def test_cold_cluster_store_stats_match_inline(self, tmp_path):
+        # Each worker reports per-cell deltas with all-zero stages
+        # dropped; on a cold default store their sum must still equal
+        # the inline sweep's counters exactly.
+        spec = small_spec()
+        reset_default_store()
+        try:
+            inline = SweepEngine(spec, out_path=tmp_path / "inline.jsonl").run()
+            reset_default_store()
+            engine = SweepEngine(
+                spec,
+                out_path=tmp_path / "cluster.jsonl",
+                cluster=f"127.0.0.1:{free_port()}",
+            )
+            report, _ = run_engine_with_workers(engine, 1)
+        finally:
+            reset_default_store()
+        assert inline.store_stats["deploy"]["builds"] > 0
+        assert report.cluster_stats["store_stats"] == report.store_stats
+        assert report.store_stats == inline.store_stats
 
     def test_error_cells_are_isolated_rows(self, tmp_path):
         # exponential_line overflows IEEE doubles far below n=1100, so

@@ -1,11 +1,11 @@
-"""Tests for the async job service (handles, inline + pool backends)."""
+"""Tests for the job service (ordered outcomes, inline + pool backends)."""
 
 import pytest
 
 from repro.api.config import PipelineConfig
 from repro.api.pipeline import RunArtifact
-from repro.errors import ConfigurationError, JobError
-from repro.jobs import JobHandle, JobService, JobStatus
+from repro.errors import ConfigurationError
+from repro.jobs import JobService, Outcome
 from repro.runner.results import CellResult
 from repro.runner.spec import CellSpec
 from repro.store import StageStore, get_default_store, reset_default_store
@@ -23,54 +23,57 @@ def cell(**overrides) -> CellSpec:
     return CellSpec(**base)
 
 
-class TestInlineService:
-    def test_submit_returns_pending_handle(self):
-        with JobService(store=StageStore()) as service:
-            handle = service.submit(cfg())
-            assert isinstance(handle, JobHandle)
-            assert handle.status() is JobStatus.PENDING and not handle.done()
+def empty_result(c: CellSpec) -> CellResult:
+    return CellResult(
+        cell_id=c.cell_id, topology=c.topology, n=c.n, mode=c.mode,
+        alpha=c.alpha, beta=c.beta, seed=c.seed,
+    )
 
+
+class TestInlineService:
     def test_result_runs_and_completes(self):
         with JobService(store=StageStore()) as service:
-            handle = service.submit(cfg())
-            artifact = handle.result()
-            assert isinstance(artifact, RunArtifact)
-            assert artifact.num_slots >= 1
-            assert handle.status() is JobStatus.DONE and handle.done()
-            assert handle.error() is None
-            assert handle.result() is artifact  # cached, not re-run
+            [outcome] = service.run([cfg()])
+            assert isinstance(outcome, Outcome)
+            assert isinstance(outcome.value, RunArtifact)
+            assert outcome.value.num_slots >= 1
+            assert outcome.error is None
+            assert outcome.delta == service.store_stats()
 
-    def test_submit_accepts_config_dicts(self):
+    def test_inline_jobs_run_only_when_reached(self):
+        seen = []
+
+        def runner(c):
+            seen.append(c.seed)
+            return empty_result(c)
+
+        with JobService(cell_runner=runner, store=StageStore()) as service:
+            outcomes = service.run([cell(seed=s) for s in range(3)])
+            assert seen == []
+            next(outcomes)
+            assert seen == [0]
+            assert [o.value.seed for o in outcomes] == [1, 2]
+        assert seen == [0, 1, 2]
+
+    def test_run_accepts_config_dicts_and_cells(self):
         with JobService(store=StageStore()) as service:
-            handle = service.submit(cfg().to_dict())
-            assert handle.result().config == cfg()
+            values = [o.value for o in service.run([cfg(), cfg().to_dict(), cell()])]
+        assert [type(v) for v in values] == [RunArtifact, RunArtifact, CellResult]
+        assert values[1].config == cfg()
 
-    def test_submit_many_preserves_order(self):
+    def test_run_preserves_order(self):
         configs = [cfg(n=n) for n in (8, 12, 16)]
         with JobService(store=StageStore()) as service:
-            handles = service.submit_many(configs)
-            sizes = [len(h.result().points) for h in handles]
+            sizes = [len(o.value.points) for o in service.run(configs)]
         assert sizes == [8, 12, 16]
 
-    def test_cancel_pending_job(self):
-        with JobService(store=StageStore()) as service:
-            handle = service.submit(cfg())
-            assert handle.cancel()
-            assert handle.status() is JobStatus.CANCELLED
-            with pytest.raises(JobError, match="cancelled"):
-                handle.result()
-            assert not handle.cancel()  # already cancelled
-
-    def test_failed_job_raises_and_reports(self):
+    def test_failed_job_reports_error(self):
         # exponential_line overflows IEEE doubles far below n=1100.
         with JobService(store=StageStore()) as service:
-            handle = service.submit(cfg(topology="exponential", n=1100))
-            with pytest.raises(JobError, match="failed"):
-                handle.result()
-            assert handle.status() is JobStatus.FAILED
-            assert "ConfigurationError" in handle.error()
-            with pytest.raises(JobError):
-                handle.result()  # failures are sticky
+            failed, ok = service.run([cfg(topology="exponential", n=1100), cfg()])
+        assert isinstance(failed.error, ConfigurationError)
+        assert failed.value is None and failed.delta == {}
+        assert ok.error is None and ok.value.num_slots >= 1  # the batch goes on
 
     def test_batch_shares_stages_through_the_store(self):
         store = StageStore()
@@ -80,8 +83,8 @@ class TestInlineService:
             for alpha in (3.0, 4.0)
         ]
         with JobService(store=store) as service:
-            for handle in service.submit_many(grid):
-                handle.result()
+            for _ in service.run(grid):
+                pass
             stats = service.store_stats()
         assert stats["deploy"]["builds"] == 1
         assert stats["tree"]["builds"] == 1
@@ -89,16 +92,16 @@ class TestInlineService:
 
     def test_cell_jobs_return_cell_results(self):
         with JobService(store=StageStore()) as service:
-            handles = service.submit_cells([cell(), cell(mode="oblivious")])
-            results = [h.result() for h in handles]
+            results = [o.value for o in service.run([cell(), cell(mode="oblivious")])]
         assert all(isinstance(r, CellResult) for r in results)
         assert all(r.ok and r.slots >= 1 for r in results)
         assert results[1].mode == "oblivious"
 
     def test_cell_jobs_isolate_errors_in_the_record(self):
         with JobService(store=StageStore()) as service:
-            handle = service.submit_cells([cell(topology="exponential", n=1100)])[0]
-            record = handle.result()  # no raise: run_cell captures it
+            [outcome] = service.run([cell(topology="exponential", n=1100)])
+        assert outcome.error is None  # run_cell captures it in the row
+        record = outcome.value
         assert record.status == "error" and "ConfigurationError" in record.error
 
     def test_custom_cell_runner(self):
@@ -106,21 +109,25 @@ class TestInlineService:
 
         def runner(c):
             seen.append(c.cell_id)
-            return CellResult(
-                cell_id=c.cell_id, topology=c.topology, n=c.n, mode=c.mode,
-                alpha=c.alpha, beta=c.beta, seed=c.seed,
-            )
+            return empty_result(c)
 
         with JobService(cell_runner=runner, store=StageStore()) as service:
-            handle = service.submit_cells([cell()])[0]
-            assert handle.result().cell_id == cell().cell_id
+            [outcome] = service.run([cell()])
+            assert outcome.value.cell_id == cell().cell_id
         assert seen == [cell().cell_id]
 
-    def test_submit_after_close_rejected(self):
+    def test_run_after_close_rejected(self):
         service = JobService(store=StageStore())
         service.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            service.submit(cfg())
+            service.run([cfg()])
+
+    def test_bad_config_dict_raises_at_the_call(self):
+        seen = []
+        with JobService(cell_runner=seen.append, store=StageStore()) as service:
+            with pytest.raises(ConfigurationError, match="unknown PipelineConfig"):
+                service.run([cell(), {"bogus": 1}])
+        assert seen == []  # nothing ran
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="workers"):
@@ -137,7 +144,7 @@ class TestInlineService:
             assert default.disk is None
             service = JobService(cache_dir=tmp_path / "cache")
             assert default.disk is not None
-            service.submit(cfg()).result()
+            list(service.run([cfg()]))
             service.close()
             assert default.disk is None  # restored
             assert (tmp_path / "cache" / "deploy").is_dir()  # but persisted
@@ -145,56 +152,31 @@ class TestInlineService:
             reset_default_store()
 
 
-class TestHandleFutureSync:
-    def test_status_progresses_after_observed_running(self):
-        # Regression: polling status() while the future runs must not
-        # wedge the handle at RUNNING once the future completes.
-        from concurrent.futures import Future
-
-        fut = Future()
-        handle = JobHandle(0, "poll-me", future=fut)
-        assert fut.set_running_or_notify_cancel()
-        assert handle.status() is JobStatus.RUNNING  # observed mid-flight
-        fut.set_result(("value", {}))
-        assert handle.done()
-        assert handle.status() is JobStatus.DONE
-        assert handle.result() == "value"
-
-    def test_failure_visible_from_status_without_result_call(self):
-        from concurrent.futures import Future
-
-        fut = Future()
-        handle = JobHandle(0, "doomed", future=fut)
-        assert fut.set_running_or_notify_cancel()
-        assert handle.status() is JobStatus.RUNNING
-        fut.set_exception(ValueError("boom"))
-        assert handle.status() is JobStatus.FAILED
-        assert "boom" in handle.error()
-
-
 class TestPoolService:
     def test_pool_matches_inline(self, tmp_path):
         grid = [cfg(n=n, power=mode) for n in (8, 12) for mode in ("global", "uniform")]
         with JobService(store=StageStore()) as inline:
-            expected = [h.result().num_slots for h in inline.submit_many(grid)]
+            expected = [o.value.num_slots for o in inline.run(grid)]
         with JobService(workers=2) as pool:
-            handles = pool.submit_many(grid)
-            slots = [h.result().num_slots for h in handles]
-            assert all(h.status() is JobStatus.DONE for h in handles)
+            outcomes = list(pool.run(grid))
             stats = pool.store_stats()
-        assert slots == expected
+        assert [o.value.num_slots for o in outcomes] == expected
+        assert all(o.error is None for o in outcomes)
         assert stats["deploy"]["builds"] + stats["deploy"]["hits"] > 0
 
     def test_pool_cell_jobs(self):
         cells = [cell(seed=s) for s in range(3)]
         with JobService(workers=2) as pool:
-            results = [h.result() for h in pool.submit_cells(cells)]
+            results = [o.value for o in pool.run(cells)]
         assert [r.seed for r in results] == [0, 1, 2]
         assert all(r.ok for r in results)
 
-    def test_pool_failure_surfaces_as_job_error(self):
+    def test_pool_failure_surfaces_in_the_outcome(self):
+        bad = cfg(topology="exponential", n=1100)
+        with JobService(store=StageStore()) as inline:
+            [expected] = inline.run([bad])
         with JobService(workers=2) as pool:
-            handle = pool.submit(cfg(topology="exponential", n=1100))
-            with pytest.raises(JobError, match="failed"):
-                handle.result()
-            assert handle.status() is JobStatus.FAILED
+            failed, ok = pool.run([bad, cfg()])
+        assert isinstance(failed.error, ConfigurationError)
+        assert str(failed.error) == str(expected.error)
+        assert failed.value is None and ok.error is None

@@ -358,6 +358,20 @@ class TestEngine:
         assert len(calls) == spec.num_cells
         assert report.failed == 2
 
+    def test_inline_row_is_appended_before_the_next_cell_runs(self, tmp_path):
+        # Crash-resume contract: a killed inline sweep loses at most the
+        # cell that was running, because every finished row is on disk.
+        out = tmp_path / "sweep.jsonl"
+        spec = tiny_spec()
+        rows_on_disk = []
+
+        def counting(cell):
+            rows_on_disk.append(len(out.read_text().splitlines()))
+            return run_cell(cell)
+
+        SweepEngine(spec, jobs=1, out_path=out, cell_runner=counting).run()
+        assert rows_on_disk == list(range(spec.num_cells))
+
     def test_custom_cell_runner_requires_single_job(self):
         with pytest.raises(ConfigurationError, match="jobs=1"):
             SweepEngine(tiny_spec(), jobs=2, cell_runner=lambda c: None).run()
