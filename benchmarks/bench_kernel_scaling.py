@@ -2,10 +2,10 @@
 
 Two engineering claims behind every scaling experiment in this repo:
 
-* **Caching**: repeated feasibility / affectance queries against one
-  link set run >= 5x faster than the seed's dense-rebuild path at
-  n >= 2000 links (the kernel cache memoizes per-(alpha, power) dense
-  matrices and serves queries by slicing).
+* **Block queries**: repeated feasibility / additive queries against
+  one link set run >= 5x faster than the seed's dense-rebuild path at
+  n >= 2000 links (the kernel cache computes only the ``rows x cols``
+  entries each query asks for, never an ``n x n`` matrix).
 * **Chunking**: a 10k-link network schedules end to end with chunked
   kernels without ever allocating a dense n x n float64 matrix — the
   memory ceiling is the block size, not the network size.
@@ -93,8 +93,8 @@ def test_kernel_repeated_query_speedup(benchmark, model, emit):
             results.append(is_feasible_with_power(links, vec, model, subset))
         return results
 
-    # Warm both arms: geometry caches for the seed path, dense promotion
-    # for the kernel path (the steady state a repair loop lives in).
+    # Warm both arms: the geometry caches the seed path reads, and the
+    # first-call costs of the kernel path (imports, the attached cache).
     seed_results = run_seed()
     kernel_results = benchmark.pedantic(run_kernel, rounds=1, iterations=1, warmup_rounds=1)
     t0 = time.perf_counter()

@@ -2,21 +2,24 @@
 
 The SINR compute layer's inner math is a set of plain functions: gap and
 sender-receiver distance blocks and the additive, relative and
-affectance kernels, full and blockwise (:mod:`repro.backend.blocks`),
-and conflict-adjacency assembly from boolean tiles
+affectance kernel blocks (:mod:`repro.backend.blocks`), and conflict-
+adjacency assembly from boolean tiles
 (:func:`~repro.backend.sparse.assemble_adjacency`).
 :class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
-them — memoization, lazy promotion, chunking, statistics — and the one
-switch a backend name selects, ``KernelCache.sparse``:
+them — the additive memo, chunking, index checks, statistics — and the
+one switch a backend name selects, ``KernelCache.sparse``:
 
 ``dense-numpy``
-    The default: dense memoization for link sets of up to
-    ``KERNEL_MAX_DENSE_LINKS`` links, dense boolean conflict adjacency.
+    The default: link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links
+    sum each query in one block and get a dense boolean conflict
+    adjacency.
 ``blocked-sparse``
-    ``sparse = True``: never memoizes a dense ``n x n`` matrix
-    (``dense_builds == 0`` by construction) and assembles the conflict
-    adjacency as CSR (:class:`SparseAdjacency`) — the setting that
-    schedules 100k-link networks.
+    ``sparse = True``: streams column sums and conflict tiles in row
+    blocks at every ``n`` (no ``n x n`` intermediate, so
+    ``dense_builds == 0`` unless a caller asks for the full additive
+    matrix) and assembles the conflict adjacency as CSR
+    (:class:`SparseAdjacency`) — the setting that schedules 100k-link
+    networks.
 
 Both run the same block functions, so schedules, slot assignments and
 measurements never depend on the name.  That is why it never splits a

@@ -1,11 +1,11 @@
 """Kernel block math — the exact expressions every kernel entry uses.
 
-The full-matrix builders (``*_full``) are the expressions the seed
-:class:`~repro.sinr.kernels.KernelCache` used inline; the block builders
-(``*_block``) compute the same entries restricted to global
-``rows x cols`` indices, byte-identical to the matching slice of the
-full matrix.  :class:`~repro.sinr.kernels.KernelCache` decides when to
-call which (memoization, promotion, chunking); nothing here keeps state.
+The block builders (``*_block``) compute kernel entries restricted to
+global ``rows x cols`` indices; the two full-matrix builders
+(``additive_full``, ``affectance_full``) are the seed's dense
+expressions, and each block is byte-identical to the matching slice of
+its full matrix.  :class:`~repro.sinr.kernels.KernelCache` decides when
+to call which (the additive memo, chunking); nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "affectance_full",
     "gap_block",
     "relative_block",
-    "relative_full",
     "srdist_block",
 ]
 
@@ -81,16 +80,6 @@ def additive_block(
 # ----------------------------------------------------------------------
 # Relative kernel  R[j, i] = (P_j/P_i) (l_i/d_ji)^alpha
 # ----------------------------------------------------------------------
-def relative_full(links: "LinkSet", vec: np.ndarray, alpha: float) -> np.ndarray:
-    """Dense relative kernel under the full-length power vector ``vec``."""
-    dist = links.sender_receiver_distances()
-    lengths = links.lengths
-    with np.errstate(divide="ignore", over="ignore"):
-        r = (vec[:, None] / vec[None, :]) * (lengths[None, :] / dist) ** alpha
-    np.fill_diagonal(r, 0.0)
-    return r
-
-
 def relative_block(
     links: "LinkSet",
     vec: np.ndarray,

@@ -43,20 +43,14 @@ FEASIBILITY_MARGIN: float = 1e-9
 MAX_SAFE_COORDINATE: float = 1e300
 
 #: Largest link count for which the interference kernel layer
-#: (:mod:`repro.sinr.kernels`) may memoize full dense n-by-n matrices.
-#: Above this the cache switches to chunked block evaluation and never
-#: materialises an n-by-n float64 array.
+#: (:mod:`repro.sinr.kernels`) sums and tiles a query in one block.
+#: Above this the cache streams row blocks and never materialises an
+#: n-by-n float64 array.
 KERNEL_MAX_DENSE_LINKS: int = 4096
 
 #: Default row-block size for chunked kernel evaluation.
 KERNEL_BLOCK_SIZE: int = 1024
 
-#: How many block-queries a kernel key must receive before the cache
-#: promotes it to a memoized dense matrix (dense mode only).  Keeping
-#: this above zero guarantees a one-off query never pays the O(n^2)
-#: build.
-KERNEL_DENSE_PROMOTE_AFTER: int = 1
-
-#: Total bytes of memoized dense kernel matrices one cache may retain;
-#: least-recently-used matrices are evicted beyond this.
+#: Total bytes of memoized dense additive matrices one cache may
+#: retain; least-recently-used matrices are evicted beyond this.
 KERNEL_DENSE_BUDGET_BYTES: int = 512 * 2**20

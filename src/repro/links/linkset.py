@@ -229,8 +229,8 @@ class LinkSet:
         Called with no arguments, returns the existing cache (or a
         default-configured one).  Explicit arguments reconfigure *only
         the options passed*: unspecified options keep the attached
-        cache's current values, and the cache (with its memoized
-        matrices) is replaced only if the merged configuration actually
+        cache's current values, and the cache (with its memo and
+        counters) is replaced only if the merged configuration actually
         differs.  Because a LinkSet is immutable, the cached geometry
         can never go stale; a *new* LinkSet starts with a fresh, empty
         cache.

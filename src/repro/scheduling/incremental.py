@@ -23,7 +23,10 @@ actually touched:
   first-fit into the surviving slots (lazily materialising a slot's
   denominator vector only when it is first probed), opening a new slot
   only when no existing slot accepts — the greedy matching pass of the
-  bipartite links x slots assignment.
+  bipartite links x slots assignment.  Entries among the re-inserted
+  links come from one kernel block per pass; entries against carried
+  members are fetched per probe, so no epoch ever evaluates the
+  ``n x n`` kernel.
 * **Repair cost** — :class:`RepairCost` counters (links re-examined,
   per-link feasibility evaluations, slots opened, tallied by the
   packer) make the O(affected) vs O(n) distinction measurable per

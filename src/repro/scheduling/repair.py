@@ -17,8 +17,9 @@ Two implementations are provided:
 * :func:`split_into_feasible_slots_fixed_power` — for a *fixed* power
   vector the SINR condition is a per-link interference row sum, so a
   :class:`FixedPowerPacker` maintains each open slot's row sums
-  incrementally: testing a candidate costs ``O(|slot|)`` kernel-cache
-  entries instead of a full ``O(|slot|^2)`` rebuild per probe.
+  incrementally: testing a candidate reads ``O(|slot|)`` entries of
+  one kernel block fetched for the whole pass, instead of a full
+  ``O(|slot|^2)`` rebuild per probe.
 
 The same packer repairs carried slots in
 :mod:`repro.scheduling.incremental`.  Both passes read interference
@@ -84,9 +85,8 @@ class FixedPowerPacker:
     Each open slot carries the relative-interference denominator
     ``D_i = sum_j R[j, i] + N l_i^alpha / P_i`` of its members, so
     probing link ``x`` against a slot only needs the cross entries
-    ``R[x, members]`` and ``R[members, x]`` from the link set's kernel
-    cache, and accepting updates the sums in place.  Slots come from
-    :meth:`place` / :meth:`pack` or from :meth:`carry`.
+    ``R[x, members]`` and ``R[members, x]``, and accepting updates the
+    sums in place.  Slots come from :meth:`carry` or :meth:`pack`.
     ``feasibility_evals``, ``slots_opened`` and ``reexamined`` are the
     :class:`~repro.scheduling.incremental.RepairCost` tallies.
     """
@@ -99,9 +99,6 @@ class FixedPowerPacker:
         self.model = model
         self.threshold = model.beta * (1.0 + slack)
         self.kernel = links.kernel()
-        # One content digest for the whole pass: the probes are
-        # O(|slot|) and must not each pay an O(n) hash of the vector.
-        self.key = self.kernel.relative_key(power, model.alpha)
         self.slots: List[List[int]] = []
         #: Aligned with ``slots``; None = a carried slot not yet probed.
         self.denoms: List[Optional[np.ndarray]] = []
@@ -109,10 +106,8 @@ class FixedPowerPacker:
         self.slots_opened = 0
         self.reexamined: Set[int] = set()
 
-    def _relative(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        return self.kernel.relative_submatrix(
-            self.power, self.model.alpha, rows, cols, key=self.key
-        )
+    def _relative(self, rows, cols) -> np.ndarray:
+        return self.kernel.relative_submatrix(self.power, self.model.alpha, rows, cols)
 
     def _noise(self, link: int) -> float:
         """``N l^alpha / P`` of one link (a scalar power, not an array
@@ -158,33 +153,69 @@ class FixedPowerPacker:
             self.denoms.append(sub[np.ix_(keep, keep)].sum(axis=0) + noise[keep])
         return [m for m, good in zip(members, ok) if not good]
 
-    def place(self, link: int) -> None:
-        """First-fit ``link`` into the open slots, opening a new one
-        when none accepts it."""
-        own_noise = self._noise(link)
-        self.reexamined.add(link)
-        for k, members in enumerate(self.slots):
-            current = self.denoms[k]
-            if current is None:
-                current = self.denoms[k] = self._materialise(members)[0]
-            onto = self._relative([link], members)[0]
-            frm = self._relative(members, [link])[:, 0]
-            self.feasibility_evals += len(members) + 1
-            candidate = np.append(current + onto, float(frm.sum()) + own_noise)
-            if self._feasible(candidate).all():
-                members.append(link)
-                self.denoms[k] = candidate
-                return
-        self.slots.append([link])
-        self.denoms.append(np.array([own_noise]))
-        self.slots_opened += 1
-        self.feasibility_evals += 1
+    def pack(self, indices: Sequence[int]) -> List[List[int]]:
+        """First-fit every link of ``indices``, longest first, into the
+        open slots, opening a new one when none accepts it; returns all
+        slots.
 
-    def pack(self, indices: List[int]) -> List[List[int]]:
-        """:meth:`place` every link of ``indices``, longest first;
-        returns all slots."""
-        for k in argsort_by_length_nonincreasing(self.links.lengths[indices]):
-            self.place(indices[k])
+        The pass walks its order in runs of the kernel's ``block_size``
+        links and fetches, per run, ``R[run, head]`` and ``R[head, run]``
+        for ``head`` the order up to the run's end — a single
+        ``R[run, run]`` for the first run, which is the whole pass when
+        it fits.  A probe reads its entries against the links this pass
+        placed from those blocks; against a slot's carried members (in
+        it before the pass) it fetches them from the kernel.  Each
+        slot's members stay carried first, placed after, so every
+        denominator sum sees the same values in the same order.
+        """
+        order = np.asarray(indices, dtype=int)[
+            argsort_by_length_nonincreasing(self.links.lengths[indices])
+        ]
+        carried = [np.asarray(members, dtype=int) for members in self.slots]
+        # Per slot, the order positions of the links this pass placed.
+        placed = [np.empty(0, dtype=int) for _ in self.slots]
+        block = self.kernel.block_size
+        for start in range(0, order.size, block):
+            run = order[start : start + block]
+            if start == 0:
+                onto = frm = self._relative(run, run)
+            else:
+                del onto, frm  # hold at most one run's blocks at a time
+                head = order[: start + run.size]
+                onto = self._relative(run, head)
+                frm = self._relative(head, run)
+            for row, link in enumerate(run.tolist()):
+                pos = start + row
+                own_noise = self._noise(link)
+                self.reexamined.add(link)
+                for k, members in enumerate(self.slots):
+                    current = self.denoms[k]
+                    if current is None:
+                        current = self.denoms[k] = self._materialise(members)[0]
+                    to_members, from_members = onto[row, placed[k]], frm[placed[k], row]
+                    if carried[k].size:
+                        to_members = np.concatenate(
+                            (self._relative([link], carried[k])[0], to_members)
+                        )
+                        from_members = np.concatenate(
+                            (self._relative(carried[k], [link])[:, 0], from_members)
+                        )
+                    self.feasibility_evals += len(members) + 1
+                    candidate = np.append(
+                        current + to_members, float(from_members.sum()) + own_noise
+                    )
+                    if self._feasible(candidate).all():
+                        members.append(link)
+                        placed[k] = np.append(placed[k], pos)
+                        self.denoms[k] = candidate
+                        break
+                else:
+                    self.slots.append([link])
+                    self.denoms.append(np.array([own_noise]))
+                    carried.append(np.empty(0, dtype=int))
+                    placed.append(np.array([pos]))
+                    self.slots_opened += 1
+                    self.feasibility_evals += 1
         return self.slots
 
 

@@ -2,11 +2,12 @@
 
 All pairwise interference quantities are computed by the kernel layer
 in :mod:`repro.sinr.kernels`: a :class:`~repro.sinr.kernels.KernelCache`
-attached to each :class:`~repro.links.linkset.LinkSet` memoizes the
-additive / relative-interference / affectance matrices per
-``(alpha, power-scheme)`` key, serves row and submatrix queries without
-full rebuilds, and falls back to chunked block evaluation on 10k+ link
-networks so no ``n x n`` float64 matrix is ever materialised.
+attached to each :class:`~repro.links.linkset.LinkSet` serves row,
+submatrix and column-sum queries of the additive /
+relative-interference / affectance kernels by computing only the
+entries asked for (memoizing just the explicit full additive matrix),
+and streams row blocks on 10k+ link networks so no ``n x n`` float64
+matrix is ever materialised.
 """
 
 from repro.sinr.affectance import (

@@ -11,11 +11,11 @@ Two operators drive the paper's analysis:
   ``I_P(j, i) = P(j) l_i^alpha / (P(i) d_ji^alpha)`` — a set is
   P-feasible (noiseless) iff every row sum is at most ``1/beta``.
 
-All entry computation and caching lives in the kernel layer
-(:mod:`repro.sinr.kernels`): dense matrices are memoized on the link
-set's :class:`~repro.sinr.kernels.KernelCache` and point queries such
-as :func:`additive_interference` read only the entries they need
-instead of rebuilding ``n x n`` arrays.  The kernel cache computes
+All entry computation lives in the kernel layer
+(:mod:`repro.sinr.kernels`): the full additive matrix is memoized on
+the link set's :class:`~repro.sinr.kernels.KernelCache`, and point
+queries such as :func:`additive_interference` compute only the
+entries they need instead of rebuilding ``n x n`` arrays.  The kernel cache computes
 every entry with the block functions of :mod:`repro.backend.blocks`,
 so these operators never depend on the backend choice.
 """
@@ -57,8 +57,7 @@ def additive_interference(
     """``I(S, i) = sum_{j in S} I(j, i)`` for ``S = source``, ``i = target``.
 
     An ``O(|S|)`` kernel query: only the needed column entries are
-    computed (or sliced from an already-memoized dense matrix) — never
-    a full ``n x n`` rebuild.
+    computed — never a full ``n x n`` rebuild.
     """
     src = np.asarray(source, dtype=int)
     if src.size == 0:

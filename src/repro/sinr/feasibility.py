@@ -7,10 +7,10 @@ link ``i``::
 
 Everything here is vectorised over the whole set at once.  The
 interference row sums come from the link set's
-:class:`~repro.sinr.kernels.KernelCache`: repeated queries against the
-same power vector are served from the memoized relative-interference
-matrix, and very large link sets are evaluated in blocks without ever
-materialising an ``n x n`` array.  The block math itself is the block
+:class:`~repro.sinr.kernels.KernelCache`, which computes only the
+``|active| x |active|`` entries a query needs and evaluates very large
+link sets in row blocks without ever materialising an ``n x n``
+array.  The block math itself is the block
 functions of :mod:`repro.backend.blocks`, so these oracles are
 backend-transparent: every backend returns bitwise identical
 feasibility verdicts.
@@ -83,8 +83,8 @@ def sinr_values(
     # N l_i^alpha / P_i) where I_P(j, i) = (P_j/P_i) (l_i/d_ji)^alpha.
     # Ratios stay representable on instances whose absolute gains
     # under/overflow (coordinates up to ~1e154 in the adversarial
-    # constructions).  The row sums are a kernel-cache query: memoized
-    # per power vector, block-streamed for very large link sets.
+    # constructions).  The row sums are a kernel-cache query: one
+    # block of the active entries, row-streamed for very large sets.
     interference = links.kernel().relative_colsums(vec, model.alpha, idx)
     p = vec[idx]
     lengths = links.lengths[idx]

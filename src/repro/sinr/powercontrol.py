@@ -43,9 +43,8 @@ def affectance_matrix(
     row ``i`` collects how strongly each other sender hits receiver
     ``i``, normalised by link ``i``'s own path gain.
 
-    Served by the link set's :class:`~repro.sinr.kernels.KernelCache`:
-    repeated subset queries (the repair loop's common case) slice a
-    memoized dense matrix instead of rebuilding distances.
+    Served by the link set's :class:`~repro.sinr.kernels.KernelCache`,
+    which computes only the active subset's entries.
     """
     if active is None:
         idx = np.arange(len(links))

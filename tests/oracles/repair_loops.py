@@ -6,8 +6,8 @@ These are the original ``split_into_feasible_slots_fixed_power`` and
 (the warm build as a method of an :class:`IncrementalScheduler`
 subclass).  The packer differential suite
 (``tests/test_packer_differential.py``) asserts that the packer-based
-code returns equal slots, repair counters, epoch deltas and kernel
-counters on every input.
+code returns equal slots, repair counters and epoch deltas on every
+input, within a kernel-call budget.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ def split_into_feasible_slots_fixed_power(
     threshold = model.beta * (1.0 + slack)
     alpha = model.alpha
     kernel = links.kernel()
-    # One content digest for the whole pass: the probes below are
-    # O(|slot|) and must not each pay an O(n) hash of the power vector.
-    key = kernel.relative_key(vec, alpha)
 
     def rel_noise(link: int) -> float:
         if model.noise == 0.0:
@@ -92,8 +89,8 @@ def split_into_feasible_slots_fixed_power(
         own_noise = rel_noise(link)
         placed = False
         for k, slot in enumerate(slots):
-            onto_members = kernel.relative_submatrix(vec, alpha, [link], slot, key=key)[0]
-            from_members = kernel.relative_submatrix(vec, alpha, slot, [link], key=key)[:, 0]
+            onto_members = kernel.relative_submatrix(vec, alpha, [link], slot)[0]
+            from_members = kernel.relative_submatrix(vec, alpha, slot, [link])[:, 0]
             member_denoms = denoms[k] + onto_members
             link_denom = float(from_members.sum()) + own_noise
             if _sinr_ok(member_denoms, threshold) and _sinr_ok(
@@ -136,9 +133,6 @@ class LoopIncrementalScheduler(IncrementalScheduler):
         if self._builder.kernel_block_size is not None:
             links.kernel(block_size=self._builder.kernel_block_size)
         kernel = links.kernel()
-        # One content digest for the whole pass (as in repair.py): the
-        # probes below are O(|slot|) and must not each hash the vector.
-        key = kernel.relative_key(vec, alpha)
 
         def rel_noise(link: int) -> float:
             if model.noise == 0.0:
@@ -197,7 +191,7 @@ class LoopIncrementalScheduler(IncrementalScheduler):
         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             """A slot's ``(denominators, submatrix, noise)``, one kernel
             call for the whole member block."""
-            sub = kernel.relative_submatrix(vec, alpha, members, members, key=key)
+            sub = kernel.relative_submatrix(vec, alpha, members, members)
             noise = np.array([rel_noise(i) for i in members])
             cost.feasibility_evals += len(members)
             reexamined.update(members)
@@ -248,10 +242,10 @@ class LoopIncrementalScheduler(IncrementalScheduler):
                     if slot_denoms[k] is None:
                         slot_denoms[k] = materialise(members)[0]
                     onto = kernel.relative_submatrix(
-                        vec, alpha, [i], members, key=key
+                        vec, alpha, [i], members
                     )[0]
                     frm = kernel.relative_submatrix(
-                        vec, alpha, members, [i], key=key
+                        vec, alpha, members, [i]
                     )[:, 0]
                     member_denoms = slot_denoms[k] + onto
                     link_denom = float(frm.sum()) + own_noise

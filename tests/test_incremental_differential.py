@@ -151,6 +151,17 @@ class TestDynamicTimelines:
             warm_entries = links.kernel().stats.entries_served
             assert 0 < warm_entries < scratch_entries
 
+    def test_churn_epochs_never_build_a_dense_kernel(self):
+        """Warm builds probe carried slots one link at a time; the
+        kernel must answer each probe with its own entries, not with an
+        n x n matrix per epoch kept alive by the stage store."""
+        _result, records = run_recorded(
+            CONFIG, "churn", epochs=3, params={"p_leave": 0.05}
+        )
+        assert not records[-1][3].repair_cost["cold_start"]
+        for _inst, links, _schedule, _report in records:
+            assert links.kernel().stats.dense_builds == 0
+
 
 # ---------------------------------------------------------------------------
 # Static timelines: byte-identical to the non-incremental path

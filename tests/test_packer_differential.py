@@ -7,12 +7,16 @@ The fixed-power loops live on verbatim in ``tests/oracles/repair_loops.py``;
 the predicate loops are kept below as reference functions.  Every case
 runs both sides on fresh, identical link sets and asserts equal slots,
 equal :class:`~repro.scheduling.incremental.RepairCost` counters and
-epoch deltas, and equal kernel-cache counters — so the packer issues
-the same kernel calls, in the same order, as the loops did.
+epoch deltas.  The kernel counters pin the packer's batching instead of
+the loops' two calls per probe: no dense build ever, strictly fewer
+block evaluations than the loop on from-scratch splits, and on warm
+builds at most one more per block the pass fetched (carried members
+are still fetched per probe).
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -30,7 +34,10 @@ from repro.power.oblivious import ObliviousPower
 from repro.scenarios import ScenarioRunner
 from repro.scheduling.baselines import greedy_sinr_schedule
 from repro.scheduling.incremental import IncrementalScheduler, ScheduleState
-from repro.scheduling.repair import split_into_feasible_slots_fixed_power
+from repro.scheduling.repair import (
+    FixedPowerPacker,
+    split_into_feasible_slots_fixed_power,
+)
 from repro.sinr.affectance import additive_interference_matrix
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
@@ -65,6 +72,13 @@ def stats(links: LinkSet) -> dict:
     return links.kernel().stats.snapshot()
 
 
+def pass_blocks(placed: int, block_size: int) -> int:
+    """Kernel blocks one :meth:`FixedPowerPacker.pack` pass over
+    ``placed`` links fetches: one for the first run of ``block_size``
+    links, two for every later run."""
+    return 2 * math.ceil(placed / block_size) - 1 if placed else 0
+
+
 # ---------------------------------------------------------------------------
 # split_into_feasible_slots_fixed_power
 # ---------------------------------------------------------------------------
@@ -94,22 +108,42 @@ class TestSplitFixedPower:
             old.kernel(**kernel_kwargs)
         vec = ObliviousPower(tau, model.alpha).rescaled_for_noise(new, model).powers(new)
         gen = np.random.default_rng(100 + seed)
-        # Several classes per link set: the first probes of a power
-        # vector are block-evaluated, later ones hit the promoted dense
-        # matrix (unless the kernel is chunked).
+        # Several classes per link set, all through one kernel cache.
         classes = [np.arange(60)] + [
             gen.choice(60, size=size, replace=False) for size in (35, 20, 45, 1)
         ]
         split_pieces = 0
         for cls in classes:
+            before_new, before_old = stats(new), stats(old)
             got = split_into_feasible_slots_fixed_power(new, cls, vec, model, slack=slack)
             want = loop_split_fixed_power(old, cls, vec, model, slack=slack)
             assert got == want
-            assert stats(new) == stats(old)
+            evals_new = stats(new)["block_evals"] - before_new["block_evals"]
+            evals_old = stats(old)["block_evals"] - before_old["block_evals"]
+            if len(got) > 1:
+                # One block per run instead of two calls per probe.
+                assert evals_new < evals_old
+            else:
+                assert evals_new == evals_old  # the whole-class check only
             split_pieces += len(got) > 1
         assert split_pieces >= 2  # the packer, not the shortcut, ran
-        if kernel_kwargs:
-            assert new.kernel().stats.dense_builds == 0
+        assert stats(new)["dense_builds"] == 0
+
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    def test_a_pass_within_one_block_is_one_kernel_call(self, size):
+        links = crowded_links(60, 7)
+        kernel = links.kernel(block_size=20)
+        slots = FixedPowerPacker(links, np.ones(60), MODEL).pack(list(range(size)))
+        assert kernel.stats.block_evals == 1
+        assert sorted(i for slot in slots for i in slot) == list(range(size))
+
+    def test_a_longer_pass_fetches_two_blocks_per_later_run(self):
+        links = crowded_links(60, 7)
+        kernel = links.kernel(block_size=20)
+        vec = np.ones(60)
+        slots = FixedPowerPacker(links, vec, MODEL).pack(list(range(45)))
+        assert kernel.stats.block_evals == pass_blocks(45, 20) == 5
+        assert slots == loop_split_fixed_power(twin(links), np.arange(45), vec, MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +186,13 @@ def assert_same_warm_build(model, links, link_ids, state, mode="oblivious"):
     assert new_report.slot_sizes == old_report.slot_sizes
     assert new_report.initial_colors == old_report.initial_colors
     assert vars(new.last_delta) == vars(old.last_delta)
-    assert stats(new_links) == stats(old_links)
+    # Carried members are fetched per probe, as the loop did; entries
+    # among the inserted links come from the pass's blocks.
+    fetched = pass_blocks(
+        new_report.repair_cost["links_inserted"], new_links.kernel().block_size
+    )
+    assert stats(new_links)["dense_builds"] == 0
+    assert stats(new_links)["block_evals"] <= stats(old_links)["block_evals"] + fetched
     return new_report.repair_cost
 
 

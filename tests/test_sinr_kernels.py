@@ -5,6 +5,7 @@ import pytest
 
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
+from repro.errors import LinkError
 from repro.links.linkset import LinkSet
 from repro.scheduling.repair import (
     split_into_feasible_slots,
@@ -16,8 +17,8 @@ from repro.sinr.affectance import (
     relative_interference_matrix,
 )
 from repro.sinr.feasibility import is_feasible_with_power, sinr_values
-from repro.sinr.kernels import KernelCache, power_digest
-from repro.sinr.powercontrol import affectance_matrix
+from repro.sinr.kernels import KernelCache
+from repro.sinr.powercontrol import affectance_matrix, is_feasible_some_power
 
 
 def _random_links(n: int, rng: int, *, spacing: float = 2.0) -> LinkSet:
@@ -82,13 +83,23 @@ class TestCacheHitIdentity:
         dense = _dense_additive(links, model.alpha)
         assert value == pytest.approx(float(dense[[1, 2, 3], 7].sum()))
 
-    def test_repeated_queries_promote_to_dense(self, model):
+    def test_repeated_queries_never_build_dense(self, model):
         links = _random_links(60, rng=1)
         kernel = links.kernel()
+        vec = np.random.default_rng(2).uniform(0.5, 2.0, size=60)
+        idx = np.arange(0, 60, 3)
         for _ in range(3):
             additive_interference(links, model.alpha, [4, 5], 11)
-        assert kernel.stats.dense_builds == 1
-        assert kernel.stats.dense_hits >= 1
+            sinr_values(links, vec, model, idx)
+            relative_interference_matrix(links, vec, model, idx)
+            affectance_matrix(links, model, idx)
+        # Every query is one block of exactly the entries it asked for.
+        assert kernel.stats.dense_builds == kernel.stats.dense_hits == 0
+        assert kernel.stats.block_evals == 3 * 4
+        # The explicit full additive matrix is still memoized.
+        m = additive_interference_matrix(links, model.alpha)
+        assert additive_interference_matrix(links, model.alpha) is m
+        assert kernel.stats.dense_builds == kernel.stats.dense_hits == 1
 
     def test_sinr_values_match_seed_formula(self, model):
         links = _random_links(50, rng=2)
@@ -101,7 +112,7 @@ class TestCacheHitIdentity:
             rel = (p[:, None] / p[None, :]) * (sub.lengths[None, :] / dist) ** model.alpha
         np.fill_diagonal(rel, 0.0)
         expected = 1.0 / rel.sum(axis=0)
-        for _ in range(3):  # cold, then promoted dense
+        for _ in range(3):  # every call block-evaluates the same entries
             values = sinr_values(links, vec, model, idx)
             np.testing.assert_allclose(values, expected, rtol=1e-12)
 
@@ -189,14 +200,13 @@ class TestInvalidation:
         links = _random_links(30, rng=8)
         vec1 = np.ones(30)
         vec2 = np.full(30, 5.0)
-        for _ in range(3):  # promote vec1's dense matrix
+        for _ in range(3):
             sinr_values(links, vec1, model, np.arange(30))
         v_uniform = sinr_values(links, vec1, model, np.arange(30))
         v_scaled = sinr_values(links, vec2, model, np.arange(30))
-        # Uniform power is scale-invariant: same SINR, but served under
-        # a different cache key (content digest, not identity).
+        # Uniform power is scale-invariant: same SINR from a different
+        # vector.
         np.testing.assert_allclose(v_scaled, v_uniform, rtol=1e-12)
-        assert power_digest(vec1) != power_digest(vec2)
         vec3 = np.linspace(1.0, 3.0, 30)
         v_ramp = sinr_values(links, vec3, model, np.arange(30))
         assert not np.allclose(v_ramp, v_uniform)
@@ -282,6 +292,49 @@ class TestIncrementalRepair:
         slow = self._dense_split(coords, class_indices, vec, model)
         assert fast == slow
         assert chunked.kernel().stats.dense_builds == 0
+
+
+class TestIndexValidation:
+    """A link index outside ``[0, n)`` is a :class:`LinkError` naming it,
+    at every oracle that reads the kernel — never a silent wrap-around
+    (``-1`` answering for link ``n - 1``) or a bare numpy error."""
+
+    N = 12
+    QUERIES = {
+        "sinr_values": lambda links, model, bad: sinr_values(
+            links, np.ones(12), model, [bad]
+        ),
+        "is_feasible_with_power": lambda links, model, bad: is_feasible_with_power(
+            links, np.ones(12), model, [0, bad]
+        ),
+        "is_feasible_some_power": lambda links, model, bad: is_feasible_some_power(
+            links, model, [0, bad]
+        ),
+        "affectance_matrix": lambda links, model, bad: affectance_matrix(
+            links, model, [bad, 1]
+        ),
+        "relative_interference_matrix": lambda links, model, bad: (
+            relative_interference_matrix(links, np.ones(12), model, [bad])
+        ),
+        "additive_source": lambda links, model, bad: additive_interference(
+            links, model.alpha, [1, bad], 0
+        ),
+        "additive_target": lambda links, model, bad: additive_interference(
+            links, model.alpha, [1, 2], bad
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 12], ids=["negative", "past-the-end"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_out_of_range_index_is_a_link_error(self, model, query, bad):
+        links = _random_links(self.N, rng=13)
+        with pytest.raises(LinkError, match=rf"link index {bad} is out of range"):
+            self.QUERIES[query](links, model, bad)
+
+    def test_in_range_indices_are_unchanged(self, model):
+        links = _random_links(self.N, rng=13)
+        last = sinr_values(links, np.ones(12), model, [0, 11])
+        assert np.all(np.isfinite(last)) and last.shape == (2,)
 
 
 class TestConfigValidation:
