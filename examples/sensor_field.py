@@ -12,11 +12,12 @@ import numpy as np
 
 from repro import (
     MAX,
+    Pipeline,
+    PipelineConfig,
     SINRModel,
     cluster_points,
     compare_power_modes,
     median_via_counting,
-    run_convergecast,
 )
 
 
@@ -32,9 +33,8 @@ def main() -> None:
     print(comparison.table())
 
     # --- 2. Sustained max-temperature monitoring ----------------------
-    result = run_convergecast(
-        field, mode="oblivious", model=model, function=MAX, num_frames=30, rng=7
-    )
+    config = PipelineConfig(n=len(field), power="oblivious", num_frames=30, seed=7)
+    result = Pipeline(config, model=model).run(field, function=MAX)
     sim = result.simulation
     print()
     print("max-aggregation stream (oblivious power):")

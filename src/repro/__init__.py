@@ -7,11 +7,14 @@ interference model with near-constant aggregation rate.
 
 Quickstart
 ----------
->>> from repro import AggregationProtocol, uniform_square
+>>> from repro import SUM, Pipeline, PipelineConfig, SINRModel, uniform_square
 >>> points = uniform_square(100, rng=0)
->>> result = AggregationProtocol(mode="global").build(points, num_frames=5)
->>> result.measured_slots  # doctest: +SKIP
-7
+>>> config = PipelineConfig(n=len(points), power="global", num_frames=5, seed=0)
+>>> artifact = Pipeline(config, model=SINRModel()).run(points, function=SUM)
+>>> artifact.simulation.values_correct
+True
+>>> artifact.num_slots  # doctest: +SKIP
+8
 """
 
 from repro._version import __version__
@@ -23,9 +26,7 @@ from repro.aggregation import (
     SUM,
     AggregationFunction,
     AggregationSimulator,
-    ConvergecastResult,
     median_via_counting,
-    run_convergecast,
 )
 from repro.api import (
     Finding,
@@ -49,7 +50,6 @@ from repro.conflict import (
     oblivious_graph,
 )
 from repro.core import (
-    AggregationProtocol,
     compare_power_modes,
     predicted_slots,
     predicted_slots_cor1,
@@ -112,7 +112,6 @@ from repro.store import StageStore, get_default_store
 
 __all__ = [
     "AggregationFunction",
-    "AggregationProtocol",
     "AggregationSimulator",
     "AggregationTree",
     "COUNT",
@@ -121,7 +120,6 @@ __all__ = [
     "ConfigurationError",
     "ConflictGraph",
     "ConstructionError",
-    "ConvergecastResult",
     "DegenerateLinkError",
     "DistributedSchedulingSimulator",
     "DoublyExponentialChain",
@@ -191,7 +189,6 @@ __all__ = [
     "protocol_model_schedule",
     "register_lint_rule",
     "register_scenario",
-    "run_convergecast",
     "trivial_tdma_schedule",
     "uniform_disk",
     "uniform_square",

@@ -1,6 +1,5 @@
 """Aggregation semantics: functions, the convergecast simulator, median."""
 
-from repro.aggregation.convergecast import ConvergecastResult, run_convergecast
 from repro.aggregation.functions import (
     COUNT,
     MAX,
@@ -19,12 +18,10 @@ __all__ = [
     "AggregationFunction",
     "AggregationSimulator",
     "COUNT",
-    "ConvergecastResult",
     "MAX",
     "MEAN",
     "MIN",
     "SUM",
     "SimulationResult",
     "median_via_counting",
-    "run_convergecast",
 ]

@@ -23,17 +23,9 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional
 
-from repro.api.components import (
-    SchedulerSpec,
-    TopologySpec,
-    TreeSpec,
-    power_schemes,
-    schedulers,
-    topologies,
-    trees,
-)
+from repro.api.components import power_schemes, schedulers, topologies, trees
 from repro.backend import check_backend
 from repro.constants import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.errors import ConfigurationError
@@ -42,26 +34,30 @@ from repro.sinr.model import SINRModel
 
 __all__ = ["PipelineConfig"]
 
-#: Keyword arguments the pipeline passes to each component itself, which
-#: are therefore never valid keys of the matching ``*_params`` mapping.
+#: Keyword arguments the pipeline (or, for a scenario transform's
+#: ``params``, the scenario runner) passes to each component itself,
+#: which are therefore never valid keys of the matching mapping.
 _PIPELINE_KWARGS: Dict[str, FrozenSet[str]] = {
     "topology_params": frozenset({"rng"}),
     "tree_params": frozenset({"sink"}),
     "scheduler_params": frozenset({"prev_state", "link_ids"}),
+    "params": frozenset({"epochs", "rng"}),
 }
 
 
 def _check_params(
     field_name: str,
     params: Mapping[str, Any],
-    spec: Union[TopologySpec, TreeSpec, SchedulerSpec],
+    build: Callable[..., Any],
+    name: str,
 ) -> None:
     """:class:`ConfigurationError` unless every key of ``params`` is a
-    keyword-only parameter of ``spec.build`` that the pipeline does not
-    pass itself; a ``build`` taking ``**kwargs`` accepts any key."""
+    keyword-only parameter of ``build`` (component ``name``) that the
+    caller does not pass itself; a ``build`` taking ``**kwargs`` accepts
+    any key."""
     if not params:
         return
-    parameters = inspect.signature(spec.build).parameters.values()
+    parameters = inspect.signature(build).parameters.values()
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
         return
     valid = [
@@ -74,7 +70,7 @@ def _check_params(
     if unknown:
         raise ConfigurationError(
             f"unknown {field_name} key(s) {', '.join(map(repr, unknown))} for "
-            f"{spec.name!r}; available: {', '.join(valid) or 'none'}"
+            f"{name!r}; available: {', '.join(valid) or 'none'}"
         )
 
 
@@ -138,10 +134,15 @@ class PipelineConfig:
             object.__setattr__(self, name, dict(value))
         # Eager name validation: every component must resolve *now*, and
         # so must the names in its params mapping.
-        _check_params("topology_params", self.topology_params, topologies.get(self.topology))
-        _check_params("tree_params", self.tree_params, trees.get(self.tree))
+        topology = topologies.get(self.topology)
+        _check_params("topology_params", self.topology_params, topology.build, topology.name)
+        tree = trees.get(self.tree)
+        _check_params("tree_params", self.tree_params, tree.build, tree.name)
         power_schemes.get(self.power)
-        _check_params("scheduler_params", self.scheduler_params, schedulers.get(self.scheduler))
+        scheduler = schedulers.get(self.scheduler)
+        _check_params(
+            "scheduler_params", self.scheduler_params, scheduler.build, scheduler.name
+        )
         check_backend(self.backend)
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError(f"n must be a positive int, got {self.n!r}")

@@ -15,10 +15,10 @@ Since the Execution-API-v2 redesign every stage is a *store-mediated
 pure function* (:mod:`repro.store.stages`): stage artifacts are cached
 in a content-addressed :class:`~repro.store.StageStore` keyed by the
 config fields the stage actually reads, so two configs differing only
-in, say, ``alpha`` share one deployment and one tree.  Explicitly
-supplied deployments (and non-canonical seeds) bypass the store — only
-config-derived artifacts are ever cached — and the per-run cache
-counters land in ``RunArtifact.provenance["store"]``.
+in, say, ``alpha`` share one deployment and one tree.  ``config.seed``
+is the one seed of a run.  Explicitly supplied deployments bypass the
+store — only config-derived artifacts are ever cached — and the per-run
+cache counters land in ``RunArtifact.provenance["store"]``.
 
 >>> from repro.api import Pipeline, PipelineConfig
 >>> artifact = Pipeline(PipelineConfig(topology="grid", n=9)).run()
@@ -47,13 +47,8 @@ from repro.sinr.model import SINRModel
 from repro.spanning.tree import AggregationTree
 from repro.store import stages as _stages
 from repro.store.store import StageStore, get_default_store
-from repro.util.rng import RngLike
 
 __all__ = ["Pipeline", "RunArtifact"]
-
-#: Sentinel distinguishing "use the process default store" (the default)
-#: from an explicit ``store=None`` opting out of stage caching.
-_DEFAULT_STORE = object()
 
 
 @dataclass
@@ -84,10 +79,6 @@ class RunArtifact:
 
     @property
     def num_slots(self) -> int:
-        return self.schedule.num_slots
-
-    @property
-    def measured_slots(self) -> int:
         return self.schedule.num_slots
 
     @property
@@ -144,9 +135,8 @@ class Pipeline:
         entries.
     store:
         The :class:`~repro.store.StageStore` mediating stage
-        computation.  Defaults to the process-wide store
-        (:func:`~repro.store.get_default_store`); pass ``None`` to
-        disable stage caching for this pipeline.
+        computation; ``None`` uses the process-wide store
+        (:func:`~repro.store.get_default_store`).
     """
 
     def __init__(
@@ -154,7 +144,7 @@ class Pipeline:
         config: PipelineConfig,
         *,
         model: Optional[SINRModel] = None,
-        store: Any = _DEFAULT_STORE,
+        store: Optional[StageStore] = None,
     ) -> None:
         self.config = config
         self.topology = topologies.get(config.topology)
@@ -162,28 +152,14 @@ class Pipeline:
         self.power = power_schemes.get(config.power)
         self.scheduler = schedulers.get(config.scheduler)
         self.model = model or SINRModel(alpha=config.alpha, beta=config.beta)
-        self.store: Optional[StageStore] = (
-            get_default_store() if store is _DEFAULT_STORE else store
-        )
+        self.store = get_default_store() if store is None else store
 
     # ------------------------------------------------------------------
     # Stages
     # ------------------------------------------------------------------
-    def _canonical_seed(self, rng: RngLike) -> bool:
-        """Whether ``rng`` denotes the config's own seed (cacheable)."""
-        return isinstance(rng, int) and rng == self.config.seed
-
-    def deploy(self, rng: RngLike = None) -> PointSet:
-        """Build the deployment (``rng`` defaults to ``config.seed``).
-
-        Config-seeded deployments go through the stage store; an
-        explicit non-config seed builds directly (its randomness is not
-        content-addressable by the config).
-        """
-        rng = self.config.seed if rng is None else rng
-        if self.store is not None and self._canonical_seed(rng):
-            return _stages.deployment_for(self.config, self.store)
-        return self.topology.build(self.config.n, rng=rng, **self.config.topology_params)
+    def deploy(self) -> PointSet:
+        """The config's deployment, resolved through the stage store."""
+        return _stages.deployment_for(self.config, self.store)
 
     def build_tree(self, points: PointSet) -> AggregationTree:
         """Build the aggregation tree over an explicit deployment.
@@ -192,9 +168,7 @@ class Pipeline:
         config, the tree is store-mediated too; foreign point sets build
         directly so the cache never aliases them.
         """
-        if self.store is not None and _stages.canonical_deployment(
-            self.config, self.store, points
-        ):
+        if _stages.canonical_deployment(self.config, self.store, points):
             return _stages.tree_for(self.config, self.store)
         return self.tree_builder.build(
             points, sink=self.config.sink, **self.config.tree_params
@@ -208,9 +182,7 @@ class Pipeline:
         (those derived from this config through the store) resolve
         through the schedule cache.
         """
-        if self.store is not None and _stages.canonical_links(
-            self.config, self.store, links
-        ):
+        if _stages.canonical_links(self.config, self.store, links):
             return _stages.schedule_for(self.config, self.store, model=self.model)
         return _stages.build_schedule_direct(self.config, links, self.model)
 
@@ -220,7 +192,6 @@ class Pipeline:
         points: Optional[PointSet] = None,
         *,
         function: AggregationFunction = SUM,
-        rng: RngLike = None,
     ) -> RunArtifact:
         """Run the whole pipeline and return the stamped artifact.
 
@@ -230,15 +201,12 @@ class Pipeline:
             An explicit deployment; ``None`` builds one from the
             configured topology.
         function:
-            The aggregate computed during simulation.
-        rng:
-            Seed for deployment and simulation randomness; ``None``
-            uses ``config.seed`` (so a config alone is reproducible).
+            The aggregate computed during simulation, whose readings
+            are drawn from ``config.seed``.
         """
-        seed = self.config.seed if rng is None else rng
         explicit = points is not None
-        before = self.store.stats.snapshot() if self.store is not None else None
-        pts = points if explicit else self.deploy(rng=seed)
+        before = self.store.stats.snapshot()
+        pts = points if explicit else self.deploy()
         tree = self.build_tree(pts)
         links = tree.links()
         schedule, report = self.build_schedule(links)
@@ -248,11 +216,10 @@ class Pipeline:
             from repro.aggregation.simulator import AggregationSimulator
 
             simulation = AggregationSimulator(tree, schedule, function).run(
-                self.config.num_frames, rng=seed
+                self.config.num_frames, rng=self.config.seed
             )
         provenance = self.provenance(explicit_points=explicit)
-        if before is not None:
-            provenance["store"] = self.store.stats.delta(before)
+        provenance["store"] = self.store.stats.delta(before)
         return RunArtifact(
             config=self.config,
             points=pts,

@@ -49,6 +49,19 @@ __all__ = ["Lease", "Orchestrator"]
 DRAIN_GRACE_S = 0.5
 
 
+def check_lease_settings(lease_ttl_s: float, batch_size: int) -> None:
+    """:class:`ConfigurationError` unless ``lease_ttl_s > 0`` and
+    ``batch_size >= 1``."""
+    if lease_ttl_s <= 0:
+        raise ConfigurationError(
+            f"lease_ttl_s must be positive, got {lease_ttl_s}"
+        )
+    if batch_size < 1:
+        raise ConfigurationError(
+            f"batch_size must be at least 1, got {batch_size}"
+        )
+
+
 @dataclass
 class Lease:
     """One batch of cells granted to one worker, with a deadline."""
@@ -117,14 +130,7 @@ class Orchestrator:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        if lease_ttl_s <= 0:
-            raise ConfigurationError(
-                f"lease_ttl_s must be positive, got {lease_ttl_s}"
-            )
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be at least 1, got {batch_size}"
-            )
+        check_lease_settings(lease_ttl_s, batch_size)
         self.lease_ttl_s = float(lease_ttl_s)
         self.batch_size = int(batch_size)
         self.heartbeat_interval_s = (

@@ -1,7 +1,6 @@
 """The paper's contribution as a public API."""
 
 from repro.core.capacity import CapacityComparison, compare_power_modes
-from repro.core.protocol import AggregationProtocol
 from repro.core.theory import (
     predicted_slots,
     predicted_slots_cor1,
@@ -10,7 +9,6 @@ from repro.core.theory import (
 )
 
 __all__ = [
-    "AggregationProtocol",
     "CapacityComparison",
     "compare_power_modes",
     "predicted_slots",

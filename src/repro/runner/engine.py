@@ -63,12 +63,12 @@ def run_cell(cell: CellSpec, *, store: Optional[StageStore] = None) -> CellResul
 
     Resolves the cell's component names through the registry-backed
     :class:`~repro.api.pipeline.Pipeline`, builds the deployment and
-    tree — both mediated by the stage store (``store=None`` uses the
-    process default), so cells sharing stage signatures share artifacts
-    — and applies every requested measurement from the measurement
-    registry (the schedule is built lazily, only when a measurement
-    needs it).  All failures are captured in the record rather than
-    raised.
+    tree — both mediated by the stage store (``store=None`` means the
+    process default store, as it does for ``Pipeline``), so cells
+    sharing stage signatures share artifacts — and applies every
+    requested measurement from the measurement registry (the schedule
+    is built lazily, only when a measurement needs it).  All failures
+    are captured in the record rather than raised.
     """
     dynamic = cell.is_dynamic
     result = CellResult(
@@ -98,9 +98,7 @@ def run_cell(cell: CellSpec, *, store: Optional[StageStore] = None) -> CellResul
             num_frames=cell.num_frames,
             backend=cell.backend,
         )
-        pipeline = (
-            Pipeline(config) if store is None else Pipeline(config, store=store)
-        )
+        pipeline = Pipeline(config, store=store)
         points = pipeline.deploy()
         tree = pipeline.build_tree(points)
         ctx = MeasurementContext(
@@ -241,11 +239,13 @@ class SweepEngine:
         self.cluster_batch = cluster_batch
         self.lease_ttl_s = lease_ttl_s
         if cluster is not None:
-            # Validate the address eagerly so a typo fails at
+            # Validate the cluster options eagerly so a typo fails at
             # construction, not after the sweep file has been truncated.
+            from repro.cluster.orchestrator import check_lease_settings
             from repro.cluster.protocol import parse_address
 
             parse_address(cluster)
+            check_lease_settings(lease_ttl_s, cluster_batch)
 
     # ------------------------------------------------------------------
     @staticmethod

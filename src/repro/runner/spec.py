@@ -16,6 +16,9 @@ manifests.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Iterator, Sequence, Tuple
 
@@ -33,6 +36,14 @@ __all__ = ["CellSpec", "SweepSpec", "MEASUREMENTS"]
 #: (slots, rate, optional simulation); ``g1`` computes the Theorem-2
 #: quantities (chi(G1) and the refinement constant).
 MEASUREMENTS = measurements.names()
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``; :class:`ConfigurationError` unless it is
+    an integer (numpy integers included, ``bool`` not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ class SweepSpec:
         )
         for name in axis_names:
             value = getattr(self, name)
-            if isinstance(value, (str, int, float)):
+            if isinstance(value, str) or not isinstance(value, Iterable):
                 raise ConfigurationError(f"{name} must be a sequence, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         # PowerMode enum members are accepted on the mode axis; fold them
@@ -178,6 +189,25 @@ class SweepSpec:
             "modes",
             tuple(m.value if isinstance(m, PowerMode) else m for m in self.modes),
         )
+        # Type-check before _require_axis hashes the axis values, so a
+        # malformed JSON spec fails here, not as a TypeError later.
+        for name in ("seeds", "base_seed", "num_frames", "epochs"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "ns", tuple(_integer("each n", n) for n in self.ns))
+        for name in ("alphas", "betas"):
+            for value in getattr(self, name):
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)
+                ):
+                    raise ConfigurationError(
+                        f"{name} must hold finite numbers, got {value!r}"
+                    )
+        for name in ("topologies", "modes", "trees", "schedulers", "measure", "scenarios"):
+            for value in getattr(self, name):
+                if not isinstance(value, str):
+                    raise ConfigurationError(f"{name} must hold names, got {value!r}")
         for name in axis_names:
             self._require_axis(name, getattr(self, name))
         # Registry-backed name validation: unknown names fail eagerly
@@ -195,12 +225,12 @@ class SweepSpec:
         for scenario in self.scenarios:
             scenario_registry.get(scenario)
         check_backend(self.backend)
-        if not isinstance(self.epochs, int) or self.epochs < 1:
+        if self.epochs < 1:
             raise ConfigurationError(
                 f"epochs must be a positive int, got {self.epochs!r}"
             )
         for n in self.ns:
-            if not isinstance(n, int) or n < 2:
+            if n < 2:
                 raise ConfigurationError(f"each n must be an int >= 2, got {n!r}")
         for alpha in self.alphas:
             if alpha <= 2:

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api.components import schedulers, trees
-from repro.api.config import PipelineConfig
+from repro.api.config import PipelineConfig, _check_params
 from repro.api.pipeline import Pipeline, RunArtifact
 from repro.errors import ConfigurationError
 from repro.geometry.point import PointSet
@@ -57,10 +57,6 @@ from repro.store.store import StageStore, get_default_store
 from repro.util.rng import as_generator
 
 __all__ = ["EpochResult", "ScenarioResult", "ScenarioRunner"]
-
-#: Sentinel distinguishing "use the process default store" from an
-#: explicit ``store=None`` opting out of stage caching.
-_DEFAULT_STORE = object()
 
 
 @dataclass
@@ -213,7 +209,8 @@ class ScenarioRunner:
         Timeline length (>= 1).
     params:
         Extra keyword arguments for the transform (e.g.
-        ``{"p_leave": 0.2}`` for ``churn``).
+        ``{"p_leave": 0.2}`` for ``churn``), checked here against its
+        signature; ``epochs`` and ``rng`` are the runner's own.
     scenario_seed:
         Seed of the scenario's own randomness (departures, waypoints,
         fades, arrivals); defaults to ``config.seed`` so a config alone
@@ -222,8 +219,8 @@ class ScenarioRunner:
         Optional explicit base :class:`SINRModel` (as for
         :class:`~repro.api.pipeline.Pipeline`).
     store:
-        Stage store mediating all epoch computation; defaults to the
-        process-wide store, ``None`` disables caching.
+        Stage store mediating all epoch computation; ``None`` uses the
+        process-wide store.
     """
 
     def __init__(
@@ -235,7 +232,7 @@ class ScenarioRunner:
         params: Optional[Dict[str, Any]] = None,
         scenario_seed: Optional[int] = None,
         model: Optional[SINRModel] = None,
-        store: Any = _DEFAULT_STORE,
+        store: Optional[StageStore] = None,
     ) -> None:
         self.config = config
         self.spec: ScenarioSpec = scenarios.get(scenario)
@@ -243,12 +240,11 @@ class ScenarioRunner:
             raise ConfigurationError(f"epochs must be a positive int, got {epochs!r}")
         self.epochs = epochs
         self.params = dict(params or {})
+        _check_params("params", self.params, self.spec.make, self.spec.name)
         self.scenario_seed = (
             config.seed if scenario_seed is None else int(scenario_seed)
         )
-        self.store: Optional[StageStore] = (
-            get_default_store() if store is _DEFAULT_STORE else store
-        )
+        self.store = get_default_store() if store is None else store
         self.pipeline = Pipeline(config, model=model, store=self.store)
         #: Whether the configured scheduler is a delta scheduler that
         #: accepts carried state (e.g. ``incremental-certified``).
@@ -271,8 +267,6 @@ class ScenarioRunner:
         self, inst: EpochInstance, prev: _EpochState, sig: Optional[Dict]
     ) -> PointSet:
         store = self.store
-        if store is None:
-            return inst.points
         if sig is None:
             return stages.deployment_for(self.config, store)
         if sig != prev.sig:
@@ -324,11 +318,7 @@ class ScenarioRunner:
     ) -> AggregationTree:
         store = self.store
         if sig is None:
-            if store is not None:
-                return stages.tree_for(self.config, store)
-            return prev.tree
-        if store is None:
-            return self._build_tree(inst, prev, points)
+            return stages.tree_for(self.config, store)
         return store.get_or_build(
             "tree",
             keys.tree_key(self.config, scenario=sig),
@@ -354,8 +344,6 @@ class ScenarioRunner:
         build = lambda: stages.build_schedule_direct(
             self.config, links, inst.model, extra
         )
-        if store is None:
-            return build()
         if sig is None:
             store.get_or_build(
                 "links", keys.links_key(self.config), lambda: links
@@ -480,9 +468,7 @@ class ScenarioRunner:
         # re-checking every slot per epoch.
         baseline_violations: Optional[int] = None
         for inst in timeline:
-            before = (
-                self.store.stats.snapshot() if self.store is not None else None
-            )
+            before = self.store.stats.snapshot()
             if inst.scenario_scoped and inst.changed:
                 sig = self._signature(inst.index)
             else:
@@ -537,8 +523,7 @@ class ScenarioRunner:
                     baseline.schedule, inst.model
                 )
             self._simulate(inst, tree, schedule, epoch)
-            if before is not None:
-                epoch.store = self.store.stats.delta(before)
+            epoch.store = self.store.stats.delta(before)
             result.epoch_results.append(epoch)
             prev = _EpochState(
                 points=points, tree=tree, edge_id_set=edge_set, sig=sig

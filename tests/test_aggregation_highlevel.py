@@ -1,12 +1,13 @@
-"""Tests for run_convergecast, the protocol API and the median driver."""
+"""Tests for the pipeline over an explicit deployment, its prediction
+and the median driver."""
 
 import numpy as np
 import pytest
 
-from repro.aggregation.convergecast import run_convergecast
+from repro.aggregation.functions import SUM
 from repro.aggregation.median import median_via_counting
+from repro.api import Pipeline, PipelineConfig
 from repro.core.capacity import compare_power_modes
-from repro.core.protocol import AggregationProtocol
 from repro.core.theory import (
     predicted_slots,
     predicted_slots_global,
@@ -17,48 +18,50 @@ from repro.geometry.generators import uniform_square
 from repro.scheduling.builder import PowerMode
 
 
-class TestRunConvergecast:
+def run_pipeline(points, model, *, function=SUM, **fields):
+    """The pipeline over ``points`` under ``model``; ``fields`` are
+    :class:`PipelineConfig` fields."""
+    config = PipelineConfig(n=len(points), **fields)
+    return Pipeline(config, model=model).run(points, function=function)
+
+
+class TestExplicitPoints:
     def test_without_simulation(self, model, square_points):
-        result = run_convergecast(square_points, model=model)
+        result = run_pipeline(square_points, model)
         assert result.simulation is None
         assert result.num_slots >= 1
         assert result.rate == pytest.approx(1.0 / result.num_slots)
 
     def test_with_simulation(self, model, square_points):
-        result = run_convergecast(square_points, model=model, num_frames=5)
+        result = run_pipeline(square_points, model, num_frames=5)
         assert result.simulation is not None
         assert result.simulation.stable
 
     def test_summary_contains_key_facts(self, model, square_points):
-        result = run_convergecast(square_points, model=model, num_frames=3)
+        result = run_pipeline(square_points, model, num_frames=3)
         text = result.summary()
         assert "slots=" in text and "simulated:" in text
 
     def test_custom_sink(self, model, square_points):
-        result = run_convergecast(square_points, sink=7, model=model)
+        result = run_pipeline(square_points, model, sink=7)
         assert result.tree.sink == 7
 
 
-class TestAggregationProtocol:
+class TestPrediction:
     def test_build_returns_prediction(self, model, square_points):
-        result = AggregationProtocol("global", model=model).build(square_points)
+        result = run_pipeline(square_points, model, power="global")
         assert result.predicted_slots >= 1.0
         assert result.slots_vs_prediction == pytest.approx(
-            result.measured_slots / result.predicted_slots
+            result.num_slots / result.predicted_slots
         )
 
     def test_mode_forwarded(self, model, square_points):
-        proto = AggregationProtocol("oblivious", model=model, tau=0.5)
-        result = proto.build(square_points)
-        assert result.convergecast.report.mode is PowerMode.OBLIVIOUS
+        result = run_pipeline(square_points, model, power="oblivious", tau=0.5)
+        assert result.report.mode is PowerMode.OBLIVIOUS
 
     def test_summary(self, model, square_points):
-        result = AggregationProtocol("global", model=model).build(square_points)
+        result = run_pipeline(square_points, model, power="global")
         assert "predicted" in result.summary()
-
-    def test_custom_constants(self, model, square_points):
-        proto = AggregationProtocol("global", model=model, gamma=2.0)
-        assert proto.builder.gamma == 2.0
 
 
 class TestTheory:
@@ -106,7 +109,7 @@ class TestMedian:
         assert result.median == pytest.approx(5.0)
 
     def test_through_simulator(self, model, square_points):
-        conv = run_convergecast(square_points, model=model)
+        conv = run_pipeline(square_points, model)
         rng = np.random.default_rng(3)
         readings = rng.uniform(0, 50, size=len(square_points))
         result = median_via_counting(

@@ -309,7 +309,6 @@ class TestPublicSurface:
     def test_pre_redesign_imports_still_work(self):
         # The pre-registry public surface, verbatim.
         from repro import (  # noqa: F401
-            AggregationProtocol,
             AggregationTree,
             PowerMode,
             ScheduleBuilder,
@@ -317,22 +316,9 @@ class TestPublicSurface:
             make_deployment,
             uniform_square,
         )
-        from repro.core.protocol import ProtocolResult  # noqa: F401
         from repro.geometry.generators import TOPOLOGIES
 
         assert TOPOLOGIES == ("square", "disk", "grid", "clusters", "exponential")
-
-    def test_protocol_facade_unchanged_behaviour(self):
-        from repro import AggregationProtocol, PowerMode, uniform_square
-
-        points = uniform_square(20, rng=1)
-        proto = AggregationProtocol("oblivious", gamma=2.0)
-        assert proto.mode is PowerMode.OBLIVIOUS
-        assert proto.builder.gamma == 2.0
-        result = proto.build(points, num_frames=2)
-        assert result.measured_slots >= 1
-        assert result.convergecast.report.mode is PowerMode.OBLIVIOUS
-        assert result.convergecast.simulation.stable
 
     def test_simulation_result_type_exported_and_used(self):
         from repro.api import Pipeline, PipelineConfig, RunArtifact, SimulationResult
@@ -346,11 +332,11 @@ class TestPublicSurface:
         assert hints["simulation"] == typing.Optional[SimulationResult]
 
     def test_protocol_accepts_mean_scheme(self):
-        from repro import AggregationProtocol, PowerMode, uniform_square
+        from repro import Pipeline, PipelineConfig, PowerMode, uniform_square
 
-        proto = AggregationProtocol("mean")
-        assert proto.mode is PowerMode.OBLIVIOUS
-        assert proto.build(uniform_square(10, rng=0)).measured_slots >= 1
+        config = PipelineConfig(n=10, power="mean")
+        assert config.power_mode is PowerMode.OBLIVIOUS
+        assert Pipeline(config).run(uniform_square(10, rng=0)).num_slots >= 1
 
     def test_make_deployment_matches_direct_builders(self):
         from repro import make_deployment, uniform_square

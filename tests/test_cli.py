@@ -355,11 +355,19 @@ class TestScenarioCommand:
         # No churn at all: every epoch matches the baseline exactly.
         assert "mean_ratio=1.00" in out
 
-    def test_bad_params_exit_2(self, capsys):
-        assert main(
-            ["scenario", "churn", "--n", "16", "--params", "not-json"]
-        ) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "name, params, fragment",
+        [
+            ("churn", "not-json", "not valid JSON"),
+            ("churn", '{"bogus": 1}', "available: p_leave, p_join"),
+            ("churn", '{"rng": 1}', "available: p_leave, p_join"),
+            ("churn", '{"epochs": 2}', "available: p_leave, p_join"),
+            ("fading", '{"p_leave": 0.1}', "available: sigma, target"),
+        ],
+    )
+    def test_bad_params_exit_2(self, capsys, name, params, fragment):
+        assert main(["scenario", name, "--n", "16", "--params", params]) == 2
+        assert fragment in capsys.readouterr().err
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):

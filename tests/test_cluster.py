@@ -454,9 +454,21 @@ class TestResultFrameValidation:
 # Engine-level cluster backend
 # ----------------------------------------------------------------------
 class TestClusterEngine:
-    def test_bad_cluster_address_fails_at_construction(self):
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            SweepEngine(small_spec(), cluster="nocolon")
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"cluster": "nocolon"}, "HOST:PORT"),
+            ({"cluster": "127.0.0.1:0", "cluster_batch": 0}, "batch_size"),
+            ({"cluster": "127.0.0.1:0", "lease_ttl_s": 0}, "lease_ttl_s"),
+        ],
+        ids=["address", "batch", "lease-ttl"],
+    )
+    def test_bad_cluster_address_fails_at_construction(self, tmp_path, options, match):
+        out = tmp_path / "rows.jsonl"
+        out.write_text('{"cell_id": "kept"}\n')
+        with pytest.raises(ConfigurationError, match=match):
+            SweepEngine(small_spec(), out_path=out, resume=False, **options).run()
+        assert out.read_text() == '{"cell_id": "kept"}\n'
 
     def test_cluster_sweep_matches_inline_byte_for_byte(self, tmp_path):
         spec = small_spec()
@@ -724,6 +736,12 @@ class TestServeHttp:
             (post_jobs(dict(SERVE_SPEC, cluster="nohost")), "HOST:PORT"),
             (post_jobs(dict(SERVE_SPEC, cluster="host:port")), "port"),
             (post_jobs("{not json"), "not JSON"),
+            (post_jobs(dict(SERVE_SPEC, seeds="x")), "seeds"),
+            (post_jobs(dict(SERVE_SPEC, seeds=1.5)), "seeds"),
+            (post_jobs(dict(SERVE_SPEC, base_seed="x")), "base_seed"),
+            (post_jobs(dict(SERVE_SPEC, alphas=["a"])), "alphas"),
+            (post_jobs(dict(SERVE_SPEC, topologies=[["a"]])), "topologies"),
+            (post_jobs(dict(SERVE_SPEC, ns=None)), "ns"),
             (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "Content-Length"),
         ],
         ids=[
@@ -734,6 +752,12 @@ class TestServeHttp:
             "cluster-no-port",
             "cluster-bad-port",
             "body-not-json",
+            "seeds-not-int",
+            "seeds-fractional",
+            "base-seed-not-int",
+            "alphas-not-numbers",
+            "topologies-not-names",
+            "ns-null",
             "bad-content-length",
         ],
     )

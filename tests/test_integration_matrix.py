@@ -4,8 +4,8 @@ aggregation function, end to end, plus failure-injection cases."""
 import numpy as np
 import pytest
 
-from repro.aggregation.convergecast import run_convergecast
 from repro.aggregation.functions import COUNT, MAX, MEAN, MIN, SUM
+from repro.api import Pipeline, PipelineConfig
 from repro.errors import ReproError
 from repro.geometry.generators import (
     cluster_points,
@@ -26,12 +26,19 @@ TOPOLOGIES = {
 }
 
 
+def run_pipeline(points, model, *, function=SUM, **fields):
+    """The pipeline over ``points`` under ``model``; ``fields`` are
+    :class:`PipelineConfig` fields."""
+    config = PipelineConfig(n=len(points), **fields)
+    return Pipeline(config, model=model).run(points, function=function)
+
+
 class TestModeTopologyMatrix:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("mode", ["global", "oblivious"])
     def test_end_to_end(self, model, topology, mode):
         points = TOPOLOGIES[topology]()
-        result = run_convergecast(points, mode=mode, model=model, num_frames=3, rng=1)
+        result = run_pipeline(points, model, power=mode, num_frames=3, seed=1)
         assert result.simulation.stable
         assert result.simulation.values_correct
         assert result.schedule.min_slack() >= 1.0 - 1e-9
@@ -41,31 +48,31 @@ class TestModeTopologyMatrix:
     )
     def test_every_aggregate_end_to_end(self, model, function):
         points = uniform_square(18, rng=223)
-        result = run_convergecast(
-            points, mode="global", model=model, function=function, num_frames=4, rng=2
+        result = run_pipeline(
+            points, model, power="global", function=function, num_frames=4, seed=2
         )
         assert result.simulation.values_correct
 
     def test_noisy_model_end_to_end(self):
         model = SINRModel(alpha=3.0, beta=1.0, noise=1e-4, epsilon=0.5)
         points = uniform_square(20, rng=227)
-        result = run_convergecast(points, mode="oblivious", model=model, num_frames=3)
+        result = run_pipeline(points, model, power="oblivious", num_frames=3)
         assert result.simulation.stable
 
     def test_strict_beta_end_to_end(self):
         model = SINRModel(alpha=3.0, beta=4.0)
         points = uniform_square(20, rng=229)
-        result = run_convergecast(points, mode="global", model=model, num_frames=3)
+        result = run_pipeline(points, model, power="global", num_frames=3)
         assert result.simulation.stable
         # Stricter beta cannot shorten the schedule.
-        loose = run_convergecast(points, mode="global", model=SINRModel(alpha=3.0))
+        loose = run_pipeline(points, SINRModel(alpha=3.0), power="global")
         assert result.num_slots >= loose.num_slots
 
     def test_alpha_sweep(self):
         points = uniform_square(20, rng=233)
         for alpha in (2.5, 3.0, 4.0, 6.0):
             model = SINRModel(alpha=alpha, beta=1.0)
-            result = run_convergecast(points, mode="global", model=model)
+            result = run_pipeline(points, model, power="global")
             assert 1 <= result.num_slots <= len(points) - 1
 
 
@@ -96,7 +103,7 @@ class TestFailureInjection:
 
     def test_sink_out_of_range(self, model):
         with pytest.raises(ReproError):
-            run_convergecast(uniform_square(5, rng=1), sink=99, model=model)
+            run_pipeline(uniform_square(5, rng=1), model, sink=99)
 
     def test_single_node_deployment(self, model):
         from repro.geometry.point import PointSet
@@ -138,13 +145,13 @@ class TestFailureInjection:
 
 class TestDeterminism:
     def test_full_pipeline_deterministic(self, model):
-        a = run_convergecast(uniform_square(30, rng=241), model=model, num_frames=3, rng=5)
-        b = run_convergecast(uniform_square(30, rng=241), model=model, num_frames=3, rng=5)
+        a = run_pipeline(uniform_square(30, rng=241), model, num_frames=3, seed=5)
+        b = run_pipeline(uniform_square(30, rng=241), model, num_frames=3, seed=5)
         assert a.num_slots == b.num_slots
         assert a.schedule.colors().tolist() == b.schedule.colors().tolist()
         assert a.simulation.latencies == b.simulation.latencies
 
     def test_different_seeds_differ(self, model):
-        a = run_convergecast(uniform_square(30, rng=1), model=model)
-        b = run_convergecast(uniform_square(30, rng=2), model=model)
+        a = run_pipeline(uniform_square(30, rng=1), model)
+        b = run_pipeline(uniform_square(30, rng=2), model)
         assert not np.array_equal(a.tree.points.coords, b.tree.points.coords)

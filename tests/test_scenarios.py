@@ -109,7 +109,7 @@ class TestRepair:
 # ---------------------------------------------------------------------------
 class TestTransforms:
     def timeline(self, name, epochs=3, **params):
-        points = Pipeline(CONFIG, store=None).deploy()
+        points = Pipeline(CONFIG, store=StageStore()).deploy()
         spec = scenarios.get(name)
         from repro.sinr.model import SINRModel
 
@@ -139,7 +139,7 @@ class TestTransforms:
             self.timeline("churn", p_leave=1.5)
 
     def test_mobility_moves_everyone_but_the_sink(self):
-        base = Pipeline(CONFIG, store=None).deploy()
+        base = Pipeline(CONFIG, store=StageStore()).deploy()
         instances = self.timeline("mobility", speed=0.2)
         sink_home = base.coords[CONFIG.sink]
         for inst in instances:
@@ -173,7 +173,7 @@ class TestTransforms:
     def test_fading_noise_target_works_with_a_noise_floor(self):
         from repro.sinr.model import SINRModel
 
-        points = Pipeline(CONFIG, store=None).deploy()
+        points = Pipeline(CONFIG, store=StageStore()).deploy()
         noisy = SINRModel(alpha=3.0, beta=1.0, noise=1e-9)
         instances = list(
             scenarios.get("fading").make(
@@ -384,11 +384,6 @@ class TestScenarioRunner:
                 fresh_runner("short-lived", epochs=3).run()
         finally:
             registry.unregister("short-lived")
-
-    def test_runner_works_without_a_store(self):
-        result = ScenarioRunner(CONFIG, "churn", epochs=2, store=None).run()
-        assert len(result.epoch_results) == 2
-        assert all(e.store == {} for e in result.epoch_results)
 
     def test_result_json_round_trips(self):
         result = fresh_runner("churn", epochs=2).run()

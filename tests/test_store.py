@@ -267,29 +267,12 @@ class TestPipelineStore:
         assert len(store) == 0  # nothing cached, nothing aliased
         assert artifact.provenance["store"] == {}
 
-    def test_non_canonical_rng_bypasses_deploy_cache(self):
-        store = StageStore()
-        pipeline = Pipeline(cfg(seed=0), store=store)
-        fresh = pipeline.deploy(rng=99)
-        assert store.peek("deploy", deploy_key(cfg(seed=0))) is None
-        canonical = pipeline.deploy()
-        assert canonical is not fresh
-        assert store.peek("deploy", deploy_key(cfg(seed=0))) is canonical
-
-    def test_store_none_disables_caching(self):
-        config = cfg()
-        a1 = Pipeline(config, store=None).run()
-        a2 = Pipeline(config, store=None).run()
-        assert a1.points is not a2.points
-        assert "store" not in a1.provenance
-        assert np.allclose(a1.points.coords, a2.points.coords)
-
     def test_cached_and_uncached_results_agree(self):
         config = cfg(power="oblivious", num_frames=3)
         store = StageStore()
         Pipeline(config, store=store).run()
         warm = Pipeline(config, store=store).run()
-        cold = Pipeline(config, store=None).run()
+        cold = Pipeline(config, store=StageStore()).run()
         assert warm.num_slots == cold.num_slots
         assert warm.simulation.frames_completed == cold.simulation.frames_completed
         assert [s.link_indices for s in warm.schedule.slots] == [
@@ -319,6 +302,22 @@ class TestDefaultStore:
             a2 = Pipeline(cfg()).run()
             assert a2.points is a1.points
             assert get_default_store().stats.snapshot()["deploy"]["builds"] == 1
+        finally:
+            reset_default_store()
+
+    def test_store_none_means_the_default_store(self):
+        from repro.scenarios.runner import ScenarioRunner
+
+        reset_default_store()
+        try:
+            default = get_default_store()
+            assert Pipeline(cfg(), store=None).store is default
+            assert ScenarioRunner(cfg(), store=None).store is default
+            # An empty store is falsy (it has a length); it is still kept.
+            empty = StageStore()
+            assert not empty
+            assert Pipeline(cfg(), store=empty).store is empty
+            assert ScenarioRunner(cfg(), store=empty).store is empty
         finally:
             reset_default_store()
 
