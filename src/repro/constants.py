@@ -38,6 +38,16 @@ DEFAULT_DELTA: float = 0.25
 #: (e.g. spectral radius strictly below one).
 FEASIBILITY_MARGIN: float = 1e-9
 
+#: Relative guard band of the Collatz-Wielandt bounds that decide
+#: global-power feasibility (:mod:`repro.sinr.powercontrol`): a bound
+#: settles ``rho(A) < 1 - FEASIBILITY_MARGIN`` only when it clears the
+#: limit by this factor; a spectral radius inside the band is left to
+#: ``eigvals``, so every verdict equals the ``eigvals`` verdict.
+PERRON_GUARD: float = 1e-6
+
+#: Power-iteration steps the bounds get before ``eigvals`` decides.
+PERRON_MAX_STEPS: int = 64
+
 #: Largest magnitude we allow for generated coordinates before the
 #: doubly-exponential constructions switch to log-space verification.
 MAX_SAFE_COORDINATE: float = 1e300

@@ -39,7 +39,12 @@ from repro.scheduling.repair import (
 )
 from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.model import SINRModel
-from repro.sinr.powercontrol import feasible_power_assignment, is_feasible_some_power
+from repro.sinr.powercontrol import feasible_power_assignment
+
+# Unused by the build itself, but kept in this namespace: perfbench's
+# layer spans wrap it here, beside the split passes and
+# feasible_power_assignment (tests/test_perfbench_sites.py).
+from repro.sinr.powercontrol import is_feasible_some_power  # noqa: F401
 from repro.spanning.tree import AggregationTree
 from repro.util.validation import check_int_min
 
@@ -171,7 +176,8 @@ class ScheduleBuilder:
         """Full pipeline returning the schedule plus diagnostics.
 
         Every feasibility probe routes through the link set's kernel
-        cache; fixed-power modes additionally use the incremental
+        cache: the global mode packs each color class from one
+        affectance block, the fixed-power modes with the incremental
         row-sum repair pass.
         """
         if self.kernel_block_size is not None:
@@ -180,28 +186,17 @@ class ScheduleBuilder:
         colors = greedy_coloring(graph)
         classes = color_classes(colors)
         scheme = self._power_scheme(links)
-
-        if scheme is None:
-            power_vec = None
-
-            def predicate(subset: Sequence[int]) -> bool:
-                return is_feasible_some_power(links, self.model, subset)
-
-            def split(class_indices: Sequence[int]) -> List[List[int]]:
-                return split_into_feasible_slots(links, class_indices, predicate)
-
-        else:
-            power_vec = scheme.powers(links)
-
-            def split(class_indices: Sequence[int]) -> List[List[int]]:
-                return split_into_feasible_slots_fixed_power(
-                    links, class_indices, power_vec, self.model
-                )
+        power_vec = None if scheme is None else scheme.powers(links)
 
         slots: List[Slot] = []
         split_count = 0
         for color in sorted(classes):
-            pieces = split(classes[color])
+            if power_vec is None:
+                pieces = split_into_feasible_slots(links, classes[color], self.model)
+            else:
+                pieces = split_into_feasible_slots_fixed_power(
+                    links, classes[color], power_vec, self.model
+                )
             if len(pieces) > 1:
                 split_count += 1
             for piece in pieces:

@@ -8,12 +8,15 @@ into the first sub-slot that stays feasible, opening a new sub-slot when
 none accepts it.  Single links are always feasible (interference-limited
 assumption), so the pass terminates with certified slots.
 
-Two implementations are provided:
+Two implementations are provided, one per power model:
 
-* :func:`split_into_feasible_slots` — oracle-driven: each candidate
-  placement calls an opaque feasibility predicate (needed for global
-  power control, where feasibility is a spectral-radius question), via
-  the generic :func:`repro.util.ordering.first_fit`.
+* :func:`split_into_feasible_slots` — global power control, where a slot
+  is feasible iff the spectral radius of its affectance matrix is below
+  ``1 - FEASIBILITY_MARGIN``.  The class's affectance block is fetched
+  once; each :func:`repro.util.ordering.first_fit` probe slices its
+  ``(|slot| + 1)^2`` matrix from it and decides it with warm-started
+  Collatz-Wielandt bounds, ``eigvals`` only as the fallback
+  (:mod:`repro.sinr.powercontrol`).
 * :func:`split_into_feasible_slots_fixed_power` — for a *fixed* power
   vector the SINR condition is a per-link interference row sum, so a
   :class:`FixedPowerPacker` maintains each open slot's row sums
@@ -30,14 +33,17 @@ decisions are therefore bit-identical across backends.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.constants import FEASIBILITY_MARGIN
 from repro.links.linkset import LinkSet
 from repro.sinr.feasibility import sinr_from_denominators
 from repro.sinr.model import SINRModel
+from repro.sinr.powercontrol import _perron_feasible
 from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
+from repro.util.validation import check_distinct_links
 
 __all__ = [
     "FixedPowerPacker",
@@ -45,38 +51,51 @@ __all__ = [
     "split_into_feasible_slots_fixed_power",
 ]
 
-FeasibilityPredicate = Callable[[Sequence[int]], bool]
-
 
 def split_into_feasible_slots(
-    links: LinkSet,
-    class_indices: Sequence[int],
-    is_feasible: FeasibilityPredicate,
+    links: LinkSet, class_indices: Sequence[int], model: SINRModel
 ) -> List[List[int]]:
-    """Partition ``class_indices`` into feasible sub-slots.
+    """Partition one color class into slots feasible under *some* power.
 
-    Parameters
-    ----------
-    links:
-        The full link set (for length ordering).
-    class_indices:
-        Link indices of one color class.
-    is_feasible:
-        Oracle deciding whether a candidate index subset is feasible
-        (fixed-power SINR check or power-control spectral check).
+    Returns the sub-slots in creation order: the whole class if its
+    affectance block ``A`` (one kernel query) has spectral radius below
+    ``1 - FEASIBILITY_MARGIN`` — the common case, so it is decided
+    first — and otherwise a longest-first
+    :func:`~repro.util.ordering.first_fit` over the class.
 
-    Returns the sub-slots in creation order.  If the class is already
-    feasible the result is a single slot — the common case, so it is
-    checked first.
+    A probe of ``link`` against ``slot`` slices
+    ``A[slot + [link], slot + [link]]`` from the block, in the member
+    order a fresh :func:`~repro.sinr.powercontrol.affectance_matrix`
+    would use, and warm-starts the bound iteration from the slot's last
+    accepted iterate extended by ``A[link, slot] @ x`` (from all ones
+    for a single-link slot).  A probe with an infinite entry (the link
+    shares a node with a member) is infeasible, as the decision helper
+    rules after one product.  Each verdict is therefore
+    ``is_feasible_some_power``'s on the same set.
     """
     idx = [int(i) for i in np.atleast_1d(class_indices)]
-    if not idx:
-        return []
-    if is_feasible(idx):
+    if len(idx) <= 1:
+        return [idx] if idx else []
+    check_distinct_links(np.asarray(idx))
+    block = links.kernel().affectance_submatrix(model, idx, idx)
+    limit = 1.0 - FEASIBILITY_MARGIN
+    if _perron_feasible(block, limit)[0]:
         return [idx]
-    return first_fit(
-        links.lengths[idx], idx, lambda slot, link: is_feasible(slot + [link])
-    )
+    # The last accepted iterate of each open slot, keyed by its first member.
+    iterates: Dict[int, Optional[np.ndarray]] = {}
+
+    def fits(slot: List[int], pos: int) -> bool:
+        members = slot + [pos]
+        x = iterates.get(slot[0])
+        if x is not None:
+            x = np.append(x, block[pos, slot] @ x)
+        ok, x = _perron_feasible(block[np.ix_(members, members)], limit, x)
+        if ok:
+            iterates[slot[0]] = x
+        return ok
+
+    slots = first_fit(links.lengths[idx], list(range(len(idx))), fits)
+    return [[idx[pos] for pos in slot] for slot in slots]
 
 
 class FixedPowerPacker:

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.sinr.model import SINRModel
+from repro.util.validation import check_distinct_links
 
 __all__ = [
     "sinr_values",
@@ -72,13 +73,15 @@ def sinr_values(
 
     Returns an array aligned with ``active``: entry ``k`` is the SINR of
     link ``active[k]`` when exactly the active links transmit with the
-    given powers.
+    given powers.  A repeated index is a
+    :class:`~repro.errors.LinkError`.
     """
     vec = _as_power_vector(links, power)
     if active is None:
         idx = np.arange(len(links))
     else:
         idx = np.asarray(active, dtype=int)
+        check_distinct_links(idx)
     # Work with *relative* quantities: SINR_i = 1 / (sum_j I_P(j, i) +
     # N l_i^alpha / P_i) where I_P(j, i) = (P_j/P_i) (l_i/d_ji)^alpha.
     # Ratios stay representable on instances whose absolute gains

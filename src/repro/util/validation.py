@@ -6,9 +6,10 @@ import numbers
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkError
 
 __all__ = [
+    "check_distinct_links",
     "check_finite_array",
     "check_int_min",
     "check_positive",
@@ -54,3 +55,21 @@ def check_finite_array(name: str, array: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise ConfigurationError(f"{name} contains non-finite entries")
     return array
+
+
+def check_distinct_links(indices: np.ndarray) -> None:
+    """:class:`LinkError` naming the first link index that repeats an
+    earlier one.  A link is active at most once in a set: the kernels
+    zero every entry whose row and column indices coincide, so a second
+    copy would count as a link that never interferes with the first.
+
+    A sort, not ``np.unique``: the first ``np.unique`` call imports
+    ``numpy.ma``, about 1.5 MiB of resident memory."""
+    ordered = np.sort(indices)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return
+    seen: set[int] = set()
+    for i in indices.tolist():
+        if i in seen:
+            raise LinkError(f"link index {i} is repeated in the active set")
+        seen.add(i)

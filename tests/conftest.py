@@ -73,6 +73,16 @@ def two_parallel_links() -> LinkSet:
 
 
 @pytest.fixture
+def three_far_links() -> LinkSet:
+    """Three parallel unit links 100 apart: any subset is feasible."""
+    xs = np.array([0.0, 100.0, 200.0])
+    return LinkSet(
+        senders=np.stack([xs, np.zeros(3)], axis=1),
+        receivers=np.stack([xs, np.ones(3)], axis=1),
+    )
+
+
+@pytest.fixture
 def two_close_links() -> LinkSet:
     """Two crossing unit links whose senders sit right next to each
     other's receivers: infeasible under *any* power assignment for

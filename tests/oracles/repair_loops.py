@@ -1,22 +1,30 @@
-"""The hand-written fixed-power first-fit loops: the reference for
-:class:`repro.scheduling.repair.FixedPowerPacker`.
+"""The hand-written first-fit loops: the references for the repair
+passes in :mod:`repro.scheduling.repair`.
 
-These are the original ``split_into_feasible_slots_fixed_power`` and
-``IncrementalScheduler._warm_build``, kept verbatim as test oracles
-(the warm build as a method of an :class:`IncrementalScheduler`
-subclass).  The packer differential suite
-(``tests/test_packer_differential.py``) asserts that the packer-based
-code returns equal slots, repair counters and epoch deltas on every
-input, within a kernel-call budget.
+* ``split_into_feasible_slots_fixed_power`` and
+  ``IncrementalScheduler._warm_build`` are the original fixed-power
+  loops, kept verbatim (the warm build as a method of an
+  :class:`IncrementalScheduler` subclass), the reference for
+  :class:`repro.scheduling.repair.FixedPowerPacker`.  The packer
+  differential suite (``tests/test_packer_differential.py``) asserts
+  that the packer-based code returns equal slots, repair counters and
+  epoch deltas on every input, within a kernel-call budget.
+* :func:`split_with_predicate` is the original predicate-driven split,
+  and :func:`eigvals_feasible` / :func:`eigvals_power_assignment` the
+  original ``eigvals``-only global-power oracle and power solve: the
+  reference for the Perron-bound global packer
+  (``tests/test_global_packer_differential.py``), which must return
+  equal slots and bitwise-equal powers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.constants import FEASIBILITY_MARGIN
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.links.linkset import LinkSet
 from repro.scheduling.builder import BuildReport
 from repro.scheduling.incremental import (
@@ -28,9 +36,93 @@ from repro.scheduling.incremental import (
 )
 from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.model import SINRModel
-from repro.util.ordering import argsort_by_length_nonincreasing
+from repro.sinr.powercontrol import affectance_matrix, spectral_radius
+from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
 
-__all__ = ["LoopIncrementalScheduler", "split_into_feasible_slots_fixed_power"]
+__all__ = [
+    "LoopIncrementalScheduler",
+    "eigvals_feasible",
+    "eigvals_power_assignment",
+    "split_into_feasible_slots_fixed_power",
+    "split_with_predicate",
+]
+
+FeasibilityPredicate = Callable[[Sequence[int]], bool]
+
+
+def split_with_predicate(
+    links: LinkSet,
+    class_indices: Sequence[int],
+    is_feasible: FeasibilityPredicate,
+) -> List[List[int]]:
+    """Partition ``class_indices`` into feasible sub-slots.
+
+    Parameters
+    ----------
+    links:
+        The full link set (for length ordering).
+    class_indices:
+        Link indices of one color class.
+    is_feasible:
+        Oracle deciding whether a candidate index subset is feasible
+        (fixed-power SINR check or power-control spectral check).
+
+    Returns the sub-slots in creation order.  If the class is already
+    feasible the result is a single slot — the common case, so it is
+    checked first.
+    """
+    idx = [int(i) for i in np.atleast_1d(class_indices)]
+    if not idx:
+        return []
+    if is_feasible(idx):
+        return [idx]
+    return first_fit(
+        links.lengths[idx], idx, lambda slot, link: is_feasible(slot + [link])
+    )
+
+
+def eigvals_feasible(links: LinkSet, model: SINRModel) -> FeasibilityPredicate:
+    """The ``eigvals`` rule of ``is_feasible_some_power`` as a
+    predicate, written out so the oracle does not move with the
+    library: a dense ``eigvals`` for every subset of two or more links."""
+
+    def predicate(subset: Sequence[int]) -> bool:
+        if len(subset) <= 1:
+            return True
+        try:
+            a = affectance_matrix(links, model, subset)
+        except InfeasibleError:
+            return False
+        return spectral_radius(a) < 1.0 - FEASIBILITY_MARGIN
+
+    return predicate
+
+
+def eigvals_power_assignment(
+    links: LinkSet, model: SINRModel, active: Sequence[int]
+) -> np.ndarray:
+    """The original ``feasible_power_assignment``: the ``eigvals``
+    verdict, then the Neumann solve."""
+    idx = np.asarray(active, dtype=int)
+    lengths = links.lengths[idx]
+    if idx.size == 1:
+        p = max(model.min_power(float(lengths[0])), 1.0)
+        return np.array([p])
+    a = affectance_matrix(links, model, idx)
+    rho = spectral_radius(a)
+    if rho >= 1.0 - FEASIBILITY_MARGIN:
+        raise InfeasibleError(
+            f"set of {idx.size} links is infeasible under any power "
+            f"(spectral radius {rho:.6f} >= 1)"
+        )
+    if model.noiseless:
+        b = np.ones(idx.size)
+    else:
+        b = (1.0 + model.epsilon) * model.beta * model.noise * lengths**model.alpha
+    q = np.linalg.solve(np.eye(idx.size) - a, b)
+    if np.any(q <= 0):
+        raise InfeasibleError("power solve produced non-positive powers")
+    return q
 
 
 def _sinr_ok(denoms: np.ndarray, threshold: float) -> bool:

@@ -17,34 +17,20 @@ from repro.spanning.tree import AggregationTree
 
 class TestRepair:
     def test_already_feasible_single_slot(self, model, two_parallel_links):
-        slots = split_into_feasible_slots(
-            two_parallel_links,
-            [0, 1],
-            lambda s: is_feasible_some_power(two_parallel_links, model, s),
-        )
+        slots = split_into_feasible_slots(two_parallel_links, [0, 1], model)
         assert slots == [[0, 1]]
 
     def test_infeasible_pair_split(self, model, two_close_links):
-        slots = split_into_feasible_slots(
-            two_close_links,
-            [0, 1],
-            lambda s: is_feasible_some_power(two_close_links, model, s),
-        )
+        slots = split_into_feasible_slots(two_close_links, [0, 1], model)
         assert len(slots) == 2
         assert sorted(i for s in slots for i in s) == [0, 1]
 
     def test_empty_class(self, model, two_parallel_links):
-        assert split_into_feasible_slots(two_parallel_links, [], lambda s: True) == []
+        assert split_into_feasible_slots(two_parallel_links, [], model) == []
 
     def test_all_slots_satisfy_predicate(self, model, square_links):
-        calls = []
-
-        def predicate(subset):
-            calls.append(tuple(subset))
-            return is_feasible_some_power(square_links, model, subset)
-
         slots = split_into_feasible_slots(
-            square_links, list(range(len(square_links))), predicate
+            square_links, list(range(len(square_links))), model
         )
         for slot in slots:
             assert is_feasible_some_power(square_links, model, slot)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.feasibility import (
     is_feasible_with_power,
@@ -100,3 +100,22 @@ class TestMaxRelativeInterference:
         assert (
             max_relative_interference(two_parallel_links, [1.0, 1.0], model, [0]) == 0.0
         )
+
+
+class TestRepeatedIndex:
+    """A repeated index is a :class:`LinkError` naming it: the kernels
+    zero every entry whose row and column indices coincide, so two
+    copies of one link would otherwise never interfere."""
+
+    @pytest.mark.parametrize("active, repeated", [([0, 0], 0), ([2, 0, 2], 2)])
+    def test_is_feasible_with_power_raises(self, model, three_far_links, active, repeated):
+        with pytest.raises(LinkError, match=f"link index {repeated} is repeated"):
+            is_feasible_with_power(three_far_links, np.ones(3), model, active)
+
+    @pytest.mark.parametrize("active, repeated", [([0, 0], 0), ([2, 0, 2], 2)])
+    def test_sinr_values_raises(self, model, three_far_links, active, repeated):
+        with pytest.raises(LinkError, match=f"link index {repeated} is repeated"):
+            sinr_values(three_far_links, np.ones(3), model, active)
+
+    def test_distinct_indices_still_answer(self, model, three_far_links):
+        assert is_feasible_with_power(three_far_links, np.ones(3), model, [2, 0, 1])

@@ -7,10 +7,7 @@ from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import LinkError
 from repro.links.linkset import LinkSet
-from repro.scheduling.repair import (
-    split_into_feasible_slots,
-    split_into_feasible_slots_fixed_power,
-)
+from repro.scheduling.repair import split_into_feasible_slots_fixed_power
 from repro.sinr.affectance import (
     additive_interference,
     additive_interference_matrix,
@@ -19,6 +16,8 @@ from repro.sinr.affectance import (
 from repro.sinr.feasibility import is_feasible_with_power, sinr_values
 from repro.sinr.kernels import KernelCache
 from repro.sinr.powercontrol import affectance_matrix, is_feasible_some_power
+
+from oracles.repair_loops import split_with_predicate
 
 
 def _random_links(n: int, rng: int, *, spacing: float = 2.0) -> LinkSet:
@@ -244,7 +243,7 @@ class TestIncrementalRepair:
         def predicate(subset):
             return is_feasible_with_power(links, vec, model, subset)
 
-        return split_into_feasible_slots(links, class_indices, predicate)
+        return split_with_predicate(links, class_indices, predicate)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_predicate_path(self, model, seed):

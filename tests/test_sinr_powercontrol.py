@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import InfeasibleError
+from repro.errors import InfeasibleError, LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
@@ -138,3 +138,20 @@ class TestOracleConsistency:
             except InfeasibleError:
                 direct = False
             assert spectral == direct
+
+
+class TestRepeatedIndex:
+    """A repeated index is a :class:`LinkError` naming it, never two
+    copies of one link that do not interfere with each other."""
+
+    @pytest.mark.parametrize("active, repeated", [([0, 0], 0), ([2, 0, 2], 2)])
+    @pytest.mark.parametrize(
+        "oracle", [affectance_matrix, is_feasible_some_power, feasible_power_assignment]
+    )
+    def test_raises_naming_the_index(self, model, three_far_links, oracle, active, repeated):
+        with pytest.raises(LinkError, match=f"link index {repeated} is repeated"):
+            oracle(three_far_links, model, active)
+
+    def test_distinct_indices_still_answer(self, model, three_far_links):
+        assert is_feasible_some_power(three_far_links, model, [2, 0, 1])
+        assert feasible_power_assignment(three_far_links, model, [2, 0, 1]).shape == (3,)
