@@ -9,9 +9,12 @@ Two claims from the pluggable-backend layer (``repro.backend``):
   blocked-sparse row).  Where several backends run at the same ``n``
   their colorings must be bit-identical — the backend contract at
   benchmark scale.
-* **Pruning** — grid-bucket pruning of conflict-graph assembly builds
-  byte-identical edges while evaluating >= 5x fewer kernel tiles on
-  localised topologies at n = 20 000.
+* **Cell tiles** — the conflict graph's cell-local tiles
+  (:func:`repro.geometry.spatial.conflict_tiles`) build edges
+  byte-identical to the all-pairs every-tile oracle
+  (``tests/oracles/conflict_allpairs.py``) while evaluating >= 5x fewer
+  kernel entries (``KernelStats.entries_served``) on localised
+  topologies at n = 20 000.
 
 Writes the machine-readable record ``BENCH_backend_scaling.json``.
 Set ``BENCH_SMOKE=1`` for the small CI grid (which keeps the
@@ -26,6 +29,7 @@ footprint from above).
 import json
 import os
 import resource
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +40,9 @@ from repro.conflict.functions import PowerLawThreshold
 from repro.conflict.graph import ConflictGraph, oblivious_graph
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
 from repro.links import LinkSet
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.conflict_allpairs import every_tile_adjacency  # noqa: E402
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 OUT = Path(os.environ.get("BENCH_OUT_DIR", ".")) / "BENCH_backend_scaling.json"
@@ -54,8 +61,8 @@ SCALING_ROWS = (
           (100_000, ("blocked-sparse",))]
 )
 
-# Spatial-pruning rows: (n, topology).  The n=5000 clustered row is
-# present in both grids so CI's pruning leg can ratchet against the
+# Cell-tile rows: (n, topology).  The n=5000 clustered row is present in
+# both grids so CI's spatial pruning leg can ratchet against the
 # committed record; the >= 5x headline claim is asserted on the full
 # n=20k rows only (smoke asserts strict improvement).
 PRUNE_ROWS = (
@@ -81,8 +88,8 @@ def _random_links(n: int, rng: int = 0, spacing: float = 4.0) -> LinkSet:
 
 
 def _clustered_links(n: int, rng: int = 0) -> LinkSet:
-    """n short links in Gaussian clusters — the topology where spatial
-    pruning shines (most block pairs are cluster-pair far)."""
+    """n short links in Gaussian clusters — the topology where cell
+    tiles shine (most link pairs are cluster-pair far)."""
     gen = np.random.default_rng(rng)
     n_centers = max(4, n // 200)
     side = 40.0 * np.sqrt(n_centers)
@@ -174,67 +181,70 @@ def test_backend_scaling(benchmark, emit):
 
 
 def _prune_row(n: int, topology: str) -> dict:
-    """Build the oblivious conflict graph pruned and unpruned on the
-    blocked-sparse backend; assert byte-identity and return the row."""
+    """Build the oblivious conflict graph from cell tiles and with the
+    every-tile oracle on the blocked-sparse backend; assert byte-identity
+    and return the row."""
     threshold = PowerLawThreshold(DEFAULT_GAMMA, DEFAULT_DELTA)
     # Small smoke rows would fit in a single default-sized block (one
-    # tile pruned or not); shrink the block so pruning has tiles to skip.
+    # oracle tile); shrink the block so the oracle has tiles to split.
     block_size = 1024 if n >= 5_000 else 128
 
-    pruned_links = _prune_links(n, topology)
-    pruned_links.kernel(backend="blocked-sparse", block_size=block_size)
+    cell_links = _prune_links(n, topology)
+    cell_links.kernel(backend="blocked-sparse", block_size=block_size)
     start = time.perf_counter()
-    pruned = ConflictGraph(pruned_links, threshold)
-    pruned_s = time.perf_counter() - start
+    cells = ConflictGraph(cell_links, threshold)
+    cells_s = time.perf_counter() - start
 
-    plain_links = _prune_links(n, topology)
-    plain_links.kernel(backend="blocked-sparse", block_size=block_size)
+    oracle_links = _prune_links(n, topology)
+    oracle_links.kernel(backend="blocked-sparse", block_size=block_size)
     start = time.perf_counter()
-    plain = ConflictGraph(plain_links, threshold, prune=False)
-    plain_s = time.perf_counter() - start
+    oracle = every_tile_adjacency(oracle_links, threshold)
+    oracle_s = time.perf_counter() - start
 
-    # The conservativeness contract at benchmark scale: the pruned CSR
-    # structure is byte-equal to the exhaustive build.
-    assert pruned._sparse.indptr.tobytes() == plain._sparse.indptr.tobytes()
-    assert pruned._sparse.indices.tobytes() == plain._sparse.indices.tobytes()
+    # The conservativeness contract at benchmark scale: the cell-tile
+    # CSR structure is byte-equal to the exhaustive build.
+    assert cells._sparse.indptr.tobytes() == oracle.indptr.tobytes()
+    assert cells._sparse.indices.tobytes() == oracle.indices.tobytes()
 
-    pruned_evals = pruned_links.kernel().stats.block_evals
-    plain_evals = plain_links.kernel().stats.block_evals
+    cell_stats = cell_links.kernel().stats
+    oracle_stats = oracle_links.kernel().stats
     return {
         "n": n,
         "topology": topology,
         "block_size": block_size,
-        "block_evals_pruned": int(pruned_evals),
-        "block_evals_unpruned": int(plain_evals),
-        "prune_ratio": round(plain_evals / pruned_evals, 2),
-        "pruned_seconds": round(pruned_s, 3),
-        "unpruned_seconds": round(plain_s, 3),
-        "speedup": round(plain_s / pruned_s, 2),
-        "edges": int(pruned.edge_count),
+        "block_evals_cells": cell_stats.block_evals,
+        "block_evals_oracle": oracle_stats.block_evals,
+        "entries_cells": cell_stats.entries_served,
+        "entries_oracle": oracle_stats.entries_served,
+        "entries_ratio": round(oracle_stats.entries_served / cell_stats.entries_served, 2),
+        "cells_seconds": round(cells_s, 3),
+        "oracle_seconds": round(oracle_s, 3),
+        "speedup": round(oracle_s / cells_s, 2),
+        "edges": int(cells.edge_count),
     }
 
 
 def test_spatial_pruning(emit):
-    """Grid-bucket pruning: byte-identical edges, >= 5x fewer tiles."""
+    """Cell tiles: byte-identical edges, >= 5x fewer kernel entries."""
     rows = []
     lines = []
     for n, topology in PRUNE_ROWS:
         row = _prune_row(n, topology)
-        # Pruning must always be a strict win on these localised
-        # topologies, at any scale.
-        assert row["block_evals_pruned"] < row["block_evals_unpruned"], row
+        # Cell tiles must always evaluate fewer entries than the n^2 of
+        # the oracle on these localised topologies, at any scale.
+        assert row["entries_cells"] < row["entries_oracle"] == n * n, row
         if not SMOKE and n >= 20_000:
             # The headline acceptance claim.
-            assert row["prune_ratio"] >= PRUNE_HEADLINE_RATIO, row
+            assert row["entries_ratio"] >= PRUNE_HEADLINE_RATIO, row
         rows.append(row)
         lines.append(
-            f"n={n:>6} {topology:<10} block_evals "
-            f"{row['block_evals_pruned']:>5} vs {row['block_evals_unpruned']:>5} "
-            f"({row['prune_ratio']:.1f}x fewer)  "
-            f"{row['pruned_seconds']:.2f}s vs {row['unpruned_seconds']:.2f}s "
+            f"n={n:>6} {topology:<10} entries "
+            f"{row['entries_cells']:>11,} vs {row['entries_oracle']:>11,} "
+            f"({row['entries_ratio']:.1f}x fewer, {row['block_evals_cells']} vs "
+            f"{row['block_evals_oracle']} tiles)  "
+            f"{row['cells_seconds']:.2f}s vs {row['oracle_seconds']:.2f}s "
             f"({row['speedup']:.1f}x faster)"
         )
     RECORD["prune"] = rows
     OUT.write_text(json.dumps(RECORD, indent=2, sort_keys=True) + "\n")
-    emit(f"SPATIAL pruning (smoke={SMOKE})", lines)
-
+    emit(f"CELL tiles vs all-pairs oracle (smoke={SMOKE})", lines)

@@ -3,23 +3,24 @@
 The SINR compute layer's inner math is a set of plain functions: gap and
 sender-receiver distance blocks and the additive, relative and
 affectance kernel blocks (:mod:`repro.backend.blocks`), and conflict-
-adjacency assembly from boolean tiles
-(:func:`~repro.backend.sparse.assemble_adjacency`).
+adjacency assembly from the boolean tiles it is given
+(:func:`~repro.backend.sparse.assemble_adjacency`; the conflict graph
+feeds it the cell-local tiles of
+:func:`repro.geometry.spatial.conflict_tiles` whatever the backend).
 :class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
 them — the additive memo, chunking, index checks, statistics — and the
 one switch a backend name selects, ``KernelCache.sparse``:
 
 ``dense-numpy``
     The default: link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links
-    sum each query in one block and get a dense boolean conflict
-    adjacency.
+    sum each query in one block, and conflict graphs assemble into a
+    dense boolean adjacency.
 ``blocked-sparse``
-    ``sparse = True``: streams column sums and conflict tiles in row
-    blocks at every ``n`` (no ``n x n`` intermediate, so
-    ``dense_builds == 0`` unless a caller asks for the full additive
-    matrix) and assembles the conflict adjacency as CSR
-    (:class:`SparseAdjacency`) — the setting that schedules 100k-link
-    networks.
+    ``sparse = True``: streams column sums in row blocks at every ``n``
+    (no ``n x n`` intermediate, so ``dense_builds == 0`` unless a caller
+    asks for the full additive matrix) and assembles the conflict
+    adjacency as CSR (:class:`SparseAdjacency`) — the setting that
+    schedules 100k-link networks.
 
 Both run the same block functions, so schedules, slot assignments and
 measurements never depend on the name.  That is why it never splits a

@@ -35,12 +35,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 def gap_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Gap distances ``d(i, j)`` (4-way sender/receiver minimum), zero
-    where global indices coincide."""
+    where global indices coincide.
+
+    When ``cols is rows`` the receiver-sender block is the transpose of
+    the sender-receiver one, bit for bit: each distance squares the
+    negated difference, so it is reused instead of recomputed.
+    """
     s, r = links.senders, links.receivers
     gap = cross_distances(s[rows], s[cols])
     np.minimum(gap, cross_distances(r[rows], r[cols]), out=gap)
-    np.minimum(gap, cross_distances(s[rows], r[cols]), out=gap)
-    np.minimum(gap, cross_distances(r[rows], s[cols]), out=gap)
+    sr = cross_distances(s[rows], r[cols])
+    np.minimum(gap, sr, out=gap)
+    np.minimum(gap, sr.T if cols is rows else cross_distances(r[rows], s[cols]), out=gap)
     gap[rows[:, None] == cols[None, :]] = 0.0
     return gap
 

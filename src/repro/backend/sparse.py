@@ -15,14 +15,13 @@ is no hard scipy dependency; :meth:`SparseAdjacency.to_scipy` exports a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.spatial import GridCandidateGenerator
     from repro.sinr.kernels import KernelCache
 
 __all__ = ["SparseAdjacency", "assemble_adjacency"]
@@ -121,34 +120,28 @@ class SparseAdjacency:
 def assemble_adjacency(
     cache: "KernelCache",
     block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    candidates: Optional["GridCandidateGenerator"] = None,
+    tiles: Iterable[Tuple[np.ndarray, np.ndarray]],
 ) -> Union[np.ndarray, SparseAdjacency]:
     """Assemble the conflict adjacency from boolean tiles.
 
     ``block_fn(rows, cols)`` returns the boolean adjacency block for the
-    given global indices (diagonal already cleared).  Returns a
-    :class:`SparseAdjacency` when ``cache.sparse``, else a dense
-    boolean ``n x n`` matrix.
-
-    ``candidates`` is the spatial-pruning seam: when given, only its
-    tiles are evaluated and every other tile is left empty — sound
-    because the candidate generator covers all edges, and bit-identical
-    because a skipped tile is exactly all-``False``.  Without it every
-    row-block x col-block tile is evaluated; the unpruned path is
-    tile-granular too (not row strips), so ``KernelStats.block_evals``
-    counts the same unit of work either way.
+    given global indices (diagonal already cleared); ``tiles`` yields
+    the ascending ``(rows, cols)`` index arrays to evaluate, each global
+    ``(i, j)`` in at most one tile and every edge in one
+    (:func:`repro.geometry.spatial.conflict_tiles`).  Entries outside
+    every tile stay ``False``.  Returns a :class:`SparseAdjacency` when
+    ``cache.sparse``, else a dense boolean ``n x n`` matrix.
     """
     n = cache.n
-    tiles: Iterable[Tuple[np.ndarray, np.ndarray]]
-    if candidates is not None:
-        tiles = candidates.pairs()
-    else:
-        blocks = list(cache.iter_blocks(np.arange(n)))
-        tiles = ((rows, cols) for rows in blocks for cols in blocks)
     if not cache.sparse:
         adjacent = np.zeros((n, n), dtype=bool)
         for rows, cols in tiles:
-            adjacent[np.ix_(rows, cols)] = block_fn(rows, cols)
+            block = block_fn(rows, cols)
+            if block.shape == (n, n):
+                # Tiles index ascending and never repeat a pair, so an
+                # n x n tile is the whole matrix, in order.
+                return block
+            adjacent[np.ix_(rows, cols)] = block
         return adjacent
     row_chunks: List[np.ndarray] = []
     col_chunks: List[np.ndarray] = []

@@ -48,9 +48,9 @@ class ThresholdFunction(abc.ABC):
         Two links conflict only when ``d(i, j) <= l_min * f(l_max/l_min)``,
         so for any pair drawn from ``lengths`` the gap distance of a
         conflicting pair is at most this bound.  It is the contract the
-        grid-bucket candidate generator
-        (:mod:`repro.geometry.spatial`) relies on: link pairs farther
-        apart than ``max_radius`` need never be evaluated.
+        cell-local conflict tiles (:mod:`repro.geometry.spatial`) rely
+        on: link pairs farther apart than ``max_radius`` need never be
+        evaluated.
 
         The default exploits only the class contract (``f`` positive and
         non-decreasing): ``l_min * f(l_max/l_min) <= L_max * f(Delta)``

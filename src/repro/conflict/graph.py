@@ -2,31 +2,27 @@
 
 A :class:`ConflictGraph` is the graph ``G_f(L)`` over a link set: links
 are vertices, and ``i ~ j`` iff they are *f-conflicting* (Appendix A).
-Construction is fully vectorised and routed through the link set's
-kernel cache: by default it fills a boolean adjacency matrix; a
-``sparse`` cache (the ``blocked-sparse`` backend, :mod:`repro.backend`)
-assembles a CSR :class:`~repro.backend.sparse.SparseAdjacency` blockwise
-so no ``n x n`` array is ever allocated — the path that makes 100k-link
-conflict graphs fit in memory.  All query methods (``neighbors``,
-``degree``, ``is_independent``, ...) work identically on both
-representations.
-
-Blockwise builds are *spatially pruned* by default: conflicts only
-exist within the threshold's conservative conflict radius
-(:meth:`~repro.conflict.functions.ThresholdFunction.max_radius`), so a
-grid-bucket candidate generator (:mod:`repro.geometry.spatial`) skips
-every block pair that provably contains no edge.  Pruning is
-conservative and bit-identical — the edge set is byte-equal to the
-unpruned build — and can be disabled with ``prune=False``.
+There is one build: the cell-local tiles of
+:func:`repro.geometry.spatial.conflict_tiles` (one per occupied grid
+cell, or one all-pairs tile when the grid cannot help) are evaluated
+through the link set's kernel cache and assembled by
+:func:`repro.backend.sparse.assemble_adjacency`.  The kernel's
+``sparse`` bit (the ``blocked-sparse`` backend, :mod:`repro.backend`)
+chooses only the output form: a dense boolean matrix, or a CSR
+:class:`~repro.backend.sparse.SparseAdjacency` so no ``n x n`` array is
+ever allocated — the form that makes 100k-link conflict graphs fit in
+memory.  All query methods (``neighbors``, ``degree``,
+``is_independent``, ...) work identically on both forms and reject a
+vertex outside ``[0, n)`` with a :class:`~repro.errors.LinkError`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.backend import assemble_adjacency
+from repro.backend import SPARSE_BACKEND, assemble_adjacency
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -34,8 +30,8 @@ from repro.conflict.functions import (
     ThresholdFunction,
 )
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
-from repro.errors import ConfigurationError
-from repro.geometry.spatial import conflict_candidates
+from repro.errors import LinkError
+from repro.geometry.spatial import conflict_tiles
 from repro.links.linkset import LinkSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,30 +49,20 @@ class ConflictGraph:
         The link set (vertex ``i`` is ``links`` entry ``i``).
     threshold:
         The function ``f`` defining independence.
-    prune:
-        Spatial pruning of the blockwise build.  ``None`` (default)
-        prunes whenever the build is blockwise (chunked kernel, which
-        every sparse kernel is); ``False`` always evaluates every block pair;
-        ``True`` additionally routes small dense builds through the
-        pruned blockwise path.  The edge set is identical either way.
     """
 
-    def __init__(
-        self,
-        links: LinkSet,
-        threshold: ThresholdFunction,
-        *,
-        prune: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, links: LinkSet, threshold: ThresholdFunction) -> None:
         self.links = links
         self.threshold = threshold
-        self.prune = prune
-        self.candidates = None  # GridCandidateGenerator when pruning ran
         self._sparse = None  # SparseAdjacency when the kernel is sparse
         self._adjacency = self._build()
 
     def _adjacent_block(self, kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Boolean conflict block for global ``rows x cols`` indices."""
+        # Conflict iff d(i, j) <= l_min * f(l_max / l_min).  LinkSet
+        # construction guarantees strictly positive lengths
+        # (DegenerateLinkError otherwise), so the ratio below is always
+        # finite and warning-free.
         lengths = self.links.lengths
         gap = kernel.gap_submatrix(rows, cols)
         lmin = np.minimum(lengths[rows][:, None], lengths[cols][None, :])
@@ -86,38 +72,24 @@ class ConflictGraph:
         return block
 
     def _build(self):
-        # Conflict iff d(i, j) <= l_min * f(l_max / l_min).  LinkSet
-        # construction guarantees strictly positive lengths
-        # (DegenerateLinkError otherwise), so the ratio below is always
-        # finite and warning-free.
-        lengths = self.links.lengths
         kernel = self.links.kernel()
-        blockwise = kernel.chunked or self.prune is True
-        if blockwise and self.prune is not False:
-            self.candidates = conflict_candidates(
-                self.links, self.threshold, block_size=kernel.block_size
-            )
-        if blockwise:
-            # Large link sets: stream gap distances in tiles via the
-            # kernel cache so no n x n float64 array is allocated (the
-            # boolean adjacency is 8x smaller, CSR smaller still),
-            # skipping tiles the candidate generator proves edge-free.
-            adjacent = assemble_adjacency(
-                kernel,
-                lambda rows, cols: self._adjacent_block(kernel, rows, cols),
-                candidates=self.candidates,
-            )
-            if kernel.sparse:
-                self._sparse = adjacent
-                return None
-        else:
-            gap = self.links.link_distances()
-            lmin = np.minimum(lengths[:, None], lengths[None, :])
-            lmax = np.maximum(lengths[:, None], lengths[None, :])
-            adjacent = gap <= lmin * self.threshold(lmax / lmin)
-        np.fill_diagonal(adjacent, False)
+        adjacent = assemble_adjacency(
+            kernel,
+            lambda rows, cols: self._adjacent_block(kernel, rows, cols),
+            conflict_tiles(self.links, self.threshold, kernel.block_size),
+        )
+        if kernel.sparse:
+            self._sparse = adjacent
+            return None
         adjacent.setflags(write=False)
         return adjacent
+
+    def _vertex(self, i: int) -> int:
+        """``i``, or a :class:`~repro.errors.LinkError` when it is not a
+        vertex."""
+        if not 0 <= i < self.n:
+            raise LinkError(f"link index {i} is out of range for {self.n} links")
+        return i
 
     # ------------------------------------------------------------------
     @property
@@ -149,12 +121,14 @@ class ConflictGraph:
 
     def neighbors(self, i: int) -> np.ndarray:
         """Indices adjacent to vertex ``i``."""
+        i = self._vertex(i)
         if self._sparse is not None:
             return self._sparse.neighbors(i)
         return np.flatnonzero(self._adjacency[i])
 
     def degree(self, i: int) -> int:
         """Degree of vertex ``i``."""
+        i = self._vertex(i)
         if self._sparse is not None:
             return self._sparse.degree(i)
         return int(self._adjacency[i].sum())
@@ -169,6 +143,7 @@ class ConflictGraph:
 
     def are_adjacent(self, i: int, j: int) -> bool:
         """Whether links ``i`` and ``j`` conflict."""
+        i, j = self._vertex(i), self._vertex(j)
         if self._sparse is not None:
             return self._sparse.are_adjacent(i, j)
         return bool(self._adjacency[i, j])
@@ -176,6 +151,9 @@ class ConflictGraph:
     def is_independent(self, subset: Sequence[int]) -> bool:
         """Whether ``subset`` is pairwise f-independent."""
         idx = np.asarray(subset, dtype=int)
+        outside = idx[(idx < 0) | (idx >= self.n)]
+        if outside.size:
+            self._vertex(int(outside[0]))  # raises
         if idx.size <= 1:
             return True
         if self._sparse is not None:
@@ -200,10 +178,15 @@ class ConflictGraph:
         return g
 
     def subgraph(self, indices: Sequence[int]) -> "ConflictGraph":
-        """Induced conflict graph on a subset of links."""
-        return ConflictGraph(
-            self.links.subset(indices), self.threshold, prune=self.prune
+        """Induced conflict graph on a subset of links, built with the
+        parent's kernel configuration (block size and ``sparse`` bit)."""
+        links = self.links.subset(indices)
+        kernel = self.links.kernel()
+        links.kernel(
+            block_size=kernel.block_size,
+            backend=SPARSE_BACKEND if kernel.sparse else None,
         )
+        return ConflictGraph(links, self.threshold)
 
     def __repr__(self) -> str:
         return f"ConflictGraph({self.threshold.name}, n={self.n}, m={self.edge_count})"

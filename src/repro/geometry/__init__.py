@@ -21,23 +21,15 @@ from repro.geometry.metric import (
     shadowed_distance_matrix,
 )
 from repro.geometry.point import PointSet
-from repro.geometry.spatial import (
-    GridBucketIndex,
-    GridCandidateGenerator,
-    conflict_candidates,
-)
 
 __all__ = [
     "TOPOLOGIES",
     "doubling_constant",
     "doubling_dimension",
     "shadowed_distance_matrix",
-    "GridBucketIndex",
-    "GridCandidateGenerator",
     "PointSet",
     "cluster_points",
     "cluster_points_total",
-    "conflict_candidates",
     "exponential_line",
     "grid_points",
     "length_diversity",

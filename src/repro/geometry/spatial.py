@@ -1,283 +1,148 @@
-"""Grid-bucket spatial index + conflict-candidate generation.
+"""Cell-local conflict tiles: the one enumeration behind every
+conflict-graph build.
 
 Conflicts in ``G_f(L)`` are *local*: links ``i, j`` conflict only when
 their gap distance satisfies ``d(i, j) <= l_min * f(l_max / l_min)``
 (Appendix A), which is bounded above by the threshold function's
-conservative conflict radius
-:meth:`~repro.conflict.functions.ThresholdFunction.max_radius`.
-Bucketing link endpoints into a uniform grid whose cells are at least
-one radius wide therefore localises every possible edge: the closest
-endpoints of two conflicting links land in cells at most one apart per
-axis.  That turns the all-pairs ``O(n^2)`` conflict-graph build into a
-near-pair enumeration — the chunked spatial-pipeline shape of
-nbodykit-style codes.
-
-Two layers live here:
-
-* :class:`GridBucketIndex` — a plain uniform-grid bucket index over a
-  point cloud (cell membership, neighbourhood queries).  Generally
-  useful; also the geometric core of the candidate generator.
-* :class:`GridCandidateGenerator` — the conflict-graph *candidate
-  source*: links are sorted into a spatially coherent order (by sender
-  cell), partitioned into row blocks, and only block pairs whose
-  expanded grid cells overlap are yielded via :meth:`pairs`.
-  :func:`repro.backend.sparse.assemble_adjacency` evaluates exactly
-  those tiles; every skipped tile provably contains no edge, so the
-  assembled adjacency is byte-identical to the unpruned build.
+conservative conflict radius ``r``
+(:meth:`~repro.conflict.functions.ThresholdFunction.max_radius`).  A
+link's midpoint lies within half its length of both endpoints, so the
+midpoints of two conflicting links lie within ``r + l_max`` of each
+other.  :func:`conflict_tiles` buckets every link's midpoint into a
+uniform grid with cells of side ``r + l_max`` and yields one tile per
+occupied cell: the cell's links (rows) against every link in the cells
+within :data:`CELL_SAFETY_MARGIN` cells of it per axis (cols, a ``5^d``
+neighbourhood).  Each link lies in exactly one cell, so no pair
+``(i, j)`` is evaluated twice, and every conflicting pair lies in some
+tile.
 
 Conservativeness is load-bearing and has two guards:
 
-* cell coordinates are computed as ``floor(x / cell_size)`` in float64;
-  with coordinate magnitudes capped at :data:`MAX_CELLS_PER_AXIS` cells
-  the rounding error of the quotient is far below one cell, and the
-  neighbourhood is expanded by :data:`CELL_SAFETY_MARGIN` (two) cells
-  per axis so even exact-boundary pairs stay candidates;
-* geometries the grid cannot represent safely — non-finite or
+* cell coordinates are computed as ``floor(x / cell)`` in float64; with
+  coordinate magnitudes capped at :data:`MAX_CELLS_PER_AXIS` cells the
+  rounding error of the quotient is far below one cell, and the second
+  cell of margin absorbs rounding at exact cell boundaries;
+* geometries the grid cannot represent safely — a non-finite or
   non-positive radius, coordinates beyond the cap (the 1e154-scale
   adversarial chain instances), or a cell-key space that would overflow
-  ``int64`` packing — make the factory return ``None`` and the caller
-  falls back to the exact unpruned build.
+  ``int64`` packing — get one all-pairs tile instead, as does a
+  deployment that a single neighbourhood covers.
+
+Every tile is split so that neither side exceeds ``block_size``
+indices, so no float temporary of the build exceeds ``block_size**2``
+entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import math
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import GeometryError
-
-__all__ = [
-    "GridBucketIndex",
-    "GridCandidateGenerator",
-    "conflict_candidates",
-    "MAX_CELLS_PER_AXIS",
-]
+__all__ = ["conflict_tiles", "CELL_SAFETY_MARGIN", "MAX_CELLS_PER_AXIS"]
 
 #: Largest coordinate magnitude, measured in cells, the grid will
-#: represent.  Below this the float64 quotient ``x / cell_size`` has
-#: absolute error well under one cell, so the safety margin below is
-#: sufficient; beyond it the factory declines and callers fall back to
-#: the unpruned build.
+#: represent.  Below this the float64 quotient ``x / cell`` has absolute
+#: error well under one cell, so the safety margin below is sufficient;
+#: beyond it the build falls back to one all-pairs tile.
 MAX_CELLS_PER_AXIS: int = 2**30
 
-#: Neighbourhood expansion, in cells per axis.  One cell suffices in
-#: exact arithmetic (cell_size >= radius); the second absorbs
-#: floor-rounding at exact cell boundaries.
+#: Neighbourhood reach, in cells per axis.  One cell suffices in exact
+#: arithmetic (cell side >= the midpoint distance of any conflicting
+#: pair); the second absorbs floor-rounding at exact cell boundaries.
 CELL_SAFETY_MARGIN: int = 2
 
-
-def _cell_coords(points: np.ndarray, cell_size: float) -> Optional[np.ndarray]:
-    """Integer grid coordinates of ``points``, or ``None`` when the grid
-    would lose precision (coordinates beyond the per-axis cell cap)."""
-    scaled = points / cell_size
-    if not np.all(np.isfinite(scaled)):
-        return None
-    if scaled.size and float(np.abs(scaled).max()) > MAX_CELLS_PER_AXIS:
-        return None
-    return np.floor(scaled).astype(np.int64)
+#: Largest packed cell-key space; beyond it ``int64`` keys could wrap.
+_MAX_CELL_KEYS: int = 2**62
 
 
-class GridBucketIndex:
-    """Uniform-grid bucket index over an ``(m, d)`` point cloud.
+def conflict_tiles(links, threshold, block_size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(rows, cols)`` global-index tiles holding every
+    conflicting pair of ``ConflictGraph(links, threshold)``.
 
-    Parameters
-    ----------
-    points:
-        Coordinate array, one row per point.
-    cell_size:
-        Edge length of the (hyper-)cubic cells; must be positive and
-        finite, and the coordinates must fit within
-        :data:`MAX_CELLS_PER_AXIS` cells of the origin.
+    Each ordered pair ``(i, j)`` lies in at most one tile, both index
+    arrays of a tile are ascending, and neither has more than
+    ``block_size`` entries.  A tile spanning all ``n`` rows and all
+    ``n`` cols is therefore the whole index square, in order.
     """
-
-    def __init__(self, points, cell_size: float) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
-            raise GeometryError("GridBucketIndex needs at least one point")
-        if not (np.isfinite(cell_size) and cell_size > 0):
-            raise GeometryError(
-                f"cell_size must be positive and finite, got {cell_size}"
-            )
-        cells = _cell_coords(pts, float(cell_size))
-        if cells is None:
-            raise GeometryError(
-                "coordinates exceed the grid's precision-safe range "
-                f"(+-{MAX_CELLS_PER_AXIS} cells of {cell_size})"
-            )
-        self.points = pts
-        self.cell_size = float(cell_size)
-        self.cells = cells
-        buckets: Dict[Tuple[int, ...], List[int]] = {}
-        for index, cell in enumerate(map(tuple, cells.tolist())):
-            buckets.setdefault(cell, []).append(index)
-        self._buckets = {
-            cell: np.asarray(members, dtype=np.int64)
-            for cell, members in buckets.items()
-        }
-
-    @property
-    def n_cells(self) -> int:
-        """Number of occupied cells."""
-        return len(self._buckets)
-
-    def cell_of(self, point) -> Tuple[int, ...]:
-        """Grid cell containing ``point``."""
-        coords = _cell_coords(
-            np.atleast_2d(np.asarray(point, dtype=float)), self.cell_size
-        )
-        if coords is None:
-            raise GeometryError("point outside the grid's precision-safe range")
-        return tuple(coords[0].tolist())
-
-    def members(self, cell: Sequence[int]) -> np.ndarray:
-        """Point indices bucketed in ``cell`` (empty when unoccupied)."""
-        return self._buckets.get(tuple(int(c) for c in cell), np.empty(0, dtype=np.int64))
-
-    def neighborhood(self, cell: Sequence[int], reach: int = 1) -> np.ndarray:
-        """Sorted point indices within ``reach`` cells of ``cell`` per axis."""
-        base = tuple(int(c) for c in cell)
-        dim = len(base)
-        grids = np.meshgrid(*([np.arange(-reach, reach + 1)] * dim), indexing="ij")
-        offsets = np.stack([g.ravel() for g in grids], axis=1)
-        found = [
-            self.members(tuple(int(b + o) for b, o in zip(base, off)))
-            for off in offsets
-        ]
-        merged = np.concatenate([f for f in found if f.size] or [np.empty(0, dtype=np.int64)])
-        return np.unique(merged)
-
-    def __repr__(self) -> str:
-        return (
-            f"GridBucketIndex(n={self.points.shape[0]}, "
-            f"cells={self.n_cells}, cell_size={self.cell_size:g})"
-        )
+    grid = _packed_cells(links, threshold)
+    if grid is None:
+        everything = np.arange(len(links))
+        tiles: Iterable[Tuple[np.ndarray, np.ndarray]] = [(everything, everything)]
+    else:
+        tiles = _cell_tiles(*grid)
+    for rows, cols in tiles:
+        yield from _capped(rows, cols, block_size)
 
 
-class GridCandidateGenerator:
-    """Spatially pruned block-pair source for conflict-graph assembly.
+def _capped(rows: np.ndarray, cols: np.ndarray, block_size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``rows x cols`` split into tiles of at most ``block_size`` per
+    side; when ``cols is rows`` the diagonal tiles keep that identity."""
 
-    Built via :meth:`build` (or the :func:`conflict_candidates`
-    factory).  Links are ordered by the packed grid cell of their
-    sender (a spatially coherent traversal), partitioned into blocks of
-    ``block_size``, and a block pair ``(a, b)`` is *candidate* iff some
-    cell occupied by an endpoint of ``a``, expanded by
-    :data:`CELL_SAFETY_MARGIN` cells per axis, is also occupied by an
-    endpoint of ``b``.  Because the cell size equals the conservative
-    conflict radius, every conflicting link pair lies in some candidate
-    block pair — the conservativeness contract locked by the
-    hypothesis property tests.
+    def split(idx: np.ndarray) -> List[np.ndarray]:
+        return [idx[start : start + block_size] for start in range(0, idx.size, block_size)]
 
-    The relation is symmetric (the offset set is), so the assembled
-    adjacency stays symmetric tile-by-tile.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        cell_size: float,
-        blocks: List[np.ndarray],
-        candidates: List[List[int]],
-    ) -> None:
-        self.n = int(n)
-        self.cell_size = float(cell_size)
-        self._blocks = blocks
-        self._candidates = candidates
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def build(links, radius: float, block_size: int) -> Optional["GridCandidateGenerator"]:
-        """Build a generator for ``links``, or ``None`` when the grid
-        cannot represent the geometry safely (caller falls back to the
-        exact unpruned build)."""
-        if not (np.isfinite(radius) and radius > 0):
-            return None
-        n = len(links)
-        cell = float(radius)
-        scells = _cell_coords(links.senders, cell)
-        rcells = _cell_coords(links.receivers, cell)
-        if scells is None or rcells is None:
-            return None
-        dim = scells.shape[1]
-        margin = CELL_SAFETY_MARGIN
-        # Normalise cell coordinates to a margin-padded non-negative box
-        # and pack each cell into one int64 key (row-major).  The pad
-        # keeps expanded neighbour cells inside the box, so packing
-        # stays injective and never wraps.
-        lo = np.minimum(scells.min(axis=0), rcells.min(axis=0)) - margin
-        hi = np.maximum(scells.max(axis=0), rcells.max(axis=0)) + margin
-        spans = [int(s) for s in (hi - lo + 1).tolist()]
-        total = 1
-        for span in spans:
-            total *= span
-        if total > 2**62:
-            return None
-        mult = np.ones(dim, dtype=np.int64)
-        for axis in range(dim - 2, -1, -1):
-            mult[axis] = mult[axis + 1] * spans[axis + 1]
-        skeys = (scells - lo) @ mult
-        rkeys = (rcells - lo) @ mult
-        grids = np.meshgrid(*([np.arange(-margin, margin + 1)] * dim), indexing="ij")
-        offsets = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-        offkeys = offsets @ mult
-
-        order = np.argsort(skeys, kind="stable")
-        blocks = [order[start : start + block_size] for start in range(0, n, block_size)]
-        occupied = [np.unique(np.concatenate([skeys[b], rkeys[b]])) for b in blocks]
-        cell_to_blocks: Dict[int, List[int]] = {}
-        for block_id, occ in enumerate(occupied):
-            for key in occ.tolist():
-                cell_to_blocks.setdefault(key, []).append(block_id)
-        candidates: List[List[int]] = []
-        for occ in occupied:
-            expanded = np.unique((occ[:, None] + offkeys[None, :]).ravel())
-            near: set = set()
-            for key in expanded.tolist():
-                hit = cell_to_blocks.get(key)
-                if hit:
-                    near.update(hit)
-            candidates.append(sorted(near))
-        return GridCandidateGenerator(n, cell, blocks, candidates)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_blocks(self) -> int:
-        """Number of row blocks."""
-        return len(self._blocks)
-
-    @property
-    def pair_count(self) -> int:
-        """Candidate block pairs (tiles that will be evaluated)."""
-        return sum(len(c) for c in self._candidates)
-
-    @property
-    def total_pairs(self) -> int:
-        """All block pairs — what an unpruned tile build evaluates."""
-        return self.num_blocks**2
-
-    def pairs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield candidate ``(rows, cols)`` global-index block pairs, in
-        deterministic (row-block, col-block) order."""
-        for block_id, near in enumerate(self._candidates):
-            rows = self._blocks[block_id]
-            for other in near:
-                yield rows, self._blocks[other]
-
-    def __repr__(self) -> str:
-        return (
-            f"GridCandidateGenerator(n={self.n}, blocks={self.num_blocks}, "
-            f"tiles={self.pair_count}/{self.total_pairs})"
-        )
+    row_blocks = split(rows)
+    col_blocks = row_blocks if cols is rows else split(cols)
+    for row_block in row_blocks:
+        for col_block in col_blocks:
+            yield row_block, col_block
 
 
-def conflict_candidates(links, threshold, *, block_size: int) -> Optional[GridCandidateGenerator]:
-    """Grid-bucket candidate source for ``ConflictGraph(links, threshold)``.
-
-    Returns ``None`` when spatial pruning cannot be applied safely
-    (non-finite or non-positive conflict radius, precision-unsafe
-    coordinate scales) — callers then run the exact unpruned build.
-    """
-    radius = float(threshold.max_radius(links.lengths))
+def _packed_cells(links, threshold) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Each link's midpoint cell packed into one ``int64`` key, and the
+    key offsets of a cell's neighbourhood; ``None`` when one all-pairs
+    tile must do instead."""
+    lengths = links.lengths
+    radius = float(threshold.max_radius(lengths))
     if not (np.isfinite(radius) and radius > 0):
         return None
-    return GridCandidateGenerator.build(links, radius, int(block_size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (links.senders + links.receivers) / (2.0 * (radius + float(lengths.max())))
+    if not float(np.abs(scaled).max()) <= MAX_CELLS_PER_AXIS:  # also NaN and inf
+        return None
+    margin = CELL_SAFETY_MARGIN
+    cells = np.floor(scaled).astype(np.int64)
+    low = cells.min(axis=0)
+    occupied_spans = (cells.max(axis=0) - low + 1).tolist()
+    if max(occupied_spans) <= 2 * margin + 1:
+        return None  # one neighbourhood would cover the whole deployment
+    # Pack each cell, in a margin-padded non-negative box, into one
+    # int64 key (row-major).  The pad keeps every neighbour cell inside
+    # the box, so packing stays injective and never wraps.
+    spans = [span + 2 * margin for span in occupied_spans]
+    if math.prod(spans) > _MAX_CELL_KEYS:
+        return None
+    dim = len(spans)
+    mult = np.ones(dim, dtype=np.int64)
+    for axis in range(dim - 2, -1, -1):
+        mult[axis] = mult[axis + 1] * spans[axis + 1]
+    reach = np.arange(-margin, margin + 1)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([reach] * dim), indexing="ij")], axis=1)
+    return (cells - (low - margin)) @ mult, offsets @ mult
+
+
+def _cell_tiles(keys: np.ndarray, offsets: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """One ``(members, neighbourhood)`` tile per occupied cell key, the
+    neighbourhood being every link whose key is the cell's plus one of
+    ``offsets``."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[starts, keys.size])
+    occupied = sorted_keys[starts]
+    wanted = occupied[:, None] + offsets[None, :]
+    position = np.minimum(np.searchsorted(occupied, wanted), occupied.size - 1)
+    cell, slot = np.nonzero(occupied[position] == wanted)
+    neighbour = position[cell, slot]
+    # The members of every (cell, neighbour) pair, concatenated: a
+    # ragged arange over the neighbours' runs of ``order``.
+    sizes = counts[neighbour]
+    ends = np.cumsum(sizes)
+    near = order[np.arange(ends[-1]) - np.repeat(ends - sizes - starts[neighbour], sizes)]
+    near_ends = ends[np.flatnonzero(np.r_[cell[1:] != cell[:-1], True])]
+    near_start = 0
+    for start, count, near_end in zip(starts.tolist(), counts.tolist(), near_ends.tolist()):
+        yield order[start : start + count], np.sort(near[near_start:near_end])
+        near_start = near_end

@@ -18,6 +18,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.backend import SPARSE_BACKEND
+from repro.backend.blocks import gap_block
 from repro.errors import DegenerateLinkError, LinkError
 from repro.geometry.distances import cross_distances
 from repro.links.link import Link
@@ -206,13 +207,10 @@ class LinkSet:
     def link_distances(self) -> np.ndarray:
         """Symmetric matrix of ``d(i, j)``: minimum node-to-node distance
         between links ``i`` and ``j`` (0 on the diagonal and whenever the
-        links share an endpoint)."""
+        links share an endpoint).  Memoized and read-only."""
         if self._gap_cache is None:
-            ss = cross_distances(self._senders, self._senders)
-            rr = cross_distances(self._receivers, self._receivers)
-            sr = cross_distances(self._senders, self._receivers)
-            gap = np.minimum(np.minimum(ss, rr), np.minimum(sr, sr.T))
-            np.fill_diagonal(gap, 0.0)
+            everything = np.arange(len(self))
+            gap = gap_block(self, everything, everything)
             gap.setflags(write=False)
             self._gap_cache = gap
         return self._gap_cache

@@ -27,8 +27,10 @@ replaces that: one cache is attached to each (immutable)
   :data:`~repro.constants.KERNEL_DENSE_BUDGET_BYTES`;
 * **chunks** when the link set is large (``n > KERNEL_MAX_DENSE_LINKS``)
   or the cache is ``sparse`` (the ``blocked-sparse`` backend): column
-  sums and conflict tiles are streamed in row blocks of ``block_size``
-  and no ``n x n`` float64 array is ever allocated;
+  sums are streamed in row blocks of ``block_size`` and no ``n x n``
+  float64 array is ever allocated (conflict graphs evaluate cell-local
+  tiles of at most ``block_size`` per side at every size,
+  :func:`repro.geometry.spatial.conflict_tiles`);
 * **validates** every index it is asked for: a negative or
   out-of-range link index raises :class:`~repro.errors.LinkError`
   naming it, instead of wrapping around or surfacing as a bare numpy
@@ -82,7 +84,9 @@ class KernelStats:
     :meth:`KernelCache.additive_matrix` makes one) — the chunked-mode
     memory guarantee is exactly ``dense_builds == 0``.  Every other
     entry is block-evaluated, so ``entries_served`` counts each entry
-    computed.
+    computed, every conflict-graph entry included; ``block_evals``
+    counts blocks of any size (a conflict graph evaluates one per
+    cell tile), so it is not a unit of work.
     """
 
     dense_builds: int = 0
@@ -151,8 +155,8 @@ class KernelCache:
 
     @property
     def chunked(self) -> bool:
-        """Whether column sums and conflict tiles stream in row blocks
-        (no ``n x n`` intermediate is allocated)."""
+        """Whether column sums stream in row blocks (no ``n x n``
+        intermediate is allocated)."""
         return self.sparse or self.n > KERNEL_MAX_DENSE_LINKS
 
     def config(self) -> Tuple[int, bool]:
@@ -197,11 +201,18 @@ class KernelCache:
 
         Zero whenever the global indices coincide (same convention as
         :meth:`LinkSet.link_distances`).  Computed blockwise — the full
-        matrix is never required.
+        matrix is never required — except that an unchunked cache serves
+        the whole matrix (one index array, in order) from the link set's
+        memoized, read-only :meth:`LinkSet.link_distances`, so every
+        all-pairs conflict graph over one link set shares it.
         """
         rows = self._index(rows)
         cols = self._index(cols)
-        gap = blocks.gap_block(self.links, rows, cols)
+        whole = cols is rows and rows.size == self.n and bool(np.all(rows[1:] > rows[:-1]))
+        if whole and not self.chunked:
+            gap = self.links.link_distances()
+        else:
+            gap = blocks.gap_block(self.links, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return gap
 

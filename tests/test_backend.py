@@ -4,6 +4,7 @@ functions, the ``sparse`` bit and CSR conflict adjacency."""
 import numpy as np
 import pytest
 
+from oracles.conflict_allpairs import gap_matrix
 from repro.backend import DEFAULT_BACKEND, SparseAdjacency, blocks
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
@@ -60,6 +61,19 @@ class TestBlockIsSliceOfFull:
         rows, cols = np.arange(0, 23, 2), np.arange(23)
         full = links.link_distances()[np.ix_(rows, cols)]
         assert blocks.gap_block(links, rows, cols).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("make_links", [_random_links, _line_links])
+    def test_link_distances_match_the_four_matrix_formula(self, make_links):
+        links = make_links(23)
+        assert links.link_distances().tobytes() == gap_matrix(links).tobytes()
+
+    @pytest.mark.parametrize("make_links", [_random_links, _line_links])
+    def test_gap_block_on_one_index_array_matches_link_distances(self, make_links):
+        """``cols is rows`` reuses the transposed sender-receiver block."""
+        links = make_links(23)
+        idx = np.array([3, 0, 7, 22, 11, 5])
+        full = links.link_distances()[np.ix_(idx, idx)]
+        assert blocks.gap_block(links, idx, idx).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_additive_block_matches_full(self, alpha):

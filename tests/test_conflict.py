@@ -208,3 +208,46 @@ class TestInductiveIndependence:
         )
         g = g1_graph(links)
         assert inductive_independence_number(g) == 1
+
+
+def _thirty_links(backend: str) -> LinkSet:
+    rng = np.random.default_rng(0)
+    senders = rng.uniform(0.0, 10.0, size=(30, 2))
+    links = LinkSet(senders, senders + rng.uniform(0.3, 1.0, size=(30, 2)))
+    links.kernel(backend=backend, block_size=8)
+    return links
+
+
+@pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse"])
+class TestVertexRange:
+    """Every query names the first vertex outside [0, n) in a LinkError,
+    on both adjacency forms."""
+
+    @pytest.mark.parametrize("bad", [-1, 30, 31])
+    def test_neighbors_and_degree(self, backend, bad):
+        graph = ConflictGraph(_thirty_links(backend), ConstantThreshold(1.5))
+        for query in (graph.neighbors, graph.degree):
+            with pytest.raises(LinkError, match=f"link index {bad} is out of range for 30 links"):
+                query(bad)
+
+    @pytest.mark.parametrize("pair,bad", [((0, 30), 30), ((-1, 0), -1), ((30, -1), 30)])
+    def test_are_adjacent(self, backend, pair, bad):
+        graph = ConflictGraph(_thirty_links(backend), ConstantThreshold(1.5))
+        with pytest.raises(LinkError, match=f"link index {bad} is out of range for 30 links"):
+            graph.are_adjacent(*pair)
+
+    @pytest.mark.parametrize("subset,bad", [([-1, 0], -1), ([0, 5, 30, -2], 30), ([31], 31)])
+    def test_is_independent(self, backend, subset, bad):
+        graph = ConflictGraph(_thirty_links(backend), ConstantThreshold(1.5))
+        with pytest.raises(LinkError, match=f"link index {bad} is out of range for 30 links"):
+            graph.is_independent(subset)
+
+
+class TestSubgraphKernel:
+    def test_csr_subgraph_stays_csr_with_the_parents_block_size(self):
+        links = _thirty_links("blocked-sparse")
+        graph = ConflictGraph(links, ConstantThreshold(1.5))
+        sub = graph.subgraph(range(20))
+        assert sub._sparse is not None
+        assert sub.links.kernel().config() == links.kernel().config() == (8, True)
+        assert np.array_equal(sub.adjacency, graph.adjacency[:20, :20])

@@ -1,12 +1,15 @@
-"""Tests for grid-bucket spatial pruning (repro.geometry.spatial).
+"""Tests for the cell-local conflict tiles (repro.geometry.spatial).
 
-The two properties that make pruning safe to turn on by default:
+The cell-tile build is checked against the all-pairs builds it replaced,
+kept in ``tests/oracles/conflict_allpairs.py``:
 
-* **conservative** — every edge of the unpruned conflict graph lies in
-  some candidate block pair (locked by a hypothesis property over all
-  three threshold functions and uniform/clustered deployments);
-* **bit-identical** — the pruned adjacency is byte-equal to the
-  unpruned build, per backend.
+* **identical** — the adjacency is byte-equal to the oracle, dense and
+  CSR, over all three threshold functions, uniform / clustered / 1-D
+  placements and block sizes 1..64 (a hypothesis property);
+* **covering** — every oracle edge lies in some emitted tile, and no
+  pair lies in two;
+* **bounded** — no tile has more than ``block_size`` rows or cols, and
+  the kernel evaluates exactly the tiles' entries.
 """
 
 import numpy as np
@@ -14,19 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sinr.kernels
+from oracles.conflict_allpairs import dense_adjacency, every_tile_adjacency, gap_matrix
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
     PowerLawThreshold,
 )
 from repro.conflict.graph import ConflictGraph
-from repro.errors import GeometryError
-from repro.geometry.spatial import (
-    GridBucketIndex,
-    GridCandidateGenerator,
-    conflict_candidates,
-)
+from repro.geometry.spatial import conflict_tiles
 from repro.links.linkset import LinkSet
 
 THRESHOLDS = [
@@ -34,10 +32,15 @@ THRESHOLDS = [
     PowerLawThreshold(1.0, 0.3),
     LogThreshold(1.0, 3.0),
 ]
+BACKENDS = ["dense-numpy", "blocked-sparse"]
 
 
 def _deployment(n: int, seed: int, topology: str) -> LinkSet:
     rng = np.random.default_rng(seed)
+    if topology == "line":
+        senders = rng.uniform(0.0, 400.0, size=(n, 1))
+        signs = rng.choice([-1.0, 1.0], size=(n, 1))
+        return LinkSet(senders, senders + signs * rng.uniform(0.2, 2.0, size=(n, 1)))
     if topology == "clustered":
         centers = rng.uniform(0.0, 200.0, size=(max(2, n // 20), 2))
         senders = centers[rng.integers(0, centers.shape[0], size=n)]
@@ -53,35 +56,23 @@ def _unit_dirs(rng, n: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-class TestGridBucketIndex:
-    def test_members_and_cell_of(self):
-        pts = np.array([[0.1, 0.1], [0.2, 0.3], [5.5, 5.5]])
-        idx = GridBucketIndex(pts, cell_size=1.0)
-        assert idx.cell_of([0.1, 0.1]) == (0, 0)
-        assert set(idx.members((0, 0)).tolist()) == {0, 1}
-        assert idx.members((5, 5)).tolist() == [2]
-        assert idx.members((9, 9)).size == 0
-        assert idx.n_cells == 2
+def _tile_list(links, threshold, block_size):
+    return list(conflict_tiles(links, threshold, block_size))
 
-    def test_neighborhood_reaches_adjacent_cells(self):
-        pts = np.array([[0.5, 0.5], [1.5, 0.5], [3.5, 0.5]])
-        idx = GridBucketIndex(pts, cell_size=1.0)
-        near = idx.neighborhood((0, 0), reach=1)
-        assert 0 in near and 1 in near and 2 not in near
 
-    def test_invalid_cell_size(self):
-        with pytest.raises(GeometryError):
-            GridBucketIndex(np.zeros((1, 2)), cell_size=0.0)
-        with pytest.raises(GeometryError):
-            GridBucketIndex(np.zeros((1, 2)), cell_size=np.inf)
-
-    def test_empty_points(self):
-        with pytest.raises(GeometryError):
-            GridBucketIndex(np.empty((0, 2)), cell_size=1.0)
-
-    def test_precision_unsafe_coordinates(self):
-        with pytest.raises(GeometryError):
-            GridBucketIndex(np.array([[1e200, 0.0]]), cell_size=1.0)
+def _assert_equals_oracle(graph: ConflictGraph, links: LinkSet, threshold) -> None:
+    """``graph`` is byte-equal to both all-pairs builds over a fresh copy
+    of ``links`` with the same kernel configuration."""
+    kernel = graph.links.kernel()
+    plain = LinkSet(links.senders, links.receivers)
+    plain.kernel(block_size=kernel.block_size, backend="blocked-sparse" if kernel.sparse else None)
+    expected = every_tile_adjacency(plain, threshold)
+    if kernel.sparse:
+        assert graph._sparse.indptr.tobytes() == expected.indptr.tobytes()
+        assert graph._sparse.indices.tobytes() == expected.indices.tobytes()
+        expected = expected.to_dense()
+    assert graph.adjacency.tobytes() == expected.tobytes()
+    assert graph.adjacency.tobytes() == dense_adjacency(plain, threshold).tobytes()
 
 
 class TestMaxRadius:
@@ -109,108 +100,123 @@ class TestMaxRadius:
         assert f.max_radius(np.array([1e-6, 10.0])) == 10.0
 
 
-class TestConservativeness:
+class TestCellTilesEqualOracle:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(5, 60),
+        block_size=st.integers(1, 64),
+        threshold=st.sampled_from(THRESHOLDS),
+        topology=st.sampled_from(["uniform", "clustered", "line"]),
+        backend=st.sampled_from(BACKENDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cell_build_equals_oracle(self, seed, n, block_size, threshold, topology, backend):
+        links = _deployment(n, seed, topology)
+        links.kernel(backend=backend, block_size=block_size)
+        _assert_equals_oracle(ConflictGraph(links, threshold), links, threshold)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("threshold", THRESHOLDS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("topology", ["uniform", "clustered", "line"])
+    def test_multi_cell_build_equals_oracle(self, backend, threshold, topology):
+        # 400 links over a wide area: many occupied cells, and tiles
+        # split at block_size 32.
+        links = _deployment(400, 7, topology)
+        links.kernel(backend=backend, block_size=32)
+        _assert_equals_oracle(ConflictGraph(links, threshold), links, threshold)
+
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(5, 80),
-        block_size=st.integers(1, 16),
+        block_size=st.integers(1, 64),
         threshold=st.sampled_from(THRESHOLDS),
-        topology=st.sampled_from(["uniform", "clustered"]),
+        topology=st.sampled_from(["uniform", "clustered", "line"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_every_edge_is_a_candidate(self, seed, n, block_size, threshold, topology):
-        """Every unpruned edge appears in some candidate block pair."""
+    def test_tiles_cover_every_oracle_edge_once(self, seed, n, block_size, threshold, topology):
+        """Every oracle edge lies in a tile, no pair lies in two, and no
+        tile is wider than block_size or out of order."""
         links = _deployment(n, seed, topology)
-        gen = conflict_candidates(links, threshold, block_size=block_size)
-        assert gen is not None
-        unpruned = ConflictGraph(links, threshold, prune=False).adjacency
-        covered = np.zeros((n, n), dtype=bool)
-        for rows, cols in gen.pairs():
-            covered[np.ix_(rows, cols)] = True
-        missed = unpruned & ~covered
-        assert not missed.any(), f"edges missed by candidates: {np.argwhere(missed)}"
-
-    def test_pairs_cover_each_tile_once(self):
-        links = _deployment(60, 3, "uniform")
-        gen = conflict_candidates(links, ConstantThreshold(1.5), block_size=8)
-        seen = set()
-        for rows, cols in gen.pairs():
-            key = (rows.tobytes(), cols.tobytes())
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) == gen.pair_count <= gen.total_pairs
+        covered = np.zeros((n, n), dtype=int)
+        for rows, cols in _tile_list(links, threshold, block_size):
+            assert 0 < rows.size <= block_size and 0 < cols.size <= block_size
+            assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
+            covered[np.ix_(rows, cols)] += 1
+        assert covered.max() == 1
+        missed = dense_adjacency(links, threshold) & (covered == 0)
+        assert not missed.any(), f"edges outside every tile: {np.argwhere(missed)}"
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse"])
+def _compact(n: int = 30) -> LinkSet:
+    """Links within a box narrower than one cell of their radius."""
+    rng = np.random.default_rng(3)
+    senders = rng.uniform(0.0, 3.0, size=(n, 2))
+    return LinkSet(senders, senders + rng.uniform(0.5, 2.0, size=(n, 1)) * _unit_dirs(rng, n))
+
+
+class TestFallbacks:
     @pytest.mark.parametrize("threshold", THRESHOLDS, ids=lambda t: t.name)
-    @pytest.mark.parametrize("topology", ["uniform", "clustered"])
-    def test_pruned_equals_unpruned(self, backend, threshold, topology, monkeypatch):
-        # 220 links above the dense limit: dense-numpy takes the
-        # chunked-kernel + dense-adjacency path, blocked-sparse the CSR one.
-        monkeypatch.setattr(repro.sinr.kernels, "KERNEL_MAX_DENSE_LINKS", 16)
-        n = 220
-        pruned_links = _deployment(n, 7, topology)
-        pruned_links.kernel(backend=backend, block_size=32)
-        plain_links = _deployment(n, 7, topology)
-        plain_links.kernel(backend=backend, block_size=32)
-        assert pruned_links.kernel().chunked and plain_links.kernel().chunked
-        pruned = ConflictGraph(pruned_links, threshold)
-        plain = ConflictGraph(plain_links, threshold, prune=False)
-        if pruned._sparse is not None:
-            assert pruned._sparse.indptr.tobytes() == plain._sparse.indptr.tobytes()
-            assert pruned._sparse.indices.tobytes() == plain._sparse.indices.tobytes()
-        assert pruned.adjacency.tobytes() == plain.adjacency.tobytes()
+    def test_one_neighbourhood_takes_one_all_pairs_tile(self, threshold):
+        """Links that a single 5x5 neighbourhood covers get one tile over
+        all of them."""
+        links = _compact()
+        (rows, cols), = _tile_list(links, threshold, 1024)
+        assert rows is cols and rows.tolist() == list(range(30))
+        _assert_equals_oracle(ConflictGraph(links, threshold), links, threshold)
 
-    def test_dense_seed_path_matches_forced_blockwise(self):
-        links = _deployment(100, 11, "uniform")
-        seed_path = ConflictGraph(links, ConstantThreshold(1.5))
-        forced = ConflictGraph(
-            _deployment(100, 11, "uniform"), ConstantThreshold(1.5), prune=True
-        )
-        assert seed_path.adjacency.tobytes() == forced.adjacency.tobytes()
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dense_kernels_serve_the_whole_gap_from_the_memo(self, backend):
+        """Conflict graphs over one link set share its memoized gap
+        matrix; a sparse kernel keeps computing blocks."""
+        links = _compact()
+        kernel = links.kernel(backend=backend)
+        everything = np.arange(30)
+        gap = kernel.gap_submatrix(everything, everything)
+        assert (gap is links.link_distances()) is (backend == "dense-numpy")
+        assert gap.tobytes() == gap_matrix(links).tobytes()
+        assert kernel.stats.entries_served == 900
 
+    def test_all_pairs_tile_is_capped(self):
+        tiles = _tile_list(_compact(), ConstantThreshold(1.5), 8)
+        assert [(r.size, c.size) for r, c in tiles] == [
+            (a, b) for a in (8, 8, 8, 6) for b in (8, 8, 8, 6)
+        ]
 
-class TestPruningEffect:
-    def test_block_evals_drop_on_clustered(self):
-        """Clustered deployments skip most tiles, deterministically."""
-        n, bs = 600, 64
-        pruned_links = _deployment(n, 17, "clustered")
-        pruned_links.kernel(backend="blocked-sparse", block_size=bs)
-        plain_links = _deployment(n, 17, "clustered")
-        plain_links.kernel(backend="blocked-sparse", block_size=bs)
-        graph = ConflictGraph(pruned_links, ConstantThreshold(1.5))
-        ConflictGraph(plain_links, ConstantThreshold(1.5), prune=False)
-        pruned_evals = pruned_links.kernel().stats.block_evals
-        plain_evals = plain_links.kernel().stats.block_evals
-        assert pruned_evals < plain_evals
-        assert graph.candidates is not None
-        assert graph.candidates.pair_count == pruned_evals
-        assert graph.candidates.total_pairs == plain_evals
-
-    def test_unprunable_geometry_falls_back(self):
+    def test_unrepresentable_chain_falls_back(self):
         """1e154-scale chains exceed the grid's precision-safe range:
-        the generator declines and the exact unpruned build runs."""
+        one all-pairs tile, and the oracle's edges."""
         coords = np.array([[0.0], [1e150], [1e154]])
         links = LinkSet(coords, coords + np.array([[1.0], [1e140], [1e144]]))
-        assert (
-            conflict_candidates(links, ConstantThreshold(1.0), block_size=2) is None
-        )
-        graph = ConflictGraph(links, ConstantThreshold(1.0), prune=True)
-        assert graph.candidates is None
-        unpruned = ConflictGraph(
-            LinkSet(coords, coords + np.array([[1.0], [1e140], [1e144]])),
-            ConstantThreshold(1.0),
-            prune=False,
-        )
-        assert graph.adjacency.tobytes() == unpruned.adjacency.tobytes()
+        tiles = _tile_list(links, ConstantThreshold(1.0), 2)
+        assert [(r.tolist(), c.tolist()) for r, c in tiles] == [
+            ([0, 1], [0, 1]), ([0, 1], [2]), ([2], [0, 1]), ([2], [2])
+        ]
+        _assert_equals_oracle(ConflictGraph(links, ConstantThreshold(1.0)), links, ConstantThreshold(1.0))
 
-    def test_build_declines_on_nonpositive_radius(self):
-        links = _deployment(10, 1, "uniform")
-        assert GridCandidateGenerator.build(links, 0.0, 4) is None
-        assert GridCandidateGenerator.build(links, np.inf, 4) is None
+    @pytest.mark.parametrize("radius", [0.0, np.inf, np.nan])
+    def test_unusable_radius_falls_back(self, radius):
+        class Unbounded(ConstantThreshold):
+            def max_radius(self, lengths):
+                return radius
 
-    def test_subgraph_inherits_prune_mode(self):
-        links = _deployment(50, 19, "uniform")
-        graph = ConflictGraph(links, ConstantThreshold(1.5), prune=False)
-        assert graph.subgraph(np.arange(10)).prune is False
+        links = _deployment(40, 1, "uniform")
+        (rows, cols), = _tile_list(links, Unbounded(1.5), 64)
+        assert rows is cols and rows.size == 40
+
+
+class TestEntries:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_evaluates_exactly_the_tiles(self, backend):
+        """On a localised deployment the build evaluates the tiles'
+        entries and nothing else: far fewer than n^2."""
+        n, block_size = 600, 64
+        links = _deployment(n, 17, "clustered")
+        links.kernel(backend=backend, block_size=block_size)
+        graph = ConflictGraph(links, ConstantThreshold(1.5))
+        tiles = _tile_list(links, ConstantThreshold(1.5), block_size)
+        stats = links.kernel().stats
+        assert stats.entries_served == sum(r.size * c.size for r, c in tiles)
+        assert stats.block_evals == len(tiles)
+        assert stats.entries_served < n * n // 4
+        assert stats.dense_builds == 0
+        _assert_equals_oracle(graph, links, ConstantThreshold(1.5))
