@@ -2,25 +2,22 @@
 
 The SINR compute layer's inner math is a set of plain functions: gap and
 sender-receiver distance blocks and the additive, relative and
-affectance kernel blocks (:mod:`repro.backend.blocks`), and conflict-
-adjacency assembly from the boolean tiles it is given
-(:func:`~repro.backend.sparse.assemble_adjacency`; the conflict graph
-feeds it the cell-local tiles of
-:func:`repro.geometry.spatial.conflict_tiles` whatever the backend).
+affectance kernel blocks (:mod:`repro.backend.blocks`).
 :class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
 them — the additive memo, chunking, index checks, statistics — and the
-one switch a backend name selects, ``KernelCache.sparse``:
+one switch a backend name selects, ``KernelCache.sparse``.  It matters
+only for link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links; larger
+ones are chunked under either name.  Conflict graphs are CSR under
+both (:class:`~repro.conflict.graph.ConflictGraph`).
 
 ``dense-numpy``
     The default: link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links
-    sum each query in one block, and conflict graphs assemble into a
-    dense boolean adjacency.
+    sum each query in one block, and an all-pairs conflict tile reads
+    the link set's memoized gap matrix.
 ``blocked-sparse``
     ``sparse = True``: streams column sums in row blocks at every ``n``
     (no ``n x n`` intermediate, so ``dense_builds == 0`` unless a caller
-    asks for the full additive matrix) and assembles the conflict
-    adjacency as CSR (:class:`SparseAdjacency`) — the setting that
-    schedules 100k-link networks.
+    asks for the full additive matrix).
 
 Both run the same block functions, so schedules, slot assignments and
 measurements never depend on the name.  That is why it never splits a
@@ -30,15 +27,12 @@ across backends.
 
 from __future__ import annotations
 
-from repro.backend.sparse import SparseAdjacency, assemble_adjacency
 from repro.errors import ConfigurationError
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "SPARSE_BACKEND",
-    "SparseAdjacency",
-    "assemble_adjacency",
     "check_backend",
 ]
 

@@ -30,8 +30,7 @@ def greedy_coloring_by_order(graph: ConflictGraph, order: Sequence[int]) -> np.n
     if sorted(order.tolist()) != list(range(n)):
         raise ScheduleError("order must be a permutation of the vertices")
     colors = np.full(n, -1, dtype=int)
-    # graph.neighbors works on dense and sparse adjacency alike, so this
-    # loop never forces a sparse backend to materialise n x n.
+    # graph.neighbors slices the CSR rows: no n x n matrix is built.
     for v in order:
         used = set(colors[u] for u in graph.neighbors(v) if colors[u] >= 0)
         c = 0

@@ -12,12 +12,13 @@ __all__ = ["is_proper_coloring", "color_classes"]
 
 
 def is_proper_coloring(graph: ConflictGraph, colors: np.ndarray) -> bool:
-    """Whether no conflict edge is monochromatic and all vertices are colored."""
+    """Whether no conflict edge is monochromatic and all vertices are
+    colored: one ``O(n + edges)`` pass over the graph's CSR edges."""
     colors = np.asarray(colors, dtype=int)
     if colors.shape != (graph.n,) or np.any(colors < 0):
         return False
-    same = colors[:, None] == colors[None, :]
-    return not bool((same & graph.adjacency).any())
+    rows, cols = graph.edges()
+    return not bool((colors[rows] == colors[cols]).any())
 
 
 def color_classes(colors: np.ndarray) -> Dict[int, List[int]]:

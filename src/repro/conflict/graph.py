@@ -2,27 +2,29 @@
 
 A :class:`ConflictGraph` is the graph ``G_f(L)`` over a link set: links
 are vertices, and ``i ~ j`` iff they are *f-conflicting* (Appendix A).
-There is one build: the cell-local tiles of
+There is one build and one form.  The cell-local tiles of
 :func:`repro.geometry.spatial.conflict_tiles` (one per occupied grid
 cell, or one all-pairs tile when the grid cannot help) are evaluated
-through the link set's kernel cache and assembled by
-:func:`repro.backend.sparse.assemble_adjacency`.  The kernel's
-``sparse`` bit (the ``blocked-sparse`` backend, :mod:`repro.backend`)
-chooses only the output form: a dense boolean matrix, or a CSR
-:class:`~repro.backend.sparse.SparseAdjacency` so no ``n x n`` array is
-ever allocated — the form that makes 100k-link conflict graphs fit in
-memory.  All query methods (``neighbors``, ``degree``,
-``is_independent``, ...) work identically on both forms and reject a
-vertex outside ``[0, n)`` with a :class:`~repro.errors.LinkError`.
+through the link set's kernel cache, and their edges are kept in CSR
+form: ``indptr`` / ``indices`` index arrays of ``O(n + edges)`` bytes,
+never an ``n x n`` matrix.  The paper's conflict graphs are sparse by
+construction (constant inductive independence), which is what lets
+100k-link graphs fit in memory.  The backend name
+(:mod:`repro.backend`) does not change the form.  Every query method
+(``neighbors``, ``degree``, ``is_independent``, ...) reads the CSR
+arrays and rejects a vertex outside ``[0, n)`` with a
+:class:`~repro.errors.LinkError`; :attr:`ConflictGraph.adjacency` is a
+dense view built on first access for small graphs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import SPARSE_BACKEND, assemble_adjacency
+from repro.backend import SPARSE_BACKEND
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -30,7 +32,7 @@ from repro.conflict.functions import (
     ThresholdFunction,
 )
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
-from repro.errors import LinkError
+from repro.errors import ConfigurationError, LinkError
 from repro.geometry.spatial import conflict_tiles
 from repro.links.linkset import LinkSet
 
@@ -39,9 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ConflictGraph", "g1_graph", "oblivious_graph", "arbitrary_graph"]
 
+#: Largest dense boolean adjacency (in bytes) that
+#: :attr:`ConflictGraph.adjacency` will materialise: 16,384 links.
+_DENSE_ADJACENCY_BUDGET_BYTES = 256 * 1024 * 1024
+
 
 class ConflictGraph:
-    """The conflict graph ``G_f(L)``.
+    """The conflict graph ``G_f(L)``, held in CSR form.
 
     Parameters
     ----------
@@ -49,13 +55,39 @@ class ConflictGraph:
         The link set (vertex ``i`` is ``links`` entry ``i``).
     threshold:
         The function ``f`` defining independence.
+
+    Attributes
+    ----------
+    indptr:
+        ``(n + 1,)`` read-only int64 row pointers.
+    indices:
+        Read-only int64 neighbour indices, row-major; vertex ``i``'s
+        neighbours are ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+        An edge ``{i, j}`` appears in both row ``i`` and row ``j``.
     """
 
     def __init__(self, links: LinkSet, threshold: ThresholdFunction) -> None:
         self.links = links
         self.threshold = threshold
-        self._sparse = None  # SparseAdjacency when the kernel is sparse
-        self._adjacency = self._build()
+        kernel = links.kernel()
+        n = len(links)
+        row_chunks = [np.empty(0, dtype=np.int64)]
+        col_chunks = [np.empty(0, dtype=np.int64)]
+        for rows, cols in conflict_tiles(links, threshold, kernel.block_size):
+            local_rows, local_cols = np.nonzero(self._adjacent_block(kernel, rows, cols))
+            row_chunks.append(rows[local_rows])
+            col_chunks.append(cols[local_cols])
+        edge_rows = np.concatenate(row_chunks)
+        edge_cols = np.concatenate(col_chunks)
+        # Canonicalise the tiles' edges to CSR order (rows ascending,
+        # columns sorted within each row); each (i, j) lies in exactly
+        # one tile, so there are no duplicates to merge.
+        order = np.lexsort((edge_cols, edge_rows))
+        self.indices = edge_cols[order]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edge_rows, minlength=n), out=self.indptr[1:])
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
 
     def _adjacent_block(self, kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Boolean conflict block for global ``rows x cols`` indices."""
@@ -71,19 +103,6 @@ class ConflictGraph:
         block[rows[:, None] == cols[None, :]] = False
         return block
 
-    def _build(self):
-        kernel = self.links.kernel()
-        adjacent = assemble_adjacency(
-            kernel,
-            lambda rows, cols: self._adjacent_block(kernel, rows, cols),
-            conflict_tiles(self.links, self.threshold, kernel.block_size),
-        )
-        if kernel.sparse:
-            self._sparse = adjacent
-            return None
-        adjacent.setflags(write=False)
-        return adjacent
-
     def _vertex(self, i: int) -> int:
         """``i``, or a :class:`~repro.errors.LinkError` when it is not a
         vertex."""
@@ -92,20 +111,29 @@ class ConflictGraph:
         return i
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        """Read-only boolean adjacency matrix.
+        """Read-only dense boolean adjacency matrix.
 
-        Under a sparse backend the dense matrix is materialised on
-        first access (guarded by a byte budget), cached on the sparse
-        structure and returned read-only — repeated access allocates
-        once and mutation raises, exactly like the dense path.
-        Scale-sensitive code should prefer :meth:`neighbors` /
-        :meth:`degree` / :meth:`is_independent`, which never densify.
+        Built from the CSR arrays on first access and cached, so
+        repeated access allocates once and mutation raises.  A graph
+        whose matrix would exceed a 256 MiB budget (more than 16,384
+        links) raises :class:`~repro.errors.ConfigurationError`
+        instead.  Scale-sensitive code should use :meth:`neighbors`,
+        :meth:`degree`, :meth:`is_independent` or :meth:`edges`, which
+        never densify.
         """
-        if self._sparse is not None:
-            return self._sparse.to_dense()
-        return self._adjacency
+        n = self.n
+        if n * n > _DENSE_ADJACENCY_BUDGET_BYTES:
+            raise ConfigurationError(
+                f"dense adjacency for n={n} would exceed the "
+                f"{_DENSE_ADJACENCY_BUDGET_BYTES} byte budget; use "
+                "neighbors()/edges() on the CSR arrays instead"
+            )
+        dense = np.zeros((n, n), dtype=bool)
+        dense[self.edges()] = True
+        dense.setflags(write=False)
+        return dense
 
     @property
     def n(self) -> int:
@@ -115,38 +143,33 @@ class ConflictGraph:
     @property
     def edge_count(self) -> int:
         """Number of conflict edges."""
-        if self._sparse is not None:
-            return self._sparse.edge_count
-        return int(self._adjacency.sum()) // 2
+        return self.indices.size // 2
+
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every edge in both directions, as aligned ``(rows, cols)``
+        index arrays in CSR order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
 
     def neighbors(self, i: int) -> np.ndarray:
-        """Indices adjacent to vertex ``i``."""
+        """Ascending indices adjacent to vertex ``i`` (a read-only view)."""
         i = self._vertex(i)
-        if self._sparse is not None:
-            return self._sparse.neighbors(i)
-        return np.flatnonzero(self._adjacency[i])
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def degree(self, i: int) -> int:
         """Degree of vertex ``i``."""
         i = self._vertex(i)
-        if self._sparse is not None:
-            return self._sparse.degree(i)
-        return int(self._adjacency[i].sum())
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def max_degree(self) -> int:
         """Maximum degree."""
-        if self.n == 0:
-            return 0
-        if self._sparse is not None:
-            return self._sparse.max_degree()
-        return int(self._adjacency.sum(axis=1).max())
+        return int(np.diff(self.indptr).max()) if self.n else 0
 
     def are_adjacent(self, i: int, j: int) -> bool:
         """Whether links ``i`` and ``j`` conflict."""
-        i, j = self._vertex(i), self._vertex(j)
-        if self._sparse is not None:
-            return self._sparse.are_adjacent(i, j)
-        return bool(self._adjacency[i, j])
+        row = self.neighbors(i)
+        j = self._vertex(j)
+        pos = np.searchsorted(row, j)
+        return bool(pos < row.size and row[pos] == j)
 
     def is_independent(self, subset: Sequence[int]) -> bool:
         """Whether ``subset`` is pairwise f-independent."""
@@ -154,12 +177,10 @@ class ConflictGraph:
         outside = idx[(idx < 0) | (idx >= self.n)]
         if outside.size:
             self._vertex(int(outside[0]))  # raises
-        if idx.size <= 1:
-            return True
-        if self._sparse is not None:
-            return not self._sparse.has_internal_edge(idx)
-        block = self._adjacency[np.ix_(idx, idx)]
-        return not bool(block.any())
+        members = np.zeros(self.n, dtype=bool)
+        members[idx] = True
+        rows, cols = self.edges()
+        return not bool((members[rows] & members[cols]).any())
 
     def to_networkx(self) -> nx.Graph:
         """Export as a :mod:`networkx` graph (vertex = link index)."""
@@ -167,14 +188,9 @@ class ConflictGraph:
 
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
-        if self._sparse is not None:
-            for i in range(self.n):
-                for j in self._sparse.neighbors(i):
-                    if i < j:
-                        g.add_edge(i, int(j))
-            return g
-        rows, cols = np.nonzero(np.triu(self._adjacency, k=1))
-        g.add_edges_from(zip(rows.tolist(), cols.tolist()))
+        rows, cols = self.edges()
+        upper = rows < cols
+        g.add_edges_from(zip(rows[upper].tolist(), cols[upper].tolist()))
         return g
 
     def subgraph(self, indices: Sequence[int]) -> "ConflictGraph":

@@ -70,20 +70,7 @@ def run_cell(cell: CellSpec, *, store: Optional[StageStore] = None) -> CellResul
     is built lazily, only when a measurement needs it).  All failures
     are captured in the record rather than raised.
     """
-    dynamic = cell.is_dynamic
-    result = CellResult(
-        cell_id=cell.cell_id,
-        topology=cell.topology,
-        n=cell.n,
-        mode=cell.mode,
-        alpha=cell.alpha,
-        beta=cell.beta,
-        seed=cell.seed,
-        tree=cell.tree,
-        scheduler=cell.scheduler,
-        scenario=cell.scenario,
-        scenario_epochs=cell.epochs if dynamic else None,
-    )
+    result = CellResult.for_cell(cell)
     start = time.perf_counter()
     try:
         config = PipelineConfig(
@@ -109,7 +96,7 @@ def run_cell(cell: CellSpec, *, store: Optional[StageStore] = None) -> CellResul
             measurements.get(name)(ctx, result)
 
         attach_predictions(result)
-        if dynamic:
+        if cell.is_dynamic:
             # The scenario timeline rides on the static measurements
             # above: its baseline re-resolves through the same store
             # (all hits), and the headline fields stay the plain
@@ -349,21 +336,9 @@ class SweepEngine:
         try:
             for cell, outcome in zip(pending, service.run(pending)):
                 result = outcome.value
-                if outcome.error is not None:  # pragma: no cover - pool death
-                    result = CellResult(
-                        cell_id=cell.cell_id,
-                        topology=cell.topology,
-                        n=cell.n,
-                        mode=cell.mode,
-                        alpha=cell.alpha,
-                        beta=cell.beta,
-                        seed=cell.seed,
-                        tree=cell.tree,
-                        scheduler=cell.scheduler,
-                        scenario=cell.scenario,
-                        scenario_epochs=cell.epochs if cell.is_dynamic else None,
-                        status="error",
-                        error=f"worker failure: {outcome.error!r}",
+                if outcome.error is not None:  # the job raised, or its worker died
+                    result = CellResult.for_cell(
+                        cell, status="error", error=f"worker failure: {outcome.error!r}"
                     )
                 fresh[cell.cell_id] = result
                 if self.out_path is not None:

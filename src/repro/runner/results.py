@@ -16,10 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.theory import predicted_slots, predicted_slots_cor1
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.spec import CellSpec
 
 __all__ = [
     "CellResult",
@@ -86,6 +89,24 @@ class CellResult:
     # -- bookkeeping ----------------------------------------------------
     wall_time_s: float = 0.0
     error: Optional[str] = None
+
+    @classmethod
+    def for_cell(cls, cell: "CellSpec", **values: Any) -> "CellResult":
+        """A record with ``cell``'s identity fields, plus ``values``."""
+        return cls(
+            cell_id=cell.cell_id,
+            topology=cell.topology,
+            n=cell.n,
+            mode=cell.mode,
+            alpha=cell.alpha,
+            beta=cell.beta,
+            seed=cell.seed,
+            tree=cell.tree,
+            scheduler=cell.scheduler,
+            scenario=cell.scenario,
+            scenario_epochs=cell.epochs if cell.is_dynamic else None,
+            **values,
+        )
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ from repro.scheduling.incremental import (
     RepairCost,
     ScheduleState,
     link_ids_for_links,
-    link_ids_for_tree,
 )
 from repro.scheduling.repair import split_into_feasible_slots
 from repro.scheduling.schedule import Schedule, Slot
@@ -29,7 +28,6 @@ __all__ = [
     "ScheduleState",
     "Slot",
     "link_ids_for_links",
-    "link_ids_for_tree",
     "minimum_schedule",
     "minimum_schedule_length",
     "optimal_fractional_rate",

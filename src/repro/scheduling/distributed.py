@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.coloring.validation import is_proper_coloring
 from repro.conflict.graph import ConflictGraph
 from repro.errors import ScheduleError
 from repro.links.classes import length_classes
@@ -140,7 +141,6 @@ class DistributedSchedulingSimulator:
         gen: np.random.Generator,
     ) -> int:
         """Randomised contention coloring of one class; returns rounds used."""
-        adjacency = graph.adjacency
         uncolored = set(int(i) for i in members)
         rounds = 0
         while uncolored:
@@ -150,9 +150,7 @@ class DistributedSchedulingSimulator:
             active = [i for i in uncolored if gen.random() < 0.5]
             proposals: Dict[int, int] = {}
             for i in active:
-                taken = {
-                    int(colors[j]) for j in np.flatnonzero(adjacency[i]) if colors[j] >= 0
-                }
+                taken = {int(colors[j]) for j in graph.neighbors(i) if colors[j] >= 0}
                 c = 0
                 while c in taken:
                     c += 1
@@ -161,10 +159,7 @@ class DistributedSchedulingSimulator:
             # the same color this round (symmetric collision).
             committed = []
             for i, c in proposals.items():
-                collision = any(
-                    j != i and adjacency[i, j] and proposals.get(int(j)) == c
-                    for j in np.flatnonzero(adjacency[i])
-                )
+                collision = any(proposals.get(int(j)) == c for j in graph.neighbors(i))
                 if not collision:
                     committed.append((i, c))
             for i, c in committed:
@@ -183,8 +178,7 @@ class DistributedSchedulingSimulator:
     def _verify(graph: ConflictGraph, colors: np.ndarray) -> None:
         if np.any(colors < 0):
             raise ScheduleError("simulation left uncolored links")
-        same = colors[:, None] == colors[None, :]
-        if bool((same & graph.adjacency).any()):
+        if not is_proper_coloring(graph, colors):
             raise ScheduleError("simulation produced an improper coloring")
 
     def predicted_round_envelope(self, links: LinkSet, opt_per_class: int) -> float:

@@ -63,7 +63,6 @@ __all__ = [
     "RepairCost",
     "ScheduleState",
     "link_ids_for_links",
-    "link_ids_for_tree",
 ]
 
 #: Persistent identity of a link across epochs: the (sender node id,
@@ -84,11 +83,6 @@ def link_ids_for_links(links: LinkSet, node_ids) -> List[LinkId]:
         (int(ids[s]), int(ids[r]))
         for s, r in zip(links.sender_ids, links.receiver_ids)
     ]
-
-
-def link_ids_for_tree(tree, node_ids) -> List[LinkId]:
-    """Persistent link ids of ``tree.links()`` under ``node_ids``."""
-    return link_ids_for_links(tree.links(), node_ids)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.links.linkset import LinkSet
+from repro.sinr.feasibility import _as_power_vector
 from repro.sinr.model import SINRModel
+from repro.util.validation import check_distinct_links
 
 __all__ = [
     "additive_interference",
@@ -74,16 +76,16 @@ def relative_interference_matrix(
     """Matrix ``R[j, i] = I_P(j, i) = P(j) l_i^alpha / (P(i) d_ji^alpha)``.
 
     Row-sum condition: active set is P-feasible (noiseless) iff
-    ``R[:, i].sum() <= 1/beta`` for every active ``i``.
+    ``R[:, i].sum() <= 1/beta`` for every active ``i``.  ``power`` and
+    ``active`` are checked as :func:`~repro.sinr.feasibility.sinr_values`
+    checks them.
     """
-    if hasattr(power, "powers"):
-        vec = np.asarray(power.powers(links), dtype=float)
-    else:
-        vec = np.asarray(power, dtype=float)
+    vec = _as_power_vector(links, power)
     if active is None:
         idx = np.arange(len(links))
     else:
         idx = np.asarray(active, dtype=int)
+        check_distinct_links(idx)
     return links.kernel().relative_submatrix(vec, model.alpha, idx, idx)
 
 

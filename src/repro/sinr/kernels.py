@@ -28,9 +28,10 @@ replaces that: one cache is attached to each (immutable)
 * **chunks** when the link set is large (``n > KERNEL_MAX_DENSE_LINKS``)
   or the cache is ``sparse`` (the ``blocked-sparse`` backend): column
   sums are streamed in row blocks of ``block_size`` and no ``n x n``
-  float64 array is ever allocated (conflict graphs evaluate cell-local
-  tiles of at most ``block_size`` per side at every size,
-  :func:`repro.geometry.spatial.conflict_tiles`);
+  float64 array is ever allocated.  This is all the backend name
+  selects; conflict graphs evaluate cell-local tiles of at most
+  ``block_size`` per side and keep CSR edges under either name
+  (:func:`repro.geometry.spatial.conflict_tiles`);
 * **validates** every index it is asked for: a negative or
   out-of-range link index raises :class:`~repro.errors.LinkError`
   naming it, instead of wrapping around or surfacing as a bare numpy
@@ -139,8 +140,7 @@ class KernelCache:
             KERNEL_BLOCK_SIZE if block_size is None else block_size,
             minimum=1,
         )
-        #: Stream column sums and conflict tiles in row blocks, and
-        #: assemble conflict adjacency as CSR.
+        #: Stream column sums in row blocks at every ``n``.
         self.sparse = backend is not None and check_backend(backend) == SPARSE_BACKEND
         self._dense: "OrderedDict[float, np.ndarray]" = OrderedDict()
         self.stats = KernelStats()

@@ -9,7 +9,7 @@ Both are ``ConflictGraph``'s earlier paths, kept verbatim:
   a dense kernel;
 * :func:`every_tile_adjacency` evaluates every row-block x col-block
   tile of the kernel's ``block_size`` through the kernel cache and
-  assembles them dense or CSR by the kernel's ``sparse`` bit: the build
+  assembles the edges as CSR ``(indptr, indices)`` arrays: the build
   for link sets too large for an ``n x n`` float matrix.
 
 ``tests/test_spatial.py`` and ``benchmarks/bench_backend_scaling.py``
@@ -18,11 +18,10 @@ assert that the cell-tile build returns the same bytes as these.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.backend import SparseAdjacency
 from repro.conflict.functions import ThresholdFunction
 from repro.geometry.distances import cross_distances
 from repro.links.linkset import LinkSet
@@ -63,9 +62,9 @@ def _adjacent_block(links, threshold, kernel, rows: np.ndarray, cols: np.ndarray
 
 def every_tile_adjacency(
     links: LinkSet, threshold: ThresholdFunction
-) -> Union[np.ndarray, SparseAdjacency]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Every ``block_size`` tile of the link set's kernel, assembled as
-    a :class:`SparseAdjacency` when the kernel is sparse, else dense."""
+    int64 CSR ``(indptr, indices)`` arrays."""
     kernel = links.kernel()
     n = kernel.n
     blocks = list(kernel.iter_blocks(np.arange(n)))
@@ -74,12 +73,6 @@ def every_tile_adjacency(
     def block_fn(rows, cols):
         return _adjacent_block(links, threshold, kernel, rows, cols)
 
-    if not kernel.sparse:
-        adjacent = np.zeros((n, n), dtype=bool)
-        for rows, cols in tiles:
-            adjacent[np.ix_(rows, cols)] = block_fn(rows, cols)
-        np.fill_diagonal(adjacent, False)
-        return adjacent
     row_chunks: List[np.ndarray] = []
     col_chunks: List[np.ndarray] = []
     for rows, cols in tiles:
@@ -99,4 +92,4 @@ def every_tile_adjacency(
         counts = np.zeros(n, dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return SparseAdjacency(indptr, indices)
+    return indptr, indices

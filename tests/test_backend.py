@@ -1,11 +1,12 @@
 """Tests for the numeric-backend layer (``repro.backend``): the block
-functions, the ``sparse`` bit and CSR conflict adjacency."""
+functions, the ``sparse`` bit, and conflict graphs that hold the same
+CSR arrays under either backend."""
 
 import numpy as np
 import pytest
 
 from oracles.conflict_allpairs import gap_matrix
-from repro.backend import DEFAULT_BACKEND, SparseAdjacency, blocks
+from repro.backend import DEFAULT_BACKEND, blocks
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError
@@ -99,10 +100,10 @@ class TestBlockIsSliceOfFull:
 
 
 # ----------------------------------------------------------------------
-# SparseAdjacency / blocked-sparse conflict graphs
+# Conflict graphs: one CSR form under either backend
 # ----------------------------------------------------------------------
 def _graph_pair(n=40, rng=11, gamma=1.0):
-    """The same geometry as dense and blocked-sparse conflict graphs."""
+    """The same geometry as dense-numpy and blocked-sparse conflict graphs."""
     dense_links = _random_links(n, rng=rng)
     sparse_links = LinkSet(dense_links.senders, dense_links.receivers)
     sparse_links.kernel(backend="blocked-sparse")
@@ -111,50 +112,60 @@ def _graph_pair(n=40, rng=11, gamma=1.0):
     return dense, sparse
 
 
-class TestSparseAdjacency:
-    def test_sparse_graph_holds_csr_not_dense(self):
-        _, sparse = _graph_pair()
-        assert isinstance(sparse._sparse, SparseAdjacency)
-        assert sparse._adjacency is None
+class TestCrossBackendAdjacency:
+    def test_both_backends_hold_the_same_csr_arrays(self):
+        dense, sparse = _graph_pair()
+        for graph in (dense, sparse):
+            for array in (graph.indptr, graph.indices):
+                assert array.dtype == np.int64 and not array.flags.writeable
+        assert dense.indptr.tobytes() == sparse.indptr.tobytes()
+        assert dense.indices.tobytes() == sparse.indices.tobytes()
+        assert dense.edge_count == sparse.edge_count > 0
 
-    def test_csr_matches_dense_adjacency(self):
+    def test_dense_views_match(self):
         dense, sparse = _graph_pair(n=30, rng=5)
         assert (sparse.adjacency == dense.adjacency).all()
-        assert sparse.edge_count == dense.edge_count
+        assert sparse.edge_count == dense.edge_count == int(dense.adjacency.sum()) // 2
 
     def test_neighbors_degrees_and_queries(self):
         dense, sparse = _graph_pair(n=25, rng=2)
         assert sparse.max_degree() == dense.max_degree()
         for i in range(25):
             assert (sparse.neighbors(i) == dense.neighbors(i)).all()
+            assert (dense.neighbors(i) == np.flatnonzero(dense.adjacency[i])).all()
             assert sparse.degree(i) == dense.degree(i)
             for j in (0, 7, 24):
                 assert sparse.are_adjacent(i, j) == dense.are_adjacent(i, j)
+                assert dense.are_adjacent(i, j) == dense.adjacency[i, j]
 
-    def test_is_independent_matches_dense(self):
+    def test_is_independent_matches(self):
         dense, sparse = _graph_pair(n=25, rng=8)
         gen = np.random.default_rng(0)
         for _ in range(20):
             subset = gen.choice(25, size=gen.integers(1, 8), replace=False)
             assert sparse.is_independent(subset) == dense.is_independent(subset)
 
-    def test_to_networkx_matches_dense(self):
+    def test_to_networkx_matches(self):
         dense, sparse = _graph_pair(n=20, rng=3)
         assert sorted(sparse.to_networkx().edges) == sorted(dense.to_networkx().edges)
 
-    def test_dense_budget_guard(self):
-        sparse = SparseAdjacency(
-            np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
+    def test_dense_budget_guard(self, monkeypatch):
+        """A default-kernel graph above 16,384 links refuses to build
+        its dense view."""
+        graph, _ = _graph_pair(n=10)
         # Fake an enormous n to trip the budget without allocating.
-        sparse.n = 10**9
-        with pytest.raises(ConfigurationError, match="dense"):
-            sparse.to_dense()
+        monkeypatch.setattr(ConflictGraph, "n", property(lambda self: 16_385))
+        with pytest.raises(ConfigurationError, match="dense adjacency for n=16385"):
+            graph.adjacency
 
-    def test_to_scipy_roundtrip(self):
+    def test_csr_arrays_load_into_scipy(self):
         pytest.importorskip("scipy")
+        from scipy.sparse import csr_matrix
+
         dense, sparse = _graph_pair(n=15, rng=9)
-        assert (sparse._sparse.to_scipy().toarray() == dense.adjacency).all()
+        data = np.ones(sparse.indices.size, dtype=bool)
+        matrix = csr_matrix((data, sparse.indices, sparse.indptr), shape=(15, 15))
+        assert (matrix.toarray() == dense.adjacency).all()
 
 
 class TestBlockedSparseNeverDense:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coloring.greedy import greedy_coloring, greedy_coloring_by_order
 from repro.coloring.multicolor import cycle_multicoloring_demo
@@ -10,6 +12,7 @@ from repro.coloring.validation import color_classes, is_proper_coloring
 from repro.conflict.graph import arbitrary_graph, g1_graph, oblivious_graph
 from repro.errors import ConfigurationError, ScheduleError
 from repro.geometry.generators import exponential_line, uniform_square
+from repro.links.linkset import LinkSet
 from repro.spanning.tree import AggregationTree
 
 
@@ -103,6 +106,51 @@ class TestValidationHelpers:
         g = g1_graph(square_links)
         colors = np.full(g.n, -1)
         assert not is_proper_coloring(g, colors)
+
+
+def _dense_is_proper(adjacency: np.ndarray, colors: np.ndarray) -> bool:
+    """The n x n formula the CSR check replaced."""
+    if colors.shape != (adjacency.shape[0],) or np.any(colors < 0):
+        return False
+    same = colors[:, None] == colors[None, :]
+    return not bool((same & adjacency).any())
+
+
+class TestChecksMatchDenseFormulas:
+    """``is_proper_coloring`` and ``is_independent`` read the CSR edges;
+    they agree with the n x n formulas they replaced."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        palette=st.integers(1, 6),
+        backend=st.sampled_from(["dense-numpy", "blocked-sparse"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_proper_and_improper_colorings(self, seed, n, palette, backend):
+        rng = np.random.default_rng(seed)
+        senders = rng.uniform(0.0, 2.0 * np.sqrt(n), size=(n, 2))
+        links = LinkSet(senders, senders + rng.uniform(0.3, 1.5, size=(n, 2)))
+        links.kernel(backend=backend, block_size=8)
+        graph = g1_graph(links, gamma=1.5)
+        adjacency = graph.adjacency
+        proper = greedy_coloring(graph)
+        clashing = proper.copy()
+        v = int(rng.integers(n))
+        if graph.degree(v):
+            clashing[v] = proper[graph.neighbors(v)[0]]
+        uncolored = proper.copy()
+        uncolored[v] = -1
+        colorings = [proper, clashing, uncolored, rng.integers(0, palette, size=n)]
+        for colors in colorings:
+            assert is_proper_coloring(graph, colors) == _dense_is_proper(adjacency, colors)
+        assert is_proper_coloring(graph, proper)
+        assert is_proper_coloring(graph, clashing) == (graph.degree(v) == 0)
+        subsets = [np.flatnonzero(colorings[-1] == c) for c in range(palette)]
+        subsets += [rng.choice(n, size=rng.integers(0, n + 1), replace=False) for _ in range(4)]
+        for subset in subsets:
+            expected = not bool(adjacency[np.ix_(subset, subset)].any())
+            assert graph.is_independent(subset) == expected
 
 
 class TestMulticoloring:

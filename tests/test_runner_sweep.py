@@ -358,6 +358,25 @@ class TestEngine:
         assert len(calls) == spec.num_cells
         assert report.failed == 2
 
+    def test_error_row_shares_the_ok_rows_identity(self):
+        """A job that raises becomes an error row carrying the same
+        identity fields as the ok row run_cell returns for that cell."""
+        spec = tiny_spec(topologies=("square",), ns=(8,), seeds=1, epochs=2)
+        (cell,) = spec.cells()
+
+        def broken(cell):
+            raise RuntimeError("worker died")
+
+        ok = run_cell(cell)
+        (failed,) = SweepEngine(spec, cell_runner=broken).run().results
+        assert ok.ok and failed.status == "error" and "worker died" in failed.error
+        identity = (
+            "cell_id", "topology", "n", "mode", "alpha", "beta", "seed",
+            "tree", "scheduler", "scenario", "scenario_epochs",
+        )
+        assert [getattr(failed, f) for f in identity] == [getattr(ok, f) for f in identity]
+        assert failed.scenario_epochs == 2
+
     def test_inline_row_is_appended_before_the_next_cell_runs(self, tmp_path):
         # Crash-resume contract: a killed inline sweep loses at most the
         # cell that was running, because every finished row is on disk.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.affectance import (
     additive_interference,
@@ -69,6 +70,23 @@ class TestRelativeInterference:
             square_links, np.ones(len(square_links)), model, active=[0, 3]
         )
         assert r.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "power",
+        [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, np.nan, 1.0]],
+        ids=["too-short", "too-long", "negative", "nan"],
+    )
+    def test_rejects_bad_power_vectors(self, model, power):
+        """The checks sinr_values makes: a power per link, each positive
+        and finite."""
+        links = LinkSet(np.arange(6.0).reshape(3, 2), np.arange(6.0).reshape(3, 2) + 0.5)
+        with pytest.raises(ConfigurationError, match="power"):
+            relative_interference_matrix(links, power, model)
+
+    def test_rejects_a_repeated_active_link(self, model):
+        links = LinkSet(np.arange(6.0).reshape(3, 2), np.arange(6.0).reshape(3, 2) + 0.5)
+        with pytest.raises(LinkError, match="link index 0 is repeated"):
+            relative_interference_matrix(links, np.ones(3), model, active=[0, 0, 1])
 
 
 class TestMstSparsity:
