@@ -18,7 +18,13 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.point import PointSet
-from repro.spanning.mst import _delaunay_candidate_edges
+from repro.spanning.mst import (
+    Candidates,
+    _delaunay_candidate_edges,
+    _kruskal,
+    check_edge_endpoints,
+    edge_lengths,
+)
 from repro.spanning.tree import AggregationTree
 from repro.util.unionfind import UnionFind
 
@@ -61,16 +67,17 @@ def map_edges_by_id(
     return out
 
 
-def _dense_candidates(coords: np.ndarray) -> List[Tuple[int, int, float]]:
+def _dense_candidates(coords: np.ndarray) -> Candidates:
     """All pairs with their distances (small instances / fallback)."""
     n = coords.shape[0]
     iu, iv = np.triu_indices(n, k=1)
     dist = np.linalg.norm(coords[iu] - coords[iv], axis=1)
-    return [(int(u), int(v), float(w)) for u, v, w in zip(iu, iv, dist)]
+    return np.column_stack((iu, iv)).astype(np.int64), dist
 
 
-def _candidate_edges(points: PointSet) -> Optional[List[Tuple[int, int, float]]]:
-    """A sparse candidate superset of every reconnection edge.
+def _candidate_edges(points: PointSet) -> Optional[Candidates]:
+    """A sparse candidate superset of every reconnection edge, as
+    ``(pairs, weights)`` arrays.
 
     The lightest edge crossing *any* cut of a Euclidean pointset is a
     Gabriel (hence Delaunay) edge — a point inside the diametral disk
@@ -79,17 +86,11 @@ def _candidate_edges(points: PointSet) -> Optional[List[Tuple[int, int, float]]]
     neighbours on the line.  ``None`` when no sparse structure applies
     (higher dimensions, degenerate triangulations, missing scipy).
     """
-    coords = np.asarray(points.coords, dtype=float)
     if points.is_line_instance:
+        coords = np.asarray(points.coords, dtype=float)
         order = np.argsort(coords[:, 0], kind="stable")
-        return [
-            (
-                int(order[k]),
-                int(order[k + 1]),
-                float(np.linalg.norm(coords[order[k + 1]] - coords[order[k]])),
-            )
-            for k in range(len(points) - 1)
-        ]
+        pairs = np.column_stack((order[:-1], order[1:])).astype(np.int64)
+        return pairs, edge_lengths(coords, pairs)
     return _delaunay_candidate_edges(points)
 
 
@@ -101,28 +102,30 @@ def complete_forest(points: PointSet, forced: Sequence[Edge]) -> List[Edge]:
     to sparse candidate edges — Delaunay in the plane, sorted
     neighbours on the line, all pairs only for small or degenerate
     instances), which is the optimal way to complete a forced forest
-    into a spanning tree.  Raises :class:`GeometryError` if ``forced``
-    already contains a cycle.
+    into a spanning tree.  Candidates inside one forced component are
+    dropped before sorting: Kruskal would reject each of them wherever
+    it sat in the order.  Raises :class:`GeometryError` if ``forced``
+    already contains a cycle or names a node outside ``0..n-1``.
     """
     n = len(points)
+    forced_pairs = np.asarray(forced, dtype=np.int64).reshape(len(forced), 2)
+    check_edge_endpoints(forced_pairs, n)
     uf = UnionFind(n)
-    edges = [(int(u), int(v)) for u, v in forced]
+    edges = list(map(tuple, forced_pairs.tolist()))
     for u, v in edges:
         if not uf.union(u, v):
             raise GeometryError(f"forced edges contain a cycle at ({u}, {v})")
     if uf.component_count == 1 or n <= 1:
         return edges
-    coords = np.asarray(points.coords, dtype=float)
     candidates = None
     if n > _DENSE_CANDIDATE_LIMIT:
         candidates = _candidate_edges(points)
     if candidates is None:
-        candidates = _dense_candidates(coords)
-    for u, v, _w in sorted(candidates, key=lambda e: e[2]):
-        if uf.union(u, v):
-            edges.append((u, v))
-            if uf.component_count == 1:
-                break
+        candidates = _dense_candidates(np.asarray(points.coords, dtype=float))
+    pairs, weights = candidates
+    root = np.array([uf.find(x) for x in range(n)])
+    crossing = root[pairs[:, 0]] != root[pairs[:, 1]]
+    edges += _kruskal(uf, pairs[crossing], weights[crossing])
     if uf.component_count != 1:  # pragma: no cover - distinct points only
         raise GeometryError("failed to reconnect the forest")
     return edges

@@ -80,7 +80,7 @@ def optimal_fractional_rate(
 
     try:
         from scipy.optimize import linprog  # type: ignore
-    except ImportError:  # pragma: no cover - scipy present in CI
+    except ImportError:  # pragma: no cover - only CI's scipy-free 3.10 leg
         # Fallback: the best single coloring built greedily from the
         # maximal sets (a valid lower bound on the true rate).
         uncovered = set(range(n))

@@ -43,9 +43,8 @@ certified :class:`~repro.scheduling.builder.ScheduleBuilder`, so epoch
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.model import SINRModel
 
 __all__ = [
-    "CarriedLink",
     "EpochDelta",
     "IncrementalScheduler",
     "RepairCost",
@@ -70,84 +68,123 @@ __all__ = [
 LinkId = Tuple[int, int]
 
 
-def link_ids_for_links(links: LinkSet, node_ids) -> List[LinkId]:
-    """Persistent link ids of a tree-derived link set under ``node_ids``.
+#: Link ids as accepted at the API: a sequence of pairs or an
+#: ``(m, 2)`` integer array.
+LinkIds = Union[Sequence[LinkId], np.ndarray]
+
+
+def link_ids_for_links(links: LinkSet, node_ids) -> np.ndarray:
+    """Persistent link ids of a tree-derived link set under ``node_ids``,
+    as an ``(m, 2)`` int64 array of ``(sender id, receiver id)`` rows.
 
     Tree link sets carry ``sender_ids`` / ``receiver_ids`` indexing the
     epoch's *positional* point set; mapping through the epoch's
     persistent ``node_ids`` yields identities that survive churn
     renumbering.
     """
-    ids = np.asarray(node_ids, dtype=int)
-    return [
-        (int(ids[s]), int(ids[r]))
-        for s, r in zip(links.sender_ids, links.receiver_ids)
-    ]
+    ids = np.asarray(node_ids, dtype=np.int64)
+    return np.column_stack((ids[links.sender_ids], ids[links.receiver_ids]))
 
 
-@dataclass(frozen=True)
-class CarriedLink:
-    """One link's carried assignment: where it sat and what it looked
-    like when it was scheduled."""
+def _link_id_array(link_ids: LinkIds, n: int) -> np.ndarray:
+    """``link_ids`` as an ``(n, 2)`` int64 array with unique rows;
+    :class:`ConfigurationError` for a wrong count, a row that is not an
+    integer pair, or a repeated id."""
+    if len(link_ids) != n:
+        raise ConfigurationError(
+            f"need one link id per link: got {len(link_ids)} ids for {n} links"
+        )
+    try:
+        ids = np.asarray(link_ids)
+    except ValueError:  # ragged rows
+        ids = np.asarray(None)
+    if ids.ndim != 2 or ids.shape[1] != 2 or not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(
+            "link ids must be (sender id, receiver id) pairs of integers"
+        )
+    ids = ids.astype(np.int64, copy=False)
+    ordered = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise ConfigurationError("link ids must be unique")
+    return ids
 
-    slot: int
-    pos: int
-    power: float
-    sender: Tuple[float, ...]
-    receiver: Tuple[float, ...]
+
+def _id_list(ids: np.ndarray) -> List[LinkId]:
+    """Rows of an id array as :data:`LinkId` tuples."""
+    return [(a, b) for a, b in ids.tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleState:
-    """The carried state of one scheduled epoch.
+    """The carried state of one scheduled epoch, as parallel arrays.
 
-    ``assignment`` maps persistent :data:`LinkId` to the link's slot
-    index, its position within the slot, the exact power it transmitted
-    with and its endpoint coordinates — everything the next epoch needs
-    to decide whether the link moved and to reproduce slot/member order
-    bit-for-bit when nothing changed.  ``model_sig`` pins the SINR
-    parameters the state was certified under.
+    One row per scheduled link, in ascending :data:`LinkId` order:
+    ``ids`` (``(m, 2)`` int64), the link's ``slot`` index and its
+    position ``pos`` within the slot (int64), the exact ``power`` it
+    transmitted with (float64) and its ``senders`` / ``receivers``
+    endpoint coordinates (``(m, d)`` float64) — everything the next
+    epoch needs to decide whether the link moved and to reproduce
+    slot/member order bit-for-bit when nothing changed.  A link that
+    sits in no slot (a ``validate=False`` schedule) has no row.
+    ``model_sig`` pins the SINR parameters the state was certified
+    under.  The arrays are read-only.
     """
 
-    assignment: Mapping[LinkId, CarriedLink]
+    ids: np.ndarray
+    slot: np.ndarray
+    pos: np.ndarray
+    power: np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
     num_slots: int
     model_sig: Tuple[float, float, float, float]
+
+    def __post_init__(self) -> None:
+        for column in (self.ids, self.slot, self.pos, self.power, self.senders, self.receivers):
+            column.flags.writeable = False
 
     @classmethod
     def from_schedule(
         cls,
         schedule: Schedule,
-        link_ids: Sequence[LinkId],
+        link_ids: LinkIds,
         model: SINRModel,
     ) -> "ScheduleState":
         """Capture ``schedule``'s assignment under persistent ids."""
         links = schedule.links
-        if len(link_ids) != len(links):
-            raise ConfigurationError(
-                f"need one link id per link: got {len(link_ids)} ids "
-                f"for {len(links)} links"
-            )
-        ids = [(int(a), int(b)) for a, b in link_ids]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("link ids must be unique")
-        assignment: Dict[LinkId, CarriedLink] = {}
+        ids = _link_id_array(link_ids, len(links))
+        sizes = [len(slot) for slot in schedule.slots]
+        m = sum(sizes)
+        index = np.empty(m, dtype=np.int64)
+        power = np.empty(m, dtype=float)
+        slot_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        starts = np.cumsum([0] + sizes)
         for k, slot in enumerate(schedule.slots):
-            for pos, (i, power) in enumerate(zip(slot.link_indices, slot.powers)):
-                assignment[ids[i]] = CarriedLink(
-                    slot=k,
-                    pos=pos,
-                    power=float(power),
-                    sender=tuple(float(c) for c in links.senders[i]),
-                    receiver=tuple(float(c) for c in links.receivers[i]),
-                )
+            index[starts[k]:starts[k + 1]] = slot.link_indices
+            power[starts[k]:starts[k + 1]] = slot.powers
+        pos = np.arange(m, dtype=np.int64) - starts[slot_of]
+        # Ascending id order; lexsort is stable, so a link that a
+        # malformed schedule lists twice keeps its last slot.
+        order = np.lexsort((ids[index, 1], ids[index, 0]))
+        last = np.ones(m, dtype=bool)
+        last[:-1] = (np.diff(ids[index[order]], axis=0) != 0).any(axis=1)
+        rows = order[last]
+        kept = index[rows]
         return cls(
-            assignment=assignment,
+            ids=ids[kept],
+            slot=slot_of[rows],
+            pos=pos[rows],
+            power=power[rows],
+            senders=np.asarray(links.senders, dtype=float)[kept],
+            receivers=np.asarray(links.receivers, dtype=float)[kept],
             num_slots=schedule.num_slots,
             model_sig=(model.alpha, model.beta, model.noise, model.epsilon),
         )
 
     def signature(self) -> str:
-        """Content digest of the carried state (canonical JSON, SHA-1).
+        """Content digest of the carried state: SHA-1 over a header
+        (model parameters, slot count, array shape) followed by every
+        array's little-endian bytes.
 
         Folded into the schedule stage key by
         :func:`repro.store.keys.schedule_key` so an epoch scheduled
@@ -155,22 +192,13 @@ class ScheduleState:
         scratch — and two different carried histories never collide
         with each other.
         """
-        payload = {
-            "model": list(self.model_sig),
-            "num_slots": self.num_slots,
-            "links": {
-                f"{a}:{b}": [
-                    c.slot,
-                    c.pos,
-                    repr(c.power),
-                    [repr(x) for x in c.sender],
-                    [repr(x) for x in c.receiver],
-                ]
-                for (a, b), c in self.assignment.items()
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha1(blob.encode("utf-8")).hexdigest()
+        digest = hashlib.sha1(np.array(self.model_sig, dtype="<f8").tobytes())
+        digest.update(np.array([self.num_slots, *self.senders.shape], dtype="<i8").tobytes())
+        for column in (self.ids, self.slot, self.pos):
+            digest.update(column.astype("<i8", copy=False).tobytes())
+        for column in (self.power, self.senders, self.receivers):
+            digest.update(column.astype("<f8", copy=False).tobytes())
+        return digest.hexdigest()
 
 
 @dataclass
@@ -262,7 +290,7 @@ class IncrementalScheduler:
         self,
         links: LinkSet,
         *,
-        link_ids: Optional[Sequence[LinkId]] = None,
+        link_ids: Optional[LinkIds] = None,
         prev_state: Optional[ScheduleState] = None,
     ) -> Tuple[Schedule, BuildReport]:
         """Schedule ``links``, reusing ``prev_state`` where possible.
@@ -293,18 +321,11 @@ class IncrementalScheduler:
     def _warm_build(
         self,
         links: LinkSet,
-        link_ids: Sequence[LinkId],
+        link_ids: LinkIds,
         prev_state: ScheduleState,
     ) -> Tuple[Schedule, BuildReport]:
         n = len(links)
-        if len(link_ids) != n:
-            raise ConfigurationError(
-                f"need one link id per link: got {len(link_ids)} ids "
-                f"for {n} links"
-            )
-        ids: List[LinkId] = [(int(a), int(b)) for a, b in link_ids]
-        if len(set(ids)) != n:
-            raise ConfigurationError("link ids must be unique")
+        ids = _link_id_array(link_ids, n)
 
         model = self.model
         scheme = self._builder._power_scheme(links)
@@ -315,55 +336,57 @@ class IncrementalScheduler:
 
         cost = RepairCost(links_total=n)
         delta = EpochDelta()
-        assignment = prev_state.assignment
         model_changed = prev_state.model_sig != (
             model.alpha, model.beta, model.noise, model.epsilon,
         )
 
         # ---- delta: departed / arrived / moved ------------------------
-        current = set(ids)
-        delta.departed = sorted(lid for lid in assignment if lid not in current)
-        carried: List[int] = []
-        new_idx: List[int] = []
+        row_of = {lid: r for r, lid in enumerate(map(tuple, prev_state.ids.tolist()))}
+        rows = np.array(
+            [row_of.get(lid, -1) for lid in map(tuple, ids.tolist())], dtype=np.int64
+        )
+        carried = np.flatnonzero(rows >= 0)
+        new_idx = np.flatnonzero(rows < 0)
+        rows = rows[carried]
+        present = np.zeros(len(prev_state.ids), dtype=bool)
+        present[rows] = True
+        delta.departed = _id_list(prev_state.ids[~present])
+        # Bit-exact like a float compare: -0.0 == 0.0, NaN never equal.
+        same = vec[carried] == prev_state.power[rows]
+        if links.senders.shape[1] == prev_state.senders.shape[1]:
+            same &= (links.senders[carried] == prev_state.senders[rows]).all(axis=1)
+            same &= (links.receivers[carried] == prev_state.receivers[rows]).all(axis=1)
+        else:
+            same[:] = False
         changed = np.zeros(n, dtype=bool)
-        for i, lid in enumerate(ids):
-            prev_link = assignment.get(lid)
-            if prev_link is None:
-                new_idx.append(i)
-                continue
-            carried.append(i)
-            same = (
-                tuple(float(c) for c in links.senders[i]) == prev_link.sender
-                and tuple(float(c) for c in links.receivers[i])
-                == prev_link.receiver
-                and float(vec[i]) == prev_link.power
-            )
-            changed[i] = not same
-        delta.arrived = [ids[i] for i in new_idx]
-        delta.moved = [ids[i] for i in carried if changed[i]]
+        changed[carried] = ~same
+        delta.arrived = _id_list(ids[new_idx])
+        delta.moved = _id_list(ids[np.flatnonzero(changed)])
         cost.links_carried = len(carried)
 
         # ---- eviction: re-examine dirty slots only --------------------
-        groups: Dict[int, List[int]] = {}
-        for i in carried:
-            groups.setdefault(assignment[ids[i]].slot, []).append(i)
+        order = np.lexsort((prev_state.pos[rows], prev_state.slot[rows]))
+        old_slots = prev_state.slot[rows][order]
+        starts = np.flatnonzero(np.diff(old_slots, prepend=-1))
         evicted: List[int] = []
-        for old_slot in sorted(groups):
-            members = sorted(groups[old_slot], key=lambda i: assignment[ids[i]].pos)
+        for old_slot, members in zip(
+            old_slots[starts].tolist(), np.split(carried[order], starts[1:])
+        ):
             new_slot = len(packer.slots)
             # A clean slot lost members at most, so (subset monotonicity)
             # every survivor's denominator only went down.
             evicted += packer.carry(
-                members, recheck=model_changed or bool(changed[members].any())
+                members.tolist(),
+                recheck=model_changed or bool(changed[members].any()),
             )
             if len(packer.slots) > new_slot:
                 delta.slot_map[old_slot] = new_slot
         cost.links_evicted = len(evicted)
         cost.slots_carried = len(packer.slots)
-        delta.evicted = sorted(ids[i] for i in evicted)
+        delta.evicted = sorted(_id_list(ids[evicted]))
 
         # ---- insertion: longest-first, first-fit re-matching ----------
-        to_insert = evicted + new_idx
+        to_insert = evicted + new_idx.tolist()
         cost.links_inserted = len(to_insert)
         slot_members = packer.pack(to_insert)
         cost.links_reexamined = len(packer.reexamined)

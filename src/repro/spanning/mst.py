@@ -6,9 +6,18 @@ Three implementations, selected automatically by :func:`mst_edges`:
   (the unique MST on the line, as Section 4.2 uses);
 * ``prim``:    dense ``O(n^2)`` Prim over the full distance matrix —
   the general workhorse, correct in any dimension;
-* ``kruskal``: union-find Kruskal over an explicit edge list — used for
-  reduced graphs (power-limited deployments) and by the Delaunay
-  acceleration when scipy is importable.
+* ``kruskal``: union-find Kruskal over candidate edges held as an
+  ``(m, 2)`` int64 pair array and a float64 weight array — used for
+  reduced graphs (power-limited deployments), by the Delaunay
+  acceleration when scipy is importable, and by the forest completion
+  of :mod:`repro.scenarios.repair`.  One loop, :func:`_kruskal`, serves
+  all of them.
+
+Delaunay candidates are built without a per-edge Python loop: the
+three vertex pairs of every simplex, deduplicated on a packed
+``u * n + v`` key (lexicographic order), with lengths from one batched
+``d @ d`` product — bit-identical to a per-edge ``np.linalg.norm``,
+which a one-ulp change could turn into a different Kruskal tie-break.
 
 Ties between equal-weight edges are broken deterministically by index,
 so repeated runs produce identical trees.
@@ -32,6 +41,8 @@ __all__ = [
 ]
 
 Edge = Tuple[int, int]
+#: Candidate edges: int64 ``(m, 2)`` endpoint pairs and float64 weights.
+Candidates = Tuple[np.ndarray, np.ndarray]
 
 
 def mst_edges_prim(points: PointSet) -> List[Edge]:
@@ -61,6 +72,44 @@ def mst_edges_prim(points: PointSet) -> List[Edge]:
     return edges
 
 
+def check_edge_endpoints(pairs: np.ndarray, n: int) -> None:
+    """Raise :class:`GeometryError` naming the first row of the
+    ``(m, 2)`` pair array with an endpoint outside ``0..n-1``.
+
+    Negative indices would otherwise wrap around in list and array
+    indexing, silently joining the last node.
+    """
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = pairs[int(np.argmax(bad))].tolist()
+        raise GeometryError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+
+
+def _kruskal(uf: UnionFind, pairs: np.ndarray, weights: np.ndarray) -> List[Edge]:
+    """Kruskal's loop: the edges of ``pairs`` that merge two components
+    of ``uf``, walked by ascending weight with ties by index, until one
+    component is left.  ``uf`` is updated in place."""
+    check_edge_endpoints(pairs, len(uf))
+    added: List[Edge] = []
+    for u, v in pairs[np.argsort(weights, kind="stable")].tolist():
+        if uf.union(u, v):
+            added.append((u, v))
+            if uf.component_count == 1:
+                break
+    return added
+
+
+def _spanning_kruskal(n: int, pairs: np.ndarray, weights: np.ndarray) -> List[Edge]:
+    """Kruskal MST of ``n`` nodes over the candidate arrays."""
+    uf = UnionFind(n)
+    edges = _kruskal(uf, pairs, weights)
+    if uf.component_count == 1:
+        return edges
+    raise GeometryError(
+        f"edge list spans only {n - uf.component_count + 1} merges; graph is disconnected"
+    )
+
+
 def mst_edges_kruskal(
     n: int, edges: Sequence[Tuple[int, int, float]]
 ) -> List[Edge]:
@@ -74,22 +123,10 @@ def mst_edges_kruskal(
         Triples ``(u, v, weight)``.
 
     Raises :class:`GeometryError` if the edge list does not connect all
-    ``n`` nodes.
+    ``n`` nodes or names a node outside ``0..n-1``.
     """
-    order = sorted(range(len(edges)), key=lambda k: (edges[k][2], k))
-    uf = UnionFind(n)
-    result: List[Edge] = []
-    for k in order:
-        u, v, _w = edges[k]
-        if uf.union(int(u), int(v)):
-            result.append((int(u), int(v)))
-            if len(result) == n - 1:
-                return result
-    if n == 1:
-        return []
-    raise GeometryError(
-        f"edge list spans only {n - uf.component_count + 1} merges; graph is disconnected"
-    )
+    table = np.asarray(edges, dtype=float).reshape(len(edges), 3)
+    return _spanning_kruskal(n, table[:, :2].astype(np.int64), table[:, 2])
 
 
 def line_mst_edges(points: PointSet) -> List[Edge]:
@@ -105,30 +142,41 @@ def line_mst_edges(points: PointSet) -> List[Edge]:
     return [(int(order[k]), int(order[k + 1])) for k in range(len(points) - 1)]
 
 
-def _delaunay_candidate_edges(points: PointSet) -> Optional[List[Tuple[int, int, float]]]:
-    """Candidate edge list from the Delaunay triangulation (contains the
-    Euclidean MST).  Returns ``None`` when scipy is unavailable or the
-    triangulation is degenerate (collinear inputs)."""
+def edge_lengths(coords: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Euclidean length of every ``(u, v)`` row of ``pairs``.
+
+    One batched ``d @ d`` product: equal, bit for bit, to
+    ``np.linalg.norm(coords[u] - coords[v])`` per edge, where
+    ``norm(axis=1)``, ``einsum`` and ``hypot`` each differ from it in
+    the last bit on some edges.
+    """
+    d = coords[pairs[:, 0]] - coords[pairs[:, 1]]
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _delaunay_candidate_edges(points: PointSet) -> Optional[Candidates]:
+    """Candidate edges from the Delaunay triangulation (contains the
+    Euclidean MST) as ``(pairs, weights)``: int64 ``(m, 2)`` rows
+    ``u < v`` in lexicographic order, and their float64 lengths.
+    Returns ``None`` when scipy is unavailable or the triangulation is
+    degenerate (collinear inputs)."""
     if points.dimension != 2:
         return None
     try:
         from scipy.spatial import Delaunay  # type: ignore
-    except ImportError:  # pragma: no cover - scipy is present in CI
+    except ImportError:  # pragma: no cover - only CI's scipy-free 3.10 leg
         return None
     try:
         tri = Delaunay(points.coords)
     except Exception:
         return None
-    pairs = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                u, v = int(simplex[a]), int(simplex[b])
-                pairs.add((min(u, v), max(u, v)))
-    coords = points.coords
-    return [
-        (u, v, float(np.linalg.norm(coords[u] - coords[v]))) for (u, v) in sorted(pairs)
-    ]
+    n = len(points)
+    simplices = tri.simplices.astype(np.int64)
+    sides = np.concatenate([simplices[:, [0, 1]], simplices[:, [0, 2]], simplices[:, [1, 2]]])
+    sides.sort(axis=1)
+    keys = np.unique(sides[:, 0] * n + sides[:, 1])
+    pairs = np.column_stack((keys // n, keys % n))
+    return pairs, edge_lengths(np.asarray(points.coords, dtype=float), pairs)
 
 
 def mst_edges(points: PointSet, *, method: str = "auto") -> List[Edge]:
@@ -150,14 +198,14 @@ def mst_edges(points: PointSet, *, method: str = "auto") -> List[Edge]:
     if method in ("auto", "kruskal-delaunay") and n >= 512:
         candidates = _delaunay_candidate_edges(points)
         if candidates is not None:
-            return mst_edges_kruskal(n, candidates)
+            return _spanning_kruskal(n, *candidates)
         if method == "kruskal-delaunay":
             raise GeometryError("Delaunay path unavailable (scipy missing or degenerate)")
     if method == "kruskal-delaunay":
         candidates = _delaunay_candidate_edges(points)
         if candidates is None:
             raise GeometryError("Delaunay path unavailable (scipy missing or degenerate)")
-        return mst_edges_kruskal(n, candidates)
+        return _spanning_kruskal(n, *candidates)
     if method not in ("auto", "prim"):
         raise GeometryError(
             f"unknown MST method {method!r}; valid methods: auto, prim, "

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.point import PointSet
 from repro.links.linkset import LinkSet
-from repro.spanning.mst import mst_edges
+from repro.spanning.mst import check_edge_endpoints, mst_edges
 
 __all__ = ["AggregationTree"]
 
@@ -45,6 +45,7 @@ class AggregationTree:
         self.points = points
         self.sink = int(sink)
         self._edges = [(int(u), int(v)) for u, v in edges]
+        check_edge_endpoints(np.array(self._edges, dtype=np.int64).reshape(-1, 2), n)
         self._parent, self._order = self._orient()
         self._links: Optional[LinkSet] = None
 

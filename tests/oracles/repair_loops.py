@@ -4,7 +4,9 @@ passes in :mod:`repro.scheduling.repair`.
 * ``split_into_feasible_slots_fixed_power`` and
   ``IncrementalScheduler._warm_build`` are the original fixed-power
   loops, kept verbatim (the warm build as a method of an
-  :class:`IncrementalScheduler` subclass), the reference for
+  :class:`IncrementalScheduler` subclass, reading the carried arrays
+  through :func:`carried_assignment`, the per-link dict it was written
+  against), the reference for
   :class:`repro.scheduling.repair.FixedPowerPacker`.  The packer
   differential suite (``tests/test_packer_differential.py``) asserts
   that the packer-based code returns equal slots, repair counters and
@@ -19,7 +21,7 @@ passes in :mod:`repro.scheduling.repair`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,6 +200,31 @@ def split_into_feasible_slots_fixed_power(
     return slots
 
 
+class CarriedLink(NamedTuple):
+    """One link's carried assignment, as the original loop reads it."""
+
+    slot: int
+    pos: int
+    power: float
+    sender: Tuple[float, ...]
+    receiver: Tuple[float, ...]
+
+
+def carried_assignment(state: ScheduleState) -> Dict[LinkId, CarriedLink]:
+    """The carried arrays as the per-link dict of the original state."""
+    return {
+        (a, b): CarriedLink(slot, pos, power, tuple(sender), tuple(receiver))
+        for (a, b), slot, pos, power, sender, receiver in zip(
+            state.ids.tolist(),
+            state.slot.tolist(),
+            state.pos.tolist(),
+            state.power.tolist(),
+            state.senders.tolist(),
+            state.receivers.tolist(),
+        )
+    }
+
+
 class LoopIncrementalScheduler(IncrementalScheduler):
     """:class:`IncrementalScheduler` with the original warm build."""
 
@@ -236,7 +263,7 @@ class LoopIncrementalScheduler(IncrementalScheduler):
 
         cost = RepairCost(links_total=n)
         delta = EpochDelta()
-        assignment = prev_state.assignment
+        assignment = carried_assignment(prev_state)
         model_changed = prev_state.model_sig != (
             model.alpha, model.beta, model.noise, model.epsilon,
         )

@@ -11,6 +11,8 @@ must reproduce the non-incremental schedules byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.scenarios import ScenarioRunner
 from repro.scheduling import ScheduleBuilder
+from repro.scheduling.schedule import Schedule, Slot
 from repro.scheduling.incremental import (
     IncrementalScheduler,
     ScheduleState,
@@ -253,3 +256,88 @@ class TestGuards:
             schedule, ids, SINRModel(alpha=3.0, beta=1.5)
         )
         assert a.signature() != d.signature()
+
+    @pytest.mark.parametrize(
+        "bad_ids",
+        [[(0, 1, 7), (2, 3, 9)], [("a", "b"), ("c", "d")], [(0, 1), (2,)], [(0.5, 1), (2, 3)]],
+        ids=["triples", "strings", "ragged", "floats"],
+    )
+    def test_malformed_link_ids_raise_configuration_error(self, bad_ids):
+        model = SINRModel(alpha=3.0, beta=1.0)
+        links = LinkSet([[0.0, 0.0], [2.0, 0.0]], [[0.5, 0.0], [2.5, 0.0]])
+        inc = IncrementalScheduler(model, "oblivious")
+        schedule, _report = inc.schedule(links)
+        state = ScheduleState.from_schedule(schedule, [(0, 1), (2, 3)], model)
+        with pytest.raises(ConfigurationError, match="pairs of integers"):
+            ScheduleState.from_schedule(schedule, bad_ids, model)
+        with pytest.raises(ConfigurationError, match="pairs of integers"):
+            inc.schedule(links, link_ids=bad_ids, prev_state=state)
+
+
+# ---------------------------------------------------------------------------
+# Carried-state signature
+# ---------------------------------------------------------------------------
+def _line_schedule(k=6):
+    """``k`` short links along a line, certified, with persistent ids."""
+    model = SINRModel(alpha=3.0, beta=1.0)
+    senders = [[3.0 * i, 0.0] for i in range(k)]
+    receivers = [[3.0 * i + 0.5 + 0.1 * i, 0.0] for i in range(k)]
+    links = LinkSet(senders, receivers)
+    schedule, _ = IncrementalScheduler(model, "oblivious").schedule(links)
+    ids = [(10 * i + 1, 10 * i + 2) for i in range(k)]
+    return links, schedule, ids, model
+
+
+class TestStateSignature:
+    def test_permuting_links_with_their_ids_keeps_the_signature(self):
+        links, schedule, ids, model = _line_schedule()
+        perm = np.random.default_rng(0).permutation(len(links))
+        new_index = np.argsort(perm)  # old link index -> new position
+        permuted = LinkSet(links.senders[perm], links.receivers[perm])
+        slots = [
+            Slot(tuple(int(new_index[i]) for i in slot.link_indices), slot.powers)
+            for slot in schedule.slots
+        ]
+        moved = Schedule(permuted, slots, model, validate=False)
+        a = ScheduleState.from_schedule(schedule, ids, model)
+        b = ScheduleState.from_schedule(moved, [ids[j] for j in perm], model)
+        assert a.signature() == b.signature()
+        assert b.ids.tolist() == sorted(map(list, ids))
+
+    @pytest.mark.parametrize(
+        "field", ["ids", "slot", "pos", "power", "senders", "receivers"]
+    )
+    def test_any_changed_entry_changes_the_signature(self, field):
+        links, schedule, ids, model = _line_schedule()
+        state = ScheduleState.from_schedule(schedule, ids, model)
+        column = getattr(state, field).copy()
+        column.flat[len(column.flat) // 2] += 1
+        changed = dataclasses.replace(state, **{field: column})
+        assert changed.signature() != state.signature()
+
+    def test_model_and_slot_count_change_the_signature(self):
+        links, schedule, ids, model = _line_schedule()
+        state = ScheduleState.from_schedule(schedule, ids, model)
+        sig = state.signature()
+        assert dataclasses.replace(state, num_slots=state.num_slots + 1).signature() != sig
+        for k in range(4):
+            model_sig = list(state.model_sig)
+            model_sig[k] += 0.5
+            assert dataclasses.replace(state, model_sig=tuple(model_sig)).signature() != sig
+
+    def test_link_in_no_slot_gets_no_row(self):
+        links, schedule, ids, model = _line_schedule()
+        kept = [Slot((0,), (1.0,)), Slot((2, 1), (1.0, 2.0))]
+        partial = Schedule(links, kept, model, validate=False)
+        state = ScheduleState.from_schedule(partial, ids, model)
+        assert state.ids.tolist() == [list(ids[0]), list(ids[1]), list(ids[2])]
+        assert state.slot.tolist() == [0, 1, 1]
+        assert state.pos.tolist() == [0, 1, 0]
+        assert state.power.tolist() == [1.0, 2.0, 1.0]
+        assert state.num_slots == 2
+
+    def test_state_arrays_are_read_only(self):
+        links, schedule, ids, model = _line_schedule()
+        state = ScheduleState.from_schedule(schedule, ids, model)
+        with pytest.raises(ValueError):
+            state.slot[0] = 5

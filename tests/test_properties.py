@@ -438,6 +438,11 @@ def _epoch_delta(links, data):
     return base_ids, new_links, new_ids
 
 
+def _slots_by_id(state):
+    """Each carried link's slot, read by id from the state's arrays."""
+    return {(a, b): slot for (a, b), slot in zip(state.ids.tolist(), state.slot.tolist())}
+
+
 class TestIncrementalProperties:
     """Certification of the delta scheduler's carried-state contract
     (:mod:`repro.scheduling.incremental`)."""
@@ -466,12 +471,13 @@ class TestIncrementalProperties:
         )
         delta = inc.last_delta
         touched = set(delta.moved) | set(delta.evicted) | set(delta.arrived)
+        old_slots, new_slots = _slots_by_id(state), _slots_by_id(new_state)
         for lid in new_ids:
-            if lid in touched or lid not in state.assignment:
+            if lid in touched or lid not in old_slots:
                 continue
-            old_slot = state.assignment[lid].slot
+            old_slot = old_slots[lid]
             assert old_slot in delta.slot_map
-            assert new_state.assignment[lid].slot == delta.slot_map[old_slot]
+            assert new_slots[lid] == delta.slot_map[old_slot]
 
     @settings(max_examples=25, deadline=None)
     @given(link_sets(min_links=4, max_links=9), st.data())
@@ -489,9 +495,9 @@ class TestIncrementalProperties:
         vec = inc._builder._power_scheme(new_links).powers(new_links)
         kernel = new_links.kernel()
         groups = {}
-        for lid, c in state.assignment.items():
+        for lid, slot in _slots_by_id(state).items():
             if lid in index_of:
-                groups.setdefault(c.slot, []).append(index_of[lid])
+                groups.setdefault(slot, []).append(index_of[lid])
         for members in groups.values():
             sub = kernel.relative_submatrix(vec, MODEL.alpha, members, members)
             denoms = sub.sum(axis=0)  # noiseless model: no noise term

@@ -80,6 +80,12 @@ class TestRepair:
         with pytest.raises(GeometryError, match="cycle"):
             complete_forest(points, [(0, 1), (1, 2), (2, 0)])
 
+    @pytest.mark.parametrize("bad", [(0, -1), (0, 7)])
+    def test_complete_forest_rejects_out_of_range_endpoints(self, bad):
+        points = uniform_square(4, rng=5)
+        with pytest.raises(GeometryError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
+            complete_forest(points, [(1, 2), bad])
+
     def test_repair_after_departure_keeps_surviving_edges(self):
         points = uniform_square(10, rng=1)
         tree = AggregationTree.mst(points)

@@ -68,6 +68,13 @@ class TestKruskal:
     def test_single_node(self):
         assert mst_edges_kruskal(1, []) == []
 
+    @pytest.mark.parametrize("bad", [(0, -1), (0, 7), (3, 1)])
+    def test_out_of_range_endpoints_rejected(self, bad):
+        # A negative index would wrap to the last node, a large one
+        # would fail in the union-find with a bare IndexError.
+        with pytest.raises(GeometryError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
+            mst_edges_kruskal(3, [(*bad, 1.0), (1, 2, 2.0)])
+
 
 class TestLineMst:
     def test_adjacent_pairs(self):

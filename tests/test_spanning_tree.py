@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(GeometryError):
             AggregationTree(ps, [(0, 1), (0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("bad", [(0, 7), (0, -1)])
+    def test_rejects_out_of_range_endpoints(self, bad):
+        ps = PointSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(GeometryError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
+            AggregationTree(ps, [bad, (1, 2)])
+
 
 class TestLinks:
     def test_link_count(self, square_tree):
