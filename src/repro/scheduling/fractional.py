@@ -11,8 +11,13 @@ is a linear program over the maximal feasible sets:
                sum_S x_S = 1,   x >= 0.
 
 This module enumerates the maximal feasible sets (via the downward-
-closed feasibility table) and solves the LP with scipy when available,
-falling back to a combinatorial bound otherwise.
+closed feasibility table) and solves the LP exactly, without scipy:
+``rho = 1 / chi_f`` for the fractional chromatic number ``chi_f``, the
+optimum of the packing LP ``max 1.w`` subject to ``M^T w <= 1``,
+``w >= 0`` (``M`` the links x sets incidence).  Its origin is feasible,
+so a dense tableau simplex with Bland's rule solves it without a first
+phase, and the optimal set weights are its dual: the reduced costs of
+the slack columns, normalised to sum to 1.
 """
 
 from __future__ import annotations
@@ -78,46 +83,53 @@ def optimal_fractional_rate(
     masks = _maximal_feasible_sets(table, n)
     sets = [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
 
-    try:
-        from scipy.optimize import linprog  # type: ignore
-    except ImportError:  # pragma: no cover - only CI's scipy-free 3.10 leg
-        # Fallback: the best single coloring built greedily from the
-        # maximal sets (a valid lower bound on the true rate).
-        uncovered = set(range(n))
-        chosen = []
-        for mask, s in sorted(zip(masks, sets), key=lambda t: -len(t[1])):
-            if uncovered & set(s):
-                chosen.append(s)
-                uncovered -= set(s)
-        rate = 1.0 / len(chosen)
-        return FractionalRateResult(
-            rate=rate,
-            sets=tuple(chosen),
-            weights=tuple(1.0 / len(chosen) for _ in chosen),
-        )
-
-    # Variables: [x_S for each maximal set] + [rho]; maximise rho.
-    m = len(sets)
-    c = np.zeros(m + 1)
-    c[-1] = -1.0  # linprog minimises
-    # Coverage: rho - sum_{S ni i} x_S <= 0.
-    a_ub = np.zeros((n, m + 1))
-    for col, s in enumerate(sets):
-        for i in s:
-            a_ub[i, col] = -1.0
-    a_ub[:, -1] = 1.0
-    b_ub = np.zeros(n)
-    # Budget: sum x_S = 1.
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    b_eq = np.ones(1)
-    bounds = [(0.0, None)] * m + [(0.0, None)]
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
-    if not result.success:  # pragma: no cover - tiny well-posed LPs
-        raise ConfigurationError(f"fractional-rate LP failed: {result.message}")
-    x = result.x[:m]
+    incidence = np.zeros((n, len(sets)))
+    for col, members in enumerate(sets):
+        incidence[list(members), col] = 1.0
+    packing, cover = _packing_lp(incidence)
     return FractionalRateResult(
-        rate=float(result.x[-1]),
+        rate=1.0 / packing,
         sets=tuple(sets),
-        weights=tuple(float(v) for v in x),
+        weights=tuple(float(v) for v in cover / cover.sum()),
     )
+
+
+#: Entries within this of zero count as zero in the simplex's sign and
+#: ratio tests (the tableau starts 0/1 and stays small rationals).
+_SIMPLEX_TOL = 1e-9
+
+
+def _packing_lp(incidence: np.ndarray) -> Tuple[float, np.ndarray]:
+    """``max 1.w`` subject to ``incidence^T w <= 1``, ``w >= 0``.
+
+    ``incidence`` is the links x sets 0/1 matrix, every link in some
+    set.  A dense tableau simplex from the origin (the slack basis),
+    entering and leaving by Bland's rule, so it cannot cycle.  Returns
+    the optimum and the optimal dual ``y >= 0`` (``incidence @ y >= 1``,
+    ``sum(y)`` the same optimum): the reduced costs of the slack columns.
+    """
+    n, m = incidence.shape
+    # One row per set, then the objective row; columns w, slacks, rhs.
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = incidence.T
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = 1.0
+    tableau[m, :n] = -1.0
+    basis = np.arange(n, n + m)
+    while True:
+        entering = np.flatnonzero(tableau[m, :-1] < -_SIMPLEX_TOL)
+        if entering.size == 0:
+            break
+        col = int(entering[0])
+        column = tableau[:m, col]
+        rows = np.flatnonzero(column > _SIMPLEX_TOL)
+        ratios = tableau[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() + _SIMPLEX_TOL]
+        row = int(tied[np.argmin(basis[tied])])
+        tableau[row] /= tableau[row, col]
+        pivot = tableau[row]
+        others = np.arange(m + 1) != row
+        tableau[others] -= tableau[others, col][:, None] * pivot
+        basis[row] = col
+    # Reduced costs end >= -_SIMPLEX_TOL; a rounding residue is a zero.
+    return float(tableau[m, -1]), np.maximum(tableau[m, n : n + m], 0.0)

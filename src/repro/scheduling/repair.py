@@ -22,13 +22,25 @@ Two implementations are provided, one per power model:
   :class:`FixedPowerPacker` maintains each open slot's row sums
   incrementally: testing a candidate reads ``O(|slot|)`` entries of
   one kernel block fetched for the whole pass, instead of a full
-  ``O(|slot|^2)`` rebuild per probe.
+  ``O(|slot|^2)`` rebuild per probe.  A class of at most
+  ``block_size`` links costs one block ``R[C, C]``: its column sums
+  decide the whole class, and the same block permuted to length order
+  is the pass's.  Every verdict compares denominators with one limit
+  derived from :func:`~repro.sinr.feasibility.sinr_from_denominators`,
+  and a probe rejects on its first member row over it.
 
 The same packer repairs carried slots in
 :mod:`repro.scheduling.incremental`.  Both passes read interference
 exclusively through the link set's kernel cache, whose entries come
 from one set of block functions (:mod:`repro.backend.blocks`); repair
-decisions are therefore bit-identical across backends.
+decisions are therefore bit-identical across backends.  Sharing one
+block between the check and the pass relies on the same property: an
+entry does not depend on the block it is computed in.  The distances
+under it are computed per entry, per axis in 2-D and by ``einsum``'s
+own reduction over each entry's coordinates for d >= 3 (see
+:mod:`repro.geometry.distances`, where a per-axis sum would round
+differently in 3-D), never by a matrix product whose rounding follows
+the block's shape.
 """
 
 from __future__ import annotations
@@ -39,11 +51,16 @@ import numpy as np
 
 from repro.constants import FEASIBILITY_MARGIN
 from repro.links.linkset import LinkSet
-from repro.sinr.feasibility import sinr_from_denominators
+from repro.sinr.feasibility import (
+    _as_power_vector,
+    _denominators,
+    denominator_limit,
+    sinr_threshold,
+)
 from repro.sinr.model import SINRModel
 from repro.sinr.powercontrol import _perron_feasible
 from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
-from repro.util.validation import check_distinct_links
+from repro.util.validation import check_distinct_links, check_link_indices
 
 __all__ = [
     "FixedPowerPacker",
@@ -105,18 +122,23 @@ class FixedPowerPacker:
     ``D_i = sum_j R[j, i] + N l_i^alpha / P_i`` of its members, so
     probing link ``x`` against a slot only needs the cross entries
     ``R[x, members]`` and ``R[members, x]``, and accepting updates the
-    sums in place.  Slots come from :meth:`carry` or :meth:`pack`.
+    sums in place.  A denominator passes Equation (1) iff it is not
+    above :attr:`limit`, the
+    :func:`~repro.sinr.feasibility.denominator_limit` of the threshold
+    ``beta * (1 + slack)`` (``slack`` finite and at least 0): the one
+    feasibility predicate of every verdict here.  Slots come from
+    :meth:`carry`, :meth:`pack` or :meth:`split`.
     ``feasibility_evals``, ``slots_opened`` and ``reexamined`` are the
     :class:`~repro.scheduling.incremental.RepairCost` tallies.
     """
 
     def __init__(
-        self, links: LinkSet, power: np.ndarray, model: SINRModel, *, slack: float = 0.0
+        self, links: LinkSet, power, model: SINRModel, *, slack: float = 0.0
     ) -> None:
         self.links = links
-        self.power = power
+        self.power = _as_power_vector(links, power)
         self.model = model
-        self.threshold = model.beta * (1.0 + slack)
+        self.limit = denominator_limit(sinr_threshold(model, slack))
         self.kernel = links.kernel()
         self.slots: List[List[int]] = []
         #: Aligned with ``slots``; None = a carried slot not yet probed.
@@ -139,9 +161,6 @@ class FixedPowerPacker:
                 model.noise * self.links.lengths[link] ** model.alpha / self.power[link]
             )
 
-    def _feasible(self, denoms: np.ndarray) -> np.ndarray:
-        return sinr_from_denominators(denoms) >= self.threshold
-
     def _materialise(
         self, members: List[int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,6 +171,13 @@ class FixedPowerPacker:
         self.feasibility_evals += len(members)
         self.reexamined.update(members)
         return sub.sum(axis=0) + noise, sub, noise
+
+    def _indices(self, indices: Sequence[int]) -> np.ndarray:
+        """``indices`` as an int array; a :class:`~repro.errors.LinkError`
+        names a repeated or out-of-range one."""
+        idx = check_link_indices(indices, len(self.links))
+        check_distinct_links(idx)
+        return idx
 
     def carry(self, members: List[int], *, recheck: bool) -> List[int]:
         """Carry a previous slot over; returns the members it evicts.
@@ -165,17 +191,46 @@ class FixedPowerPacker:
             self.denoms.append(None)
             return []
         denoms, sub, noise = self._materialise(members)
-        ok = self._feasible(denoms)
-        keep = [p for p, good in enumerate(ok) if good]
+        bad = (denoms > self.limit).tolist()
+        keep = [p for p, evict in enumerate(bad) if not evict]
         if keep:
             self.slots.append([members[p] for p in keep])
             self.denoms.append(sub[np.ix_(keep, keep)].sum(axis=0) + noise[keep])
-        return [m for m, good in zip(members, ok) if not good]
+        return [m for m, evict in zip(members, bad) if evict]
+
+    def split(self, indices: Sequence[int]) -> List[List[int]]:
+        """The links of ``indices`` (one color class, empty packer) as
+        the whole class if it is feasible, otherwise as :meth:`pack`'s
+        slots.
+
+        A class of at most ``block_size`` links is decided from one
+        block ``R[C, C]`` in class order: its column sums are
+        :meth:`~repro.sinr.kernels.KernelCache.relative_colsums`' for a
+        class of that size, and the block permuted to length order is
+        the pass's first (and only) run, so check and pass cost one
+        kernel evaluation.  A larger class keeps the streamed column
+        sums and :meth:`pack`'s own blocks.
+        """
+        idx = self._indices(indices)
+        block = None
+        if idx.size <= self.kernel.block_size:
+            block = self._relative(idx, idx)
+            colsums = block.sum(axis=0)
+        else:
+            colsums = self.kernel.relative_colsums(self.power, self.model.alpha, idx)
+        denoms = _denominators(self.links, self.power, self.model, idx, colsums)
+        if not (denoms > self.limit).any():
+            return [idx.tolist()]
+        perm = argsort_by_length_nonincreasing(self.links.lengths[idx])
+        first = None if block is None else block[np.ix_(perm, perm)]
+        del block  # hold one copy of the class block, not two
+        return self._place(idx[perm], first)
 
     def pack(self, indices: Sequence[int]) -> List[List[int]]:
         """First-fit every link of ``indices``, longest first, into the
         open slots, opening a new one when none accepts it; returns all
-        slots.
+        slots.  A repeated or out-of-range index is a
+        :class:`~repro.errors.LinkError`.
 
         The pass walks its order in runs of the kernel's ``block_size``
         links and fetches, per run, ``R[run, head]`` and ``R[head, run]``
@@ -187,9 +242,20 @@ class FixedPowerPacker:
         slot's members stay carried first, placed after, so every
         denominator sum sees the same values in the same order.
         """
-        order = np.asarray(indices, dtype=int)[
-            argsort_by_length_nonincreasing(self.links.lengths[indices])
-        ]
+        idx = self._indices(indices)
+        order = idx[argsort_by_length_nonincreasing(self.links.lengths[idx])]
+        return self._place(order, None)
+
+    def _place(self, order: np.ndarray, first: Optional[np.ndarray]) -> List[List[int]]:
+        """:meth:`pack`'s pass over ``order``; ``first``, when given, is
+        ``R[order, order]`` for an order of at most one run.
+
+        A probe adds the link's row to the slot's member denominators
+        and rejects as soon as one exceeds :attr:`limit`; only then does
+        it sum the link's own column, read from a contiguous transposed
+        copy of the run's ``R[head, run]``.
+        """
+        limit = self.limit
         carried = [np.asarray(members, dtype=int) for members in self.slots]
         # Per slot, the order positions of the links this pass placed.
         placed = [np.empty(0, dtype=int) for _ in self.slots]
@@ -197,37 +263,43 @@ class FixedPowerPacker:
         for start in range(0, order.size, block):
             run = order[start : start + block]
             if start == 0:
-                onto = frm = self._relative(run, run)
+                onto = self._relative(run, run) if first is None else first
+                frm_t = np.ascontiguousarray(onto.T)
             else:
-                del onto, frm  # hold at most one run's blocks at a time
+                del onto, frm_t  # hold at most one run's blocks at a time
                 head = order[: start + run.size]
                 onto = self._relative(run, head)
-                frm = self._relative(head, run)
+                frm_t = np.ascontiguousarray(self._relative(head, run).T)
             for row, link in enumerate(run.tolist()):
                 pos = start + row
                 own_noise = self._noise(link)
                 self.reexamined.add(link)
+                onto_row, from_row = onto[row], frm_t[row]
                 for k, members in enumerate(self.slots):
                     current = self.denoms[k]
                     if current is None:
                         current = self.denoms[k] = self._materialise(members)[0]
-                    to_members, from_members = onto[row, placed[k]], frm[placed[k], row]
-                    if carried[k].size:
-                        to_members = np.concatenate(
-                            (self._relative([link], carried[k])[0], to_members)
-                        )
-                        from_members = np.concatenate(
-                            (self._relative(carried[k], [link])[:, 0], from_members)
-                        )
                     self.feasibility_evals += len(members) + 1
-                    candidate = np.append(
-                        current + to_members, float(from_members.sum()) + own_noise
-                    )
-                    if self._feasible(candidate).all():
-                        members.append(link)
-                        placed[k] = np.append(placed[k], pos)
-                        self.denoms[k] = candidate
-                        break
+                    mine, fixed = placed[k], carried[k]
+                    to_members = onto_row[mine]
+                    if fixed.size:
+                        to_members = np.concatenate(
+                            (self._relative([link], fixed)[0], to_members)
+                        )
+                        from_fixed = self._relative(fixed, [link])[:, 0]
+                    member_denoms = current + to_members
+                    if (member_denoms > limit).any():
+                        continue
+                    from_members = from_row[mine]
+                    if fixed.size:
+                        from_members = np.concatenate((from_fixed, from_members))
+                    own = float(from_members.sum()) + own_noise
+                    if own > limit:
+                        continue
+                    members.append(link)
+                    placed[k] = np.append(mine, pos)
+                    self.denoms[k] = np.append(member_denoms, own)
+                    break
                 else:
                     self.slots.append([link])
                     self.denoms.append(np.array([own_noise]))
@@ -248,13 +320,9 @@ def split_into_feasible_slots_fixed_power(
 ) -> List[List[int]]:
     """Incremental-row-sum variant of :func:`split_into_feasible_slots`
     for a fixed power vector: the whole class if it is feasible,
-    otherwise a :class:`FixedPowerPacker` pass over it."""
-    from repro.sinr.feasibility import _as_power_vector, is_feasible_with_power
-
+    otherwise a :class:`FixedPowerPacker` pass over it
+    (:meth:`FixedPowerPacker.split`)."""
     idx = [int(i) for i in np.atleast_1d(class_indices)]
     if not idx:
         return []
-    vec = _as_power_vector(links, power)
-    if is_feasible_with_power(links, vec, model, idx, slack=slack):
-        return [idx]
-    return FixedPowerPacker(links, vec, model, slack=slack).pack(idx)
+    return FixedPowerPacker(links, power, model, slack=slack).split(idx)

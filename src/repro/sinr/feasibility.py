@@ -18,6 +18,7 @@ feasibility verdicts.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ from repro.util.validation import check_distinct_links
 __all__ = [
     "sinr_values",
     "sinr_from_denominators",
+    "denominator_limit",
+    "sinr_threshold",
     "is_feasible_with_power",
     "max_relative_interference",
 ]
@@ -53,14 +56,82 @@ def _as_power_vector(links: LinkSet, power) -> np.ndarray:
 def sinr_from_denominators(denom: np.ndarray) -> np.ndarray:
     """SINR from relative denominators ``D_i = sum_j R[j, i] + N l_i^alpha / P_i``.
 
-    ``SINR_i = 1 / D_i``; a zero denominator (a lone link in a
-    noiseless model) means infinite SINR.  The one place this rule is
-    written: :func:`sinr_values` and the incremental row-sum repair
-    (:class:`~repro.scheduling.repair.FixedPowerPacker`) both call it,
-    so their feasibility verdicts agree by construction.
+    ``SINR_i = 1 / D_i``; a denominator that is not positive (zero for
+    a lone link in a noiseless model) or NaN means infinite SINR.  The
+    one place this rule is written: :func:`sinr_values` calls it, and
+    the fixed-power repair
+    (:class:`~repro.scheduling.repair.FixedPowerPacker`) compares
+    denominators with the :func:`denominator_limit` derived from it, so
+    their feasibility verdicts agree by construction.
     """
     with np.errstate(over="ignore", divide="ignore"):
         return np.where(denom > 0, 1.0 / denom, np.inf)
+
+
+def denominator_limit(threshold: float) -> float:
+    """The largest double ``d`` with ``sinr_from_denominators(d) >= threshold``.
+
+    Correctly rounded division is monotone, so for every double ``d``
+    (zero, negative, infinite and NaN included) ``not d > limit`` holds
+    exactly when ``sinr_from_denominators(d) >= threshold``: one
+    comparison per denominator decides Equation (1).  Found by stepping
+    ``np.nextafter`` from ``1 / threshold``, which lies within a few
+    ulps of the limit, testing each step with
+    :func:`sinr_from_denominators` itself.  ``threshold`` must be
+    positive and finite.
+    """
+    if not 0.0 < threshold < np.inf:
+        raise ConfigurationError(
+            f"SINR threshold must be positive and finite, got {threshold}"
+        )
+
+    def feasible(d: np.float64) -> bool:
+        return bool(sinr_from_denominators(d) >= threshold)
+
+    with np.errstate(over="ignore"):
+        d = np.float64(1.0) / np.float64(threshold)
+    if feasible(d):
+        while feasible(up := np.nextafter(d, np.inf)):
+            d = up
+    else:
+        while not feasible(d):
+            d = np.nextafter(d, -np.inf)
+    return float(d)
+
+
+def sinr_threshold(model: SINRModel, slack: float = 0.0) -> float:
+    """``beta * (1 + slack)``, the SINR every active link must reach.
+
+    ``slack`` tightens the test; it must be finite and at least 0, and
+    the tightened threshold must stay finite, else a
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ConfigurationError(
+            f"slack must be finite and non-negative, got {slack}"
+        )
+    threshold = model.beta * (1.0 + slack)
+    if not math.isfinite(threshold):
+        raise ConfigurationError(
+            f"beta * (1 + slack) overflows: beta={model.beta}, slack={slack}"
+        )
+    return threshold
+
+
+def _denominators(
+    links: LinkSet,
+    vec: np.ndarray,
+    model: SINRModel,
+    idx: np.ndarray,
+    interference: np.ndarray,
+) -> np.ndarray:
+    """Relative denominators ``interference_i + N l_i^alpha / P_i`` of
+    the links ``idx`` under powers ``vec``."""
+    p = vec[idx]
+    lengths = links.lengths[idx]
+    with np.errstate(over="ignore", divide="ignore"):
+        rel_noise = model.noise * lengths**model.alpha / p if model.noise else 0.0
+        return interference + rel_noise
 
 
 def sinr_values(
@@ -89,12 +160,7 @@ def sinr_values(
     # constructions).  The row sums are a kernel-cache query: one
     # block of the active entries, row-streamed for very large sets.
     interference = links.kernel().relative_colsums(vec, model.alpha, idx)
-    p = vec[idx]
-    lengths = links.lengths[idx]
-    with np.errstate(over="ignore", divide="ignore"):
-        rel_noise = model.noise * lengths**model.alpha / p if model.noise else 0.0
-        denom = interference + rel_noise
-    return sinr_from_denominators(denom)
+    return sinr_from_denominators(_denominators(links, vec, model, idx, interference))
 
 
 def is_feasible_with_power(
@@ -107,9 +173,11 @@ def is_feasible_with_power(
 ) -> bool:
     """Whether the ``active`` subset satisfies Equation (1) with the
     given powers.  ``slack`` tightens the test (requires SINR >= beta *
-    (1 + slack)), useful for robustness experiments."""
+    (1 + slack)), useful for robustness experiments; see
+    :func:`sinr_threshold`."""
+    threshold = sinr_threshold(model, slack)
     values = sinr_values(links, power, model, active)
-    return bool(np.all(values >= model.beta * (1.0 + slack)))
+    return bool(np.all(values >= threshold))
 
 
 def max_relative_interference(

@@ -66,9 +66,8 @@ from repro.constants import (
     KERNEL_DENSE_BUDGET_BYTES,
     KERNEL_MAX_DENSE_LINKS,
 )
-from repro.errors import LinkError
 from repro.links.linkset import LinkSet
-from repro.util.validation import check_int_min
+from repro.util.validation import check_int_min, check_link_indices
 
 __all__ = ["KernelCache", "KernelStats"]
 
@@ -181,11 +180,7 @@ class KernelCache:
         """``indices`` as a 1-D int array; a
         :class:`~repro.errors.LinkError` names the first one outside
         ``[0, n)``."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=int))
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            bad = int(idx[(idx < 0) | (idx >= self.n)][0])
-            raise LinkError(f"link index {bad} is out of range for {self.n} links")
-        return idx
+        return check_link_indices(indices, self.n)
 
     def iter_blocks(self, indices) -> Iterator[np.ndarray]:
         """Yield ``indices`` in row blocks of ``block_size``."""

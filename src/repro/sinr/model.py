@@ -8,6 +8,7 @@ every feasibility oracle, power solver and scheduler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.constants import (
@@ -46,6 +47,12 @@ class SINRModel:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so it would pass the range checks
+        # below; an infinite parameter makes SINRs 0 or NaN.
+        for name in ("alpha", "beta", "noise", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.alpha <= 2:
             raise ConfigurationError(
                 f"alpha must exceed 2 for planar instances, got {self.alpha}"

@@ -12,6 +12,7 @@ __all__ = [
     "check_distinct_links",
     "check_finite_array",
     "check_int_min",
+    "check_link_indices",
     "check_positive",
     "check_probability",
 ]
@@ -55,6 +56,17 @@ def check_finite_array(name: str, array: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise ConfigurationError(f"{name} contains non-finite entries")
     return array
+
+
+def check_link_indices(indices: object, n: int) -> np.ndarray:
+    """``indices`` as a 1-D int array; a :class:`LinkError` names the
+    first one outside ``[0, n)`` instead of letting it wrap around or
+    surface as a bare numpy ``IndexError``."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=int))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        bad = int(idx[(idx < 0) | (idx >= n)][0])
+        raise LinkError(f"link index {bad} is out of range for {n} links")
+    return idx
 
 
 def check_distinct_links(indices: np.ndarray) -> None:

@@ -4,7 +4,9 @@ cell-local tiles of :func:`repro.geometry.spatial.conflict_tiles`.
 Both are ``ConflictGraph``'s earlier paths, kept verbatim:
 
 * :func:`dense_adjacency` is the dense ``link_distances()`` formula
-  (:func:`gap_matrix`, the full gap matrix as ``LinkSet`` computed it),
+  (:func:`gap_matrix`, the full gap matrix as ``LinkSet`` computed it,
+  its distances from the ``einsum`` formula of
+  :mod:`oracles.distances`),
   the build for link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links on
   a dense kernel;
 * :func:`every_tile_adjacency` evaluates every row-block x col-block
@@ -22,17 +24,17 @@ from typing import List, Tuple
 
 import numpy as np
 
+from oracles.distances import einsum_distances
 from repro.conflict.functions import ThresholdFunction
-from repro.geometry.distances import cross_distances
 from repro.links.linkset import LinkSet
 
 
 def gap_matrix(links: LinkSet) -> np.ndarray:
     """The full gap matrix ``d(i, j)``: the minimum over the four
     sender/receiver distances, 0 on the diagonal."""
-    ss = cross_distances(links.senders, links.senders)
-    rr = cross_distances(links.receivers, links.receivers)
-    sr = cross_distances(links.senders, links.receivers)
+    ss = einsum_distances(links.senders, links.senders)
+    rr = einsum_distances(links.receivers, links.receivers)
+    sr = einsum_distances(links.senders, links.receivers)
     gap = np.minimum(np.minimum(ss, rr), np.minimum(sr, sr.T))
     np.fill_diagonal(gap, 0.0)
     return gap

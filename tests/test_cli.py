@@ -170,6 +170,15 @@ class TestErrorHandling:
         assert main(["schedule", "--n", "10", "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan")]
+    )
+    def test_non_finite_model_exits_2(self, capsys, flag, value):
+        """A NaN alpha used to print a certified schedule (NaN
+        denominators count as feasible), a NaN beta a bogus violation."""
+        assert main(["schedule", "--n", "20", flag, value]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_invalid_sweep_grid_exits_2(self, capsys):
         assert main(["sweep", "--n", "1"]) == 2
         assert "n must be" in capsys.readouterr().err

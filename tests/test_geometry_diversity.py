@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.distances import einsum_distances
 from repro.errors import GeometryError
 from repro.geometry.distances import cross_distances, pairwise_distances
 from repro.geometry.diversity import (
@@ -45,6 +48,30 @@ class TestCrossDistances:
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
             cross_distances(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e6, 1e150, 1e155]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit_the_einsum_formula(self, seed, dim, shape, scale):
+        """1-D and 2-D work per axis, d >= 3 stays on ``einsum``: every
+        entry is the oracle's, underflow and overflow included."""
+        gen = np.random.default_rng(seed)
+        a = gen.normal(size=(shape[0], dim)) * scale
+        b = gen.normal(size=(shape[1], dim)) * scale
+        a[gen.random(shape[0]) < 0.2] = b[0]  # coincident points: exact zeros
+        assert cross_distances(a, b).tobytes() == einsum_distances(a, b).tobytes()
+        assert pairwise_distances(a).tobytes() == einsum_distances(a, a).tobytes()
+
+    def test_overflowing_squares_are_silent_infinities(self):
+        a = np.array([[0.0, 0.0], [1e200, -1e200]])
+        with np.errstate(all="raise"):
+            d = cross_distances(a, a)
+        assert d.tobytes() == einsum_distances(a, a).tobytes()
+        assert d[0, 1] == np.inf
 
 
 class TestDiversity:

@@ -9,9 +9,10 @@ runs both sides on fresh, identical link sets and asserts equal slots,
 equal :class:`~repro.scheduling.incremental.RepairCost` counters and
 epoch deltas.  The kernel counters pin the packer's batching instead of
 the loops' two calls per probe: no dense build ever, strictly fewer
-block evaluations than the loop on from-scratch splits, and on warm
-builds at most one more per block the pass fetched (carried members
-are still fetched per probe).
+block evaluations than the loop on from-scratch splits (exactly one,
+check and pass together, for a split class of at most ``block_size``
+links), and on warm builds at most one more per block the pass fetched
+(carried members are still fetched per probe).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from oracles.repair_loops import (
 )
 from repro.api.config import PipelineConfig
 from repro.coloring.refinement import refine_by_interference
+from repro.errors import ConfigurationError, LinkError
 from repro.geometry.generators import cluster_points, exponential_line, uniform_square
 from repro.links.linkset import LinkSet
 from repro.power.oblivious import ObliviousPower
@@ -39,7 +41,7 @@ from repro.scheduling.repair import (
     split_into_feasible_slots_fixed_power,
 )
 from repro.sinr.affectance import additive_interference_matrix
-from repro.sinr.feasibility import is_feasible_with_power
+from repro.sinr.feasibility import denominator_limit, is_feasible_with_power
 from repro.sinr.model import SINRModel
 from repro.spanning.tree import AggregationTree
 from repro.store.store import StageStore
@@ -129,6 +131,80 @@ class TestSplitFixedPower:
         assert split_pieces >= 2  # the packer, not the shortcut, ran
         assert stats(new)["dense_builds"] == 0
 
+    @pytest.mark.parametrize(
+        "model,slack,kernel_kwargs",
+        [
+            (MODEL, 0.0, {}),
+            (NOISY, 0.0, {}),
+            (MODEL, 0.5, {}),
+            (MODEL, 0.0, {"block_size": 64}),
+            (NOISY, 0.0, {"backend": "blocked-sparse", "block_size": 100}),
+        ],
+        ids=["shared-block", "shared-block-noisy", "shared-block-slack", "chunked",
+             "chunked-noisy"],
+    )
+    def test_large_classes_match_the_loop(self, model, slack, kernel_kwargs):
+        """Classes of 200-400 links: within ``block_size`` they share one
+        block between the whole-class check and the pass; above it they
+        keep the streamed check and the run-by-run pass."""
+        new = crowded_links(400, 0, side=9.0)
+        old = twin(new)
+        new.kernel(**kernel_kwargs)
+        old.kernel(**kernel_kwargs)
+        block_size = new.kernel().block_size
+        vec = ObliviousPower(0.5, model.alpha).rescaled_for_noise(new, model).powers(new)
+        gen = np.random.default_rng(200)
+        for size in (400, 300, 200):
+            cls = gen.choice(400, size=size, replace=False)
+            before = stats(new)["block_evals"]
+            got = split_into_feasible_slots_fixed_power(new, cls, vec, model, slack=slack)
+            assert got == loop_split_fixed_power(old, cls, vec, model, slack=slack)
+            assert len(got) > 1
+            if size <= block_size:
+                assert stats(new)["block_evals"] - before == 1
+        assert stats(new)["dense_builds"] == 0
+
+    def test_noise_decides_the_whole_class(self):
+        """Interference 0.6 and noise 0.5 per link: each link alone is
+        feasible, the pair is not, so the shared-block verdict must add
+        the noise terms."""
+        offset = math.sqrt(0.6 ** (-2 / 3) - 1.0)
+        links = LinkSet(
+            np.array([[0.0, 0.0], [0.0, offset]]), np.array([[1.0, 0.0], [1.0, offset]])
+        )
+        noisy = SINRModel(alpha=3.0, beta=1.0, noise=0.5)
+        assert not is_feasible_with_power(links, np.ones(2), noisy)
+        assert is_feasible_with_power(links, np.ones(2), MODEL)
+        got = split_into_feasible_slots_fixed_power(links, [0, 1], np.ones(2), noisy)
+        assert got == [[0], [1]]
+        assert got == loop_split_fixed_power(twin(links), [0, 1], np.ones(2), noisy)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_underflowing_exponential_line_matches_the_loop(self, tau):
+        """Gaps growing by 1e3 per link: hundreds of kernel entries
+        underflow to 0 and links sharing a node interfere infinitely."""
+        links = AggregationTree.mst(exponential_line(60, base=1e3)).links()
+        m = len(links)
+        vec = ObliviousPower(tau, MODEL.alpha).powers(links)
+        block = links.kernel().relative_submatrix(vec, MODEL.alpha, range(m), range(m))
+        assert (block == 0).sum() > m and np.isinf(block).any()
+        for cls in (np.arange(m), np.arange(0, m, 2), np.arange(m)[::-1]):
+            got = split_into_feasible_slots_fixed_power(links, cls, vec, MODEL)
+            assert got == loop_split_fixed_power(twin(links), cls, vec, MODEL)
+            assert len(got) > 1
+
+    @pytest.mark.parametrize("size", [10, 30, 60])
+    def test_a_split_within_one_block_is_one_kernel_call(self, size):
+        """The whole-class check and the pass read one ``R[C, C]``."""
+        links = crowded_links(60, 7, side=2.0)
+        kernel = links.kernel(block_size=60)
+        vec = np.ones(60)
+        got = split_into_feasible_slots_fixed_power(links, np.arange(size), vec, MODEL)
+        assert len(got) > 1
+        assert kernel.stats.block_evals == 1
+        assert kernel.stats.entries_served == size * size
+        assert got == loop_split_fixed_power(twin(links), np.arange(size), vec, MODEL)
+
     @pytest.mark.parametrize("size", [1, 2, 20])
     def test_a_pass_within_one_block_is_one_kernel_call(self, size):
         links = crowded_links(60, 7)
@@ -144,6 +220,44 @@ class TestSplitFixedPower:
         slots = FixedPowerPacker(links, vec, MODEL).pack(list(range(45)))
         assert kernel.stats.block_evals == pass_blocks(45, 20) == 5
         assert slots == loop_split_fixed_power(twin(links), np.arange(45), vec, MODEL)
+
+
+class TestPackerInputs:
+    """Bad indices, power vectors and slacks are typed errors, never a
+    silent packing or a bare numpy ``IndexError``."""
+
+    def test_pack_rejects_a_repeated_index(self):
+        """The kernels zero entries whose indices coincide, so a second
+        copy would be packed as a link that never interferes."""
+        packer = FixedPowerPacker(crowded_links(30, 0), np.ones(30), MODEL)
+        with pytest.raises(LinkError, match="link index 3 is repeated"):
+            packer.pack([3, 3, 4])
+        assert packer.slots == []
+
+    def test_split_rejects_a_repeated_index(self):
+        with pytest.raises(LinkError, match="link index 3 is repeated"):
+            split_into_feasible_slots_fixed_power(
+                crowded_links(30, 0), [3, 4, 3], np.ones(30), MODEL
+            )
+
+    @pytest.mark.parametrize(
+        "power", [np.ones(29), np.ones(31), np.r_[np.ones(29), 0.0], np.r_[np.ones(29), np.nan]]
+    )
+    def test_power_vector_is_checked(self, power):
+        with pytest.raises(ConfigurationError):
+            FixedPowerPacker(crowded_links(30, 0), power, MODEL)
+
+    @pytest.mark.parametrize("slack", [-1.0, np.nan, np.inf])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        links = crowded_links(30, 0)
+        with pytest.raises(ConfigurationError, match="slack"):
+            FixedPowerPacker(links, np.ones(30), MODEL, slack=slack)
+        with pytest.raises(ConfigurationError, match="slack"):
+            split_into_feasible_slots_fixed_power(links, range(30), np.ones(30), MODEL, slack=slack)
+
+    def test_limit_is_the_thresholds_denominator_limit(self):
+        packer = FixedPowerPacker(crowded_links(30, 0), np.ones(30), NOISY, slack=0.25)
+        assert packer.limit == denominator_limit(NOISY.beta * 1.25)
 
 
 # ---------------------------------------------------------------------------

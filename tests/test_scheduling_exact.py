@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.geometry.generators import uniform_square
@@ -13,7 +15,7 @@ from repro.scheduling.exact import (
     minimum_schedule,
     minimum_schedule_length,
 )
-from repro.scheduling.fractional import optimal_fractional_rate
+from repro.scheduling.fractional import _packing_lp, optimal_fractional_rate
 from repro.sinr.powercontrol import is_feasible_some_power
 from repro.spanning.tree import AggregationTree
 
@@ -133,3 +135,60 @@ class TestFractionalRate:
         links = AggregationTree.mst(uniform_square(20, rng=5)).links()
         with pytest.raises(ConfigurationError):
             optimal_fractional_rate(links, model)
+
+
+def _incidence(seed: int, n: int, m: int) -> np.ndarray:
+    """A random links x sets 0/1 matrix with every link in some set."""
+    gen = np.random.default_rng(seed)
+    incidence = (gen.random((n, m)) < gen.uniform(0.1, 0.7)).astype(float)
+    incidence[np.arange(n), gen.integers(m, size=n)] = 1.0
+    return incidence
+
+
+class TestPackingLP:
+    """The scipy-free simplex against ``linprog`` on the covering LP the
+    fractional rate was first written as."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 40)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linprog(self, seed, n, m):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        incidence = _incidence(seed, n, m)
+        packing, cover = _packing_lp(incidence)
+        # maximise rho: rho <= sum_{S ni i} x_S, sum x_S = 1, x >= 0.
+        c = np.zeros(m + 1)
+        c[-1] = -1.0
+        a_ub = np.hstack([-incidence, np.ones((n, 1))])
+        a_eq = np.r_[np.ones(m), 0.0][None, :]
+        ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=[1.0],
+                      bounds=[(0.0, None)] * (m + 1))
+        assert ref.success
+        assert 1.0 / packing == pytest.approx(ref.x[-1], rel=1e-12, abs=1e-12)
+        # The dual is a feasible cover of the same value.
+        assert np.all(cover >= 0)
+        assert np.all(incidence @ cover >= 1 - 1e-9)
+        assert cover.sum() == pytest.approx(packing, rel=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 40)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weights_are_a_distribution_covering_the_rate(self, seed, n, m):
+        incidence = _incidence(seed, n, m)
+        packing, cover = _packing_lp(incidence)
+        weights = cover / cover.sum()
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(incidence @ weights >= 1.0 / packing - 1e-9)
+
+    def test_five_cycle(self):
+        """Maximal independent sets of C5 are its five non-adjacent
+        pairs: fractional rate 2/5, each pair weighted 1/5."""
+        pairs = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+        incidence = np.zeros((5, 5))
+        for col, (a, b) in enumerate(pairs):
+            incidence[[a, b], col] = 1.0
+        packing, cover = _packing_lp(incidence)
+        assert 1.0 / packing == pytest.approx(0.4, abs=1e-15)
+        assert cover / cover.sum() == pytest.approx(np.full(5, 0.2), abs=1e-15)

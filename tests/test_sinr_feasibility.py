@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.feasibility import (
+    denominator_limit,
     is_feasible_with_power,
     max_relative_interference,
+    sinr_from_denominators,
     sinr_values,
 )
 from repro.sinr.model import SINRModel
@@ -87,6 +91,74 @@ class TestFeasibility:
         strong = SINRModel(alpha=3.0, beta=1e7)
         assert is_feasible_with_power(two_parallel_links, [1.0, 1.0], weak)
         assert not is_feasible_with_power(two_parallel_links, [1.0, 1.0], strong)
+
+
+    @pytest.mark.parametrize("slack", [-1.0, -1e-12, np.nan, np.inf, -np.inf])
+    def test_slack_must_be_finite_and_non_negative(self, model, two_parallel_links, slack):
+        with pytest.raises(ConfigurationError, match="slack must be finite"):
+            is_feasible_with_power(two_parallel_links, [1.0, 1.0], model, slack=slack)
+
+    def test_overflowing_threshold_is_rejected(self, two_parallel_links):
+        model = SINRModel(alpha=3.0, beta=1e308)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            is_feasible_with_power(two_parallel_links, [1.0, 1.0], model, slack=1.0)
+
+
+def _ulps_around(x: float, k: int) -> list:
+    """``x`` and its ``k`` neighbours on either side."""
+    below, above, out = x, x, [x]
+    for _ in range(k):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+SPECIAL_DENOMINATORS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 5e-324, 1e-310, 2.2e-308, 1.0, 1e308,
+]
+
+
+class TestDenominatorLimit:
+    """``not d > limit`` is ``sinr_from_denominators(d) >= threshold``
+    for every double ``d``: the fixed-power packer's one predicate."""
+
+    @staticmethod
+    def _agree(threshold: float, denominators) -> None:
+        limit = denominator_limit(threshold)
+        d = np.array(denominators, dtype=float)
+        assert np.array_equal(~(d > limit), sinr_from_denominators(d) >= threshold)
+        # limit itself passes and the next double up fails.
+        assert sinr_from_denominators(np.float64(limit)) >= threshold
+        with np.errstate(over="ignore"):
+            above = np.nextafter(limit, np.inf)
+        assert not sinr_from_denominators(above) >= threshold
+
+    @given(
+        mantissa=st.floats(1.0, 2.0, exclude_max=True),
+        exponent=st.integers(-1070, 1023),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_limit_matches_the_sinr_rule(self, mantissa, exponent, seed):
+        threshold = float(np.ldexp(mantissa, exponent))
+        with np.errstate(over="ignore"):
+            near = float(np.float64(1.0) / np.float64(threshold))
+        gen = np.random.default_rng(seed)
+        scatter = near * gen.uniform(0.5, 2.0, size=20) if np.isfinite(near) else []
+        self._agree(
+            threshold, SPECIAL_DENOMINATORS + _ulps_around(near, 6) + list(scatter)
+        )
+
+    @pytest.mark.parametrize("threshold", [1.0, 3.0, 0.1, 1.5 * (1 + 0.5), 5e-324, 1.7e308])
+    def test_model_thresholds(self, threshold):
+        with np.errstate(over="ignore"):
+            near = float(np.float64(1.0) / np.float64(threshold))
+        self._agree(threshold, SPECIAL_DENOMINATORS + _ulps_around(near, 6))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.inf, np.nan])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        with pytest.raises(ConfigurationError):
+            denominator_limit(threshold)
 
 
 class TestMaxRelativeInterference:

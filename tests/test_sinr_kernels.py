@@ -7,7 +7,7 @@ from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import LinkError
 from repro.links.linkset import LinkSet
-from repro.scheduling.repair import split_into_feasible_slots_fixed_power
+from repro.scheduling.repair import FixedPowerPacker, split_into_feasible_slots_fixed_power
 from repro.sinr.affectance import (
     additive_interference,
     additive_interference_matrix,
@@ -321,6 +321,12 @@ class TestIndexValidation:
         "additive_target": lambda links, model, bad: additive_interference(
             links, model.alpha, [1, 2], bad
         ),
+        "split_fixed_power": lambda links, model, bad: split_into_feasible_slots_fixed_power(
+            links, [0, bad], np.ones(12), model
+        ),
+        "packer_pack": lambda links, model, bad: FixedPowerPacker(
+            links, np.ones(12), model
+        ).pack([0, bad]),
     }
 
     @pytest.mark.parametrize("bad", [-1, 12], ids=["negative", "past-the-end"])

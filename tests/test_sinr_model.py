@@ -1,5 +1,7 @@
 """Tests for the SINRModel parameter bundle."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -26,6 +28,13 @@ class TestValidation:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ConfigurationError):
             SINRModel(epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "noise", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        """NaN fails every range comparison, so it used to pass them."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            SINRModel(**{field: value})
 
 
 class TestDerived:
