@@ -42,15 +42,31 @@ parent can forward it from the next slot on (``d_c = 1``).  A certified
 schedule never puts a node's receive and transmit in one slot; only
 ``Schedule(validate=False)`` reaches ``d_c = 0``.
 
+**One repeat of frames.**  At ``P >= C`` a node's ready slot grows by
+at least ``C`` per frame: at a leaf ``inj_f`` grows by ``P``, and up the
+tree each child's send does.  So the accumulate never binds, and
+``send[v, f] = next_v(ready[v, f])``.  ``K = C / gcd(P, C)`` frames span
+``K * P = lcm(P, C)`` slots, a multiple of ``C``, so
+``next_v(t + K * P) = next_v(t) + K * P``, and by induction from the
+leaves frame ``f + K`` is frame ``f`` shifted by ``K * P`` slots at every
+node.  That holds with either hand-over delay ``d_c`` (a constant per
+child) and whatever ``max_slots`` is, since the timing pass never reads
+it.  At the schedule's rate (``P = C``, every sweep cell) ``K`` is 1;
+below it (``P < C``) ``K`` is every injected frame.
+
 One pass over the tree, a depth at a time from the deepest up, computes
-every node's send slots with a few array operations per depth; a
-depth's rows are dropped once its parents are done.  Backlog is an
-event count over those slots (``+n`` per injection, ``-1`` per forward,
-``-1`` when the sink completes a frame), and sends at or after
-``max_slots`` never happen.  Values are combined at each node in arrival
-order — its own reading first, then its children's partials by send slot
-and position in the slot — the order a slot-by-slot run applies them
-in, so float partials are bit-identical to it.
+every node's send slots for the first ``K`` frames with a few array
+operations per depth; one shift then unrolls them, and the sink's
+completions, to every injected frame (the identity when ``K`` is every
+frame).  Backlog is one event count over the unrolled slots (``+n`` per
+injection, ``-1`` per forward, ``-1`` when the sink completes a frame),
+and sends at or after ``max_slots`` never happen.  Values are combined
+at each node in arrival order — its own reading first, then its
+children's partials by send slot and position in the slot — the order a
+slot-by-slot run applies them in, so float partials are bit-identical to
+it.  A constant shift keeps every tie of a stable sort, so arrival
+orders repeat with the frames: a node ranks its children from one
+repeat's sends, frame ``f`` as frame ``f mod K``.
 
 **Values over whole frames.**  For an aggregate with a whole-array form
 (every built-in, see :mod:`repro.aggregation.functions`) a level's
@@ -62,14 +78,20 @@ same order as a per-frame fold, and the centralised reference folds the
 readings in node order the same way (``aggregate_frames``).  User
 aggregates without an array form, and runs that carry fewer than
 :data:`ARRAY_MIN_FRAMES` frames (each ``median_via_counting`` probe
-carries one), combine Python values frame by frame.
+carries one), combine Python values frame by frame.  The fold stays a
+loop over a level's nodes: combining children rank by rank across a
+whole level with one ``lexsort`` measured slower (47 → 105 ms over one
+sweep-frames round of 72 runs), because levels are narrow — about 3.5
+nodes on those trees.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -158,16 +180,6 @@ def _count(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise SimulationError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
-
-
-def _drop(counts: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Subtract one from ``counts`` per entry of ``times``, growing
-    ``counts`` to reach the latest of them."""
-    drops = np.bincount(times)
-    if drops.size > counts.size:
-        counts = np.concatenate([counts, np.zeros(drops.size - counts.size, np.int64)])
-    counts[: drops.size] -= drops
-    return counts
 
 
 class _Level(NamedTuple):
@@ -311,33 +323,54 @@ class AggregationSimulator:
             max_slots = num_frames * injection_period + drain + period
 
         injected = min(num_frames, (max_slots - 1) // injection_period + 1)
-        frame = np.arange(injected, dtype=np.int64)
-        injected_at = frame * injection_period
+        # One repeat of frames: at P >= C frame f + K is frame f shifted by
+        # K * P slots, K = C / gcd(P, C); below the rate every frame counts.
+        repeat = injected
+        if injection_period >= period:
+            repeat = min(injected, period // math.gcd(injection_period, period))
+        frame = np.arange(repeat, dtype=np.int64)
         spacing = frame * period
-        own = readings[:injected].T
-        # Per-slot change in backlog: +n at each injection, -1 for each
-        # forward and for each frame the sink completes.
-        change = np.zeros(int(injected_at[-1]) + 1, dtype=np.int64)
-        change[injected_at] = n
+        ready = injections = frame[None] * injection_period
         # Deepest level first: a level's send slots, then the ready slots
         # they give the level above (whose own readings arrive at
         # injection); the last level handed up to is the sink's.
-        ready = np.tile(injected_at, (len(self._levels[0].nodes), 1))
-        send = np.empty((0, injected), dtype=np.int64)
+        sends: List[np.ndarray] = []
+        for level in self._levels:
+            first = ready + (level.slot - ready) % period
+            sends.append(np.maximum.accumulate(first - spacing, axis=1) + spacing)
+            ready = np.repeat(injections, level.above, axis=0)
+            np.maximum.at(ready, level.up, sends[-1] + level.delay)
+        # Unroll the repeat: frame j*K + r is frame r shifted by j*K*P.
+        # The sink completes a frame one slot after its last child's send;
+        # sends at or after max_slots never happen.
+        injected_at = np.arange(injected, dtype=np.int64) * injection_period
+        repeats = -(-injected // repeat)
+        shift = np.arange(repeats, dtype=np.int64)[:, None] * (repeat * injection_period)
+        send = (np.concatenate(sends)[:, None] + shift).reshape(-1, repeats * repeat)[:, :injected]
+        complete = (ready[0] + shift).ravel()[:injected]
+        completed = int(np.searchsorted(complete, max_slots, side="right"))
+        sent = send < max_slots
+        forwarded = iter(np.count_nonzero(sent, axis=1).tolist())
+        # Per-slot change in backlog: +n at each injection, -1 for each
+        # forward and for each frame the sink completes.
+        change = -np.bincount(
+            np.concatenate([send[sent], complete[:completed] - 1]),
+            minlength=int(injected_at[-1]) + 1,
+        )
+        change[injected_at] += n
         # Values over whole frames when the aggregate has an array form
         # and the run carries enough frames; one Python value per frame
         # otherwise.  Python floats overflow to inf, and make NaN of
-        # inf - inf, silently; so must the array folds.
+        # inf - inf, silently; so must the array folds.  A node ranks its
+        # children's arrivals from their sends of one repeat.
         arrays = self.function.combine_array is not None and injected >= ARRAY_MIN_FRAMES
+        own = readings[:injected].T
         partials: List[List[object]] = []
         carriers = np.empty(0)
+        below = sends[0][:0]
         with np.errstate(over="ignore", invalid="ignore") if arrays else nullcontext():
-            for level in self._levels:
-                first = ready + (level.slot - ready) % period
-                below, send = send, np.maximum.accumulate(first - spacing, axis=1) + spacing
-                sent = send < max_slots
-                change = _drop(change, send[sent])
-                frames = sent.sum(axis=1).tolist()
+            for level, sent_by in zip(self._levels, sends):
+                frames = list(islice(forwarded, len(level.nodes)))
                 if arrays:
                     carriers = self._fold(own[level.nodes], level.kids, frames, below, carriers)
                 else:
@@ -345,18 +378,15 @@ class AggregationSimulator:
                         self._gather(own[v, :k], kids, below, partials)
                         for v, k, kids in zip(level.nodes, frames, level.kids)
                     ]
-                ready = np.tile(injected_at, (level.above, 1))
-                np.maximum.at(ready, level.up, send + level.delay)
-            # The sink completes a frame one slot after its last child's send.
-            complete = ready[0]
-            completed = int(np.searchsorted(complete, max_slots, side="right"))
-            change = _drop(change, complete[:completed] - 1)
+                below = sent_by
             sink = self.tree.sink
             if arrays:
-                row = self._fold(own[[sink], :completed], [self._sink_kids], [completed], send, carriers)[0]
+                row = self._fold(
+                    own[[sink], :completed], [self._sink_kids], [completed], below, carriers
+                )[0]
                 values = np.moveaxis(row, -1, 0).tolist()
             else:
-                values = self._gather(own[sink, :completed], self._sink_kids, send, partials)
+                values = self._gather(own[sink, :completed], self._sink_kids, below, partials)
 
         slots_elapsed = int(complete[-1]) if completed == num_frames else max_slots
         backlog = np.cumsum(change[:slots_elapsed])
@@ -382,7 +412,8 @@ class AggregationSimulator:
         """A node's partial aggregate of each of its first
         ``len(readings)`` frames: its own reading, then its children's
         partials (rows ``kids`` of ``send`` and ``partials``) in arrival
-        order."""
+        order.  ``send`` holds one repeat of ``K`` frames: frame ``f``
+        arrives in the order of column ``f mod K``."""
         lift, combine = self.function.lift, self.function.combine
         frames = len(readings)
         acc = map(lift, readings.tolist())
@@ -391,9 +422,10 @@ class AggregationSimulator:
             if not (arrival == arrival[:, :1]).all():
                 out = list(acc)
                 inputs = [partials[c] for c in kids]
-                for f, order in enumerate(arrival.T.tolist()):
+                orders = arrival.T.tolist()
+                for f in range(frames):
                     value = out[f]
-                    for j in order:
+                    for j in orders[f % len(orders)]:
                         value = combine(value, inputs[j][f])
                     out[f] = value
                 return out
@@ -415,8 +447,10 @@ class AggregationSimulator:
         array, a row per node with the frame last: row ``i`` lifts
         ``readings[i]`` and, on its first ``frames[i]`` frames, combines
         its children's rows (rows ``kids[i]`` of ``send`` and ``below``,
-        one level down) in arrival order.  Later frames of a row are
-        never read: a parent sends no frame its children did not."""
+        one level down) in arrival order, frame ``f`` in the order of
+        column ``f mod K`` of ``send``'s one repeat.  Later frames of a
+        row are never read: a parent sends no frame its children did
+        not."""
         lift, combine = self.function.lift_array, self.function.combine_array
         assert lift is not None and combine is not None  # run() folds only with an array form
         rows = lift(readings)
@@ -430,7 +464,8 @@ class AggregationSimulator:
                     inputs = [inputs[j] for j in arrival[:, 0].tolist()]
                 else:
                     # The arrival order differs between frames: rank the
-                    # children's rows frame by frame.
+                    # children's rows frame by frame, by frame residue.
+                    arrival = arrival[:, np.arange(k) % arrival.shape[1]]
                     stacked = np.stack(inputs)
                     shape = arrival.shape[:1] + (1,) * (stacked.ndim - 2) + arrival.shape[1:]
                     inputs = list(np.take_along_axis(stacked, arrival.reshape(shape), axis=0))

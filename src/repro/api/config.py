@@ -31,6 +31,7 @@ from repro.constants import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.errors import ConfigurationError
 from repro.scheduling.builder import PowerMode
 from repro.sinr.model import SINRModel
+from repro.util.validation import check_finite
 
 __all__ = ["PipelineConfig"]
 
@@ -152,6 +153,9 @@ class PipelineConfig:
             raise ConfigurationError(f"num_frames must be >= 0, got {self.num_frames}")
         # Mirror the downstream component constraints so misconfigured
         # constants fail here, not mid-pipeline after deploy/tree work.
+        for name in ("gamma", "delta"):
+            if getattr(self, name) is not None:
+                check_finite(name, getattr(self, name))
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
         if self.delta is not None and self.delta < 0:

@@ -19,6 +19,7 @@ import abc
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.validation import check_finite
 
 __all__ = [
     "ThresholdFunction",
@@ -69,7 +70,7 @@ class ConstantThreshold(ThresholdFunction):
     ``G1`` of Theorem 2 (conflict iff ``d(i, j) <= min(l_i, l_j)``)."""
 
     def __init__(self, gamma: float = 1.0) -> None:
-        if gamma <= 0:
+        if check_finite("gamma", gamma) <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
         self.name = f"G_const({self.gamma:g})"
@@ -92,7 +93,7 @@ class PowerLawThreshold(ThresholdFunction):
     an appropriate ``tau`` [13, Cor. 6]."""
 
     def __init__(self, gamma: float = 1.0, delta: float = 0.25) -> None:
-        if gamma <= 0:
+        if check_finite("gamma", gamma) <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
         if not 0.0 < delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
@@ -123,9 +124,9 @@ class LogThreshold(ThresholdFunction):
     power control [12, Cor. 1]."""
 
     def __init__(self, gamma: float = 1.0, alpha: float = 3.0) -> None:
-        if gamma <= 0:
+        if check_finite("gamma", gamma) <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        if alpha <= 2:
+        if check_finite("alpha", alpha) <= 2:
             raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
         self.gamma = float(gamma)
         self.alpha = float(alpha)

@@ -46,7 +46,7 @@ from repro.sinr.powercontrol import feasible_power_assignment
 # feasible_power_assignment (tests/test_perfbench_sites.py).
 from repro.sinr.powercontrol import is_feasible_some_power  # noqa: F401
 from repro.spanning.tree import AggregationTree
-from repro.util.validation import check_int_min
+from repro.util.validation import check_finite, check_int_min
 
 __all__ = ["PowerMode", "ScheduleBuilder", "BuildReport"]
 
@@ -134,13 +134,13 @@ class ScheduleBuilder:
     ) -> None:
         self.model = model
         self.mode = PowerMode(mode)
+        self.gamma = check_finite("gamma", gamma)
+        self.delta = check_finite("delta", delta)
+        self.tau = check_finite("tau", tau)
         if gamma <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
         if kernel_block_size is not None:
             kernel_block_size = check_int_min("kernel_block_size", kernel_block_size, minimum=1)
-        self.gamma = float(gamma)
-        self.delta = float(delta)
-        self.tau = float(tau)
         self.kernel_block_size = kernel_block_size
 
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ every feasibility oracle, power solver and scheduler.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.constants import (
@@ -18,6 +17,7 @@ from repro.constants import (
     DEFAULT_NOISE,
 )
 from repro.errors import ConfigurationError
+from repro.util.validation import check_finite
 
 __all__ = ["SINRModel"]
 
@@ -50,9 +50,7 @@ class SINRModel:
         # NaN fails every comparison, so it would pass the range checks
         # below; an infinite parameter makes SINRs 0 or NaN.
         for name in ("alpha", "beta", "noise", "epsilon"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+            check_finite(name, getattr(self, name))
         if self.alpha <= 2:
             raise ConfigurationError(
                 f"alpha must exceed 2 for planar instances, got {self.alpha}"

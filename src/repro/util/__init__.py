@@ -15,6 +15,7 @@ from repro.util.ordering import (
 from repro.util.rng import as_generator
 from repro.util.unionfind import UnionFind
 from repro.util.validation import (
+    check_finite,
     check_finite_array,
     check_positive,
     check_probability,
@@ -25,6 +26,7 @@ __all__ = [
     "argsort_by_length_nondecreasing",
     "argsort_by_length_nonincreasing",
     "as_generator",
+    "check_finite",
     "check_finite_array",
     "check_positive",
     "check_probability",

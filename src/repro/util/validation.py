@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.errors import ConfigurationError, LinkError
 
 __all__ = [
     "check_distinct_links",
+    "check_finite",
     "check_finite_array",
     "check_int_min",
     "check_link_indices",
@@ -29,9 +31,20 @@ def check_int_min(name: str, value: object, *, minimum: int) -> int:
     return int(value)
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative if not strict)."""
+def check_finite(name: str, value: float) -> float:
+    """``value`` as a ``float``; :class:`ConfigurationError` naming
+    ``name`` if it is NaN or infinite.  NaN fails every comparison, so
+    a range check alone lets it through."""
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_positive(name: str, value: float, *, strict: bool = True) -> float:
+    """Validate that ``value`` is finite and positive (or non-negative
+    if not strict)."""
+    value = check_finite(name, value)
     if strict and value <= 0:
         raise ConfigurationError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

@@ -199,6 +199,14 @@ class TestPipelineConfig:
             PipelineConfig(delta=-0.1)
         assert PipelineConfig(tau=0.0).tau == 0.0  # uniform power is valid
 
+    @pytest.mark.parametrize("field", ["gamma", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_rejected(self, field, value):
+        """A NaN gamma fails ``<= 0`` and so used to pass, making every
+        conflict test false; an infinite delta passed ``< 0``."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            PipelineConfig(**{field: value})
+
     def test_round_trips_through_json(self):
         cfg = PipelineConfig(
             topology="clusters", n=30, tree="knn-mst", power="mean",

@@ -179,6 +179,15 @@ class TestErrorHandling:
         assert main(["schedule", "--n", "20", flag, value]) == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma", "nan"), ("--gamma", "inf"), ("--delta", "nan")]
+    )
+    def test_non_finite_constant_exits_2(self, capsys, flag, value):
+        """A NaN gamma used to print ``greedy colors=1``: every conflict
+        test is false, so the conflict graph came out empty."""
+        assert main(["schedule", "--n", "20", flag, value]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_invalid_sweep_grid_exits_2(self, capsys):
         assert main(["sweep", "--n", "1"]) == 2
         assert "n must be" in capsys.readouterr().err

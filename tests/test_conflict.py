@@ -58,6 +58,17 @@ class TestThresholdFunctions:
         with pytest.raises(ConfigurationError):
             LogThreshold(alpha=2.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("threshold", [ConstantThreshold, PowerLawThreshold, LogThreshold])
+    def test_non_finite_gamma_rejected(self, threshold, value):
+        """A NaN gamma makes every ``gap <= l_min * f`` test false."""
+        with pytest.raises(ConfigurationError, match="gamma must be finite"):
+            threshold(gamma=value)
+
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            LogThreshold(alpha=float("nan"))
+
 
 def _two_links(gap: float, l0: float = 1.0, l1: float = 1.0) -> LinkSet:
     """Two horizontal links separated by `gap` between closest endpoints."""

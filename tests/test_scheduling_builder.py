@@ -65,6 +65,12 @@ class TestBuilderModes:
         with pytest.raises(ConfigurationError):
             ScheduleBuilder(model, "global", gamma=0.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "delta", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_constants_rejected(self, model, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            ScheduleBuilder(model, "oblivious", **{field: value})
+
     def test_string_mode_coerced(self, model):
         assert ScheduleBuilder(model, "oblivious").mode is PowerMode.OBLIVIOUS
 

@@ -1,24 +1,28 @@
 """Differential suite: the closed-form frame simulator against the
-slot-by-slot oracle.
+slot-by-slot oracle and the level-by-level array pass.
 
 :class:`repro.aggregation.simulator.AggregationSimulator` computes every
-node's send slots for all frames at once;
+node's send slots for one repeat of frames and unrolls them;
 ``tests/oracles/simulator_slotwise.py`` keeps the original simulator
-that steps the schedule slot by slot.  Every test here runs both on the
-same input and asserts that every :class:`SimulationResult` field is
-equal, and that the finalised sink value of every completed frame is
-equal bit for bit (a logging ``finalize``).  A tracing aggregate whose
+that steps the schedule slot by slot, and
+``tests/oracles/simulator_levels.py`` the array pass that computed every
+frame at every depth.  Every test here runs all three on the same input
+and asserts that every :class:`SimulationResult` field is equal, and
+that the finalised sink value of every completed frame is equal bit for
+bit (a logging ``finalize``).  A tracing aggregate whose
 partials record their own combination tree checks that values are
 combined in the same order on the list path, and an order-sensitive
 aggregate with an array form (``2a + b``) checks it on the array path,
 which folds the built-ins over whole frames from
-``ARRAY_MIN_FRAMES`` frames on.
+``ARRAY_MIN_FRAMES`` frames on.  ``TestRepeat`` runs long enough at
+``P >= C`` for the repeat of ``K = C / gcd(P, C)`` frames to unroll.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -30,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.aggregation.median as median_module
+from oracles.simulator_levels import LevelSimulator
 from oracles.simulator_slotwise import SlotwiseSimulator
 from repro.aggregation.functions import (
     COUNT,
@@ -67,6 +72,10 @@ ORDERED = AggregationFunction(
     lift_array=lambda r: np.asarray(r, dtype=float),
     combine_array=lambda a, b: 2.0 * a + b,
 )
+
+#: SUM without its array form: the one-value-per-frame path at any
+#: frame count.
+SUM_LIST = dataclasses.replace(SUM, lift_array=None, combine_array=None)
 
 
 @dataclass(frozen=True)
@@ -119,25 +128,30 @@ def _bits(values: List[object]) -> List[object]:
     return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
 
 
+ORACLES = (SlotwiseSimulator, LevelSimulator)
+
+
 def _assert_same(tree, schedule, function, frames, **kwargs) -> None:
     """Equal results, and bit-identical finalised sink values."""
     new_log: List[object] = []
-    old_log: List[object] = []
     new = AggregationSimulator(tree, schedule, _logged(function, new_log)).run(frames, **kwargs)
-    old = SlotwiseSimulator(tree, schedule, _logged(function, old_log)).run(frames, **kwargs)
-    assert dataclasses.asdict(new) == dataclasses.asdict(old), (function, kwargs)
     assert len(new_log) == new.frames_completed, (function, kwargs)
-    assert _bits(new_log) == _bits(old_log), (function, kwargs)
+    for oracle in ORACLES:
+        old_log: List[object] = []
+        old = oracle(tree, schedule, _logged(function, old_log)).run(frames, **kwargs)
+        assert dataclasses.asdict(new) == dataclasses.asdict(old), (oracle, function, kwargs)
+        assert _bits(new_log) == _bits(old_log), (oracle, function, kwargs)
 
 
 def _assert_same_order(tree, schedule, frames, **kwargs) -> None:
     new_log: List[object] = []
-    old_log: List[object] = []
     new = AggregationSimulator(tree, schedule, _trace(new_log)).run(frames, **kwargs)
-    old = SlotwiseSimulator(tree, schedule, _trace(old_log)).run(frames, **kwargs)
-    assert dataclasses.asdict(new) == dataclasses.asdict(old), kwargs
     assert new.values_correct and len(new_log) == new.frames_completed
-    assert new_log == old_log, kwargs
+    for oracle in ORACLES:
+        old_log: List[object] = []
+        old = oracle(tree, schedule, _trace(old_log)).run(frames, **kwargs)
+        assert dataclasses.asdict(new) == dataclasses.asdict(old), (oracle, kwargs)
+        assert new_log == old_log, (oracle, kwargs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,6 +246,69 @@ class TestPipelineGrid:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     _assert_same(tree, schedule, function, FRAMES, readings=readings)
+
+
+def _repeat(period: int, injection: int) -> int:
+    """Frames in one repeat at injection period ``injection >= period``."""
+    return period // math.gcd(injection, period)
+
+
+def _unrolled(period: int):
+    """``(frames, kwargs)`` pairs that unroll a repeat at least three
+    times, with a last repeat cut short: ``P = C`` and ``2C`` (``K =
+    1``), ``C + 1`` (``K = C``) and, for an even ``C``, ``3C/2`` (``K =
+    2``); each with the default ``max_slots`` and one that stops the run
+    about halfway, inside a repeat."""
+    frames = 3 * period + 1
+    injections = [period, 2 * period, period + 1]
+    if period % 2 == 0:
+        injections.append(3 * period // 2)
+    for injection in injections:
+        assert frames >= 3 * _repeat(period, injection)
+        for max_slots in (None, frames * injection // 2 + period // 2 + 1):
+            yield frames, {"injection_period": injection, "max_slots": max_slots}
+
+
+class TestRepeat:
+    """Runs long enough at ``P >= C`` that the timing pass's one repeat
+    of ``K`` frames is unrolled, on the array fold, the list path (SUM
+    with its array form cleared) and the traced combination order."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_every_field_equal(self, topology, mode):
+        tree, schedule = _instance(topology, mode, 40)
+        for frames, kwargs in _unrolled(schedule.num_slots):
+            for function in (SUM, SUM_LIST, MEAN, MAX, ORDERED):
+                _assert_same(tree, schedule, function, frames, rng=7, **kwargs)
+            _assert_same_order(tree, schedule, frames, rng=7, **kwargs)
+
+    def test_repeat_of_two_frames(self):
+        # An even period at P = 3C/2: frame f + 2 is frame f shifted by
+        # 3C slots, and the arrival orders of frames 0 and 1 differ, so
+        # the fold ranks rows by frame residue.
+        tree, schedule = _instance("square", "uniform", 40)
+        period = schedule.num_slots
+        assert period % 2 == 0
+        kwargs = {"injection_period": 3 * period // 2}
+        assert _repeat(period, kwargs["injection_period"]) == 2
+        readings = np.tile(np.arange(40, dtype=float), (3 * period + 1, 1))
+        log: List[object] = []
+        AggregationSimulator(tree, schedule, _trace(log)).run(
+            len(readings), readings=readings, **kwargs
+        )
+        assert log[0] != log[1]
+        assert log[0::2] == [log[0]] * len(log[0::2])
+        assert log[1::2] == [log[1]] * len(log[1::2])
+        for function in (SUM, SUM_LIST, ORDERED):
+            _assert_same(tree, schedule, function, len(readings), readings=readings, **kwargs)
+
+    def test_larger_trees(self):
+        for topology in ("square", "clusters"):
+            tree, schedule = _instance(topology, "oblivious", 120)
+            for frames, kwargs in _unrolled(schedule.num_slots):
+                for function in (SUM, SUM_LIST):
+                    _assert_same(tree, schedule, function, frames, rng=120, **kwargs)
 
 
 @st.composite

@@ -9,7 +9,12 @@ from repro.util.ordering import (
     argsort_by_length_nonincreasing,
 )
 from repro.util.rng import as_generator, spawn
-from repro.util.validation import check_finite_array, check_positive, check_probability
+from repro.util.validation import (
+    check_finite,
+    check_finite_array,
+    check_positive,
+    check_probability,
+)
 
 
 class TestAsGenerator:
@@ -68,6 +73,19 @@ class TestValidation:
         assert check_positive("x", 0.0, strict=False) == 0.0
         with pytest.raises(ConfigurationError):
             check_positive("x", -1.0, strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_check_positive_rejects_non_finite(self, value, strict):
+        """NaN fails both range comparisons, so it used to come back."""
+        with pytest.raises(ConfigurationError, match="x must be finite"):
+            check_positive("x", value, strict=strict)
+
+    def test_check_finite(self):
+        assert check_finite("x", -2) == -2.0
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="x must be finite"):
+                check_finite("x", value)
 
     def test_check_probability_closed(self):
         assert check_probability("p", 0.0) == 0.0
