@@ -19,6 +19,7 @@ from repro.aggregation.simulator import AggregationSimulator, as_readings
 from repro.errors import SimulationError
 from repro.scheduling.schedule import Schedule
 from repro.spanning.tree import AggregationTree
+from repro.util.validation import check_int_min, check_positive
 
 __all__ = ["median_via_counting", "MedianResult"]
 
@@ -55,8 +56,12 @@ def median_via_counting(
       number of TDMA slots consumed (probes x latency per probe).
 
     Every reading must be a finite number (:class:`SimulationError`
-    otherwise): the binary search runs over the value domain.
+    otherwise): the binary search runs over the value domain.  A NaN,
+    infinite or negative ``tolerance``, or a ``max_probes`` that is not
+    an integer >= 1, is a :class:`ConfigurationError`.
     """
+    tolerance = check_positive("tolerance", tolerance, strict=False)
+    max_probes = check_int_min("max_probes", max_probes, minimum=1)
     values = as_readings(list(readings))
     if values.size == 0:
         raise SimulationError("median of zero readings is undefined")

@@ -41,6 +41,7 @@ from repro.errors import ClusterError, ConfigurationError
 from repro.runner.results import CellResult
 from repro.runner.spec import CellSpec
 from repro.store.store import StoreStats
+from repro.util.validation import check_int_min, check_positive
 
 __all__ = ["Lease", "Orchestrator"]
 
@@ -49,17 +50,19 @@ __all__ = ["Lease", "Orchestrator"]
 DRAIN_GRACE_S = 0.5
 
 
-def check_lease_settings(lease_ttl_s: float, batch_size: int) -> None:
-    """:class:`ConfigurationError` unless ``lease_ttl_s > 0`` and
-    ``batch_size >= 1``."""
-    if lease_ttl_s <= 0:
-        raise ConfigurationError(
-            f"lease_ttl_s must be positive, got {lease_ttl_s}"
-        )
-    if batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be at least 1, got {batch_size}"
-        )
+def check_lease_settings(
+    lease_ttl_s: float,
+    batch_size: int,
+    heartbeat_interval_s: Optional[float] = None,
+) -> None:
+    """:class:`ConfigurationError` unless ``lease_ttl_s`` (and
+    ``heartbeat_interval_s``, when given) is finite and positive and
+    ``batch_size`` is an integer >= 1.  A NaN deadline never expires,
+    so a dead worker's cells would never be reassigned."""
+    check_positive("lease_ttl_s", lease_ttl_s)
+    check_int_min("batch_size", batch_size, minimum=1)
+    if heartbeat_interval_s is not None:
+        check_positive("heartbeat_interval_s", heartbeat_interval_s)
 
 
 @dataclass
@@ -130,7 +133,7 @@ class Orchestrator:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        check_lease_settings(lease_ttl_s, batch_size)
+        check_lease_settings(lease_ttl_s, batch_size, heartbeat_interval_s)
         self.lease_ttl_s = float(lease_ttl_s)
         self.batch_size = int(batch_size)
         self.heartbeat_interval_s = (

@@ -3,19 +3,24 @@
 A :class:`ScenarioRunner` resolves a scenario name against the registry
 (:mod:`repro.scenarios.transforms`), runs the **static baseline**
 through the ordinary :class:`~repro.api.pipeline.Pipeline`, then walks
-the epoch timeline.  Every epoch stage is mediated by the
-content-addressed :class:`~repro.store.StageStore`:
+the epoch timeline.  Every epoch stage resolves through the stage
+functions of :mod:`repro.store.stages` (``deployment_for``,
+``tree_for``, ``schedule_for``), which own every key and disk codec:
 
 * epochs whose deployment equals the base (``static``, ``fading``,
-  ``arrivals``) resolve through the *base* stage keys — deploy and tree
-  are hits, and only genuinely new work (a schedule under a faded
-  model, an online simulation) is computed;
-* epochs with derived deployments (``churn``, ``mobility``) get
-  scenario-scoped keys (:func:`repro.store.keys.deploy_key` with the
-  epoch signature), so a re-run — or a resume from a disk tier — reuses
-  every epoch already built, and each epoch's *input* (the previous
-  deployment) is re-resolved through the store, keeping the epoch chain
-  observable in the hit counters.
+  ``arrivals``) pass no signature and resolve through the *base* stage
+  keys — deploy, tree and links are hits, and only genuinely new work
+  (a schedule under a faded model, an online simulation) is computed;
+* epochs with derived deployments (``churn``, ``mobility``) pass their
+  epoch signature with their points, tree build and links, so a re-run
+  — or a resume from a disk tier — reuses every epoch already built,
+  and each epoch's *input* (the previous deployment) is re-resolved
+  through the store, keeping the epoch chain observable in the hit
+  counters.
+
+The runner itself decides only *what* an epoch is: its signature, its
+tree policy (:meth:`ScenarioRunner._build_tree`) and the carried state
+of a delta scheduler.
 
 Per-epoch :class:`EpochResult` records carry the degradation metrics:
 slots versus the static baseline, incremental tree-repair cost,
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -52,9 +57,10 @@ from repro.scheduling.incremental import ScheduleState, link_ids_for_links
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
 from repro.spanning.tree import AggregationTree
-from repro.store import keys, stages
+from repro.store import stages
 from repro.store.store import StageStore, get_default_store
 from repro.util.rng import as_generator
+from repro.util.validation import check_int_min
 
 __all__ = ["EpochResult", "ScenarioResult", "ScenarioRunner"]
 
@@ -191,7 +197,6 @@ class _EpochState:
     """What the runner carries from one epoch to the next."""
 
     points: PointSet
-    tree: AggregationTree
     edge_id_set: frozenset
     sig: Optional[Dict[str, Any]]  # scenario signature (None = base keys)
 
@@ -213,8 +218,8 @@ class ScenarioRunner:
         signature; ``epochs`` and ``rng`` are the runner's own.
     scenario_seed:
         Seed of the scenario's own randomness (departures, waypoints,
-        fades, arrivals); defaults to ``config.seed`` so a config alone
-        reproduces the whole timeline.
+        fades, arrivals), an integer >= 0; defaults to ``config.seed`` so
+        a config alone reproduces the whole timeline.
     model:
         Optional explicit base :class:`SINRModel` (as for
         :class:`~repro.api.pipeline.Pipeline`).
@@ -242,7 +247,9 @@ class ScenarioRunner:
         self.params = dict(params or {})
         _check_params("params", self.params, self.spec.make, self.spec.name)
         self.scenario_seed = (
-            config.seed if scenario_seed is None else int(scenario_seed)
+            config.seed
+            if scenario_seed is None
+            else check_int_min("scenario_seed", scenario_seed, minimum=0)
         )
         self.store = get_default_store() if store is None else store
         self.pipeline = Pipeline(config, model=model, store=self.store)
@@ -259,35 +266,6 @@ class ScenarioRunner:
             "params": dict(sorted(self.params.items())),
             "epoch": epoch,
         }
-
-    # ------------------------------------------------------------------
-    # Store-mediated epoch stages
-    # ------------------------------------------------------------------
-    def _resolve_deploy(
-        self, inst: EpochInstance, prev: _EpochState, sig: Optional[Dict]
-    ) -> PointSet:
-        store = self.store
-        if sig is None:
-            return stages.deployment_for(self.config, store)
-        if sig != prev.sig:
-            # Re-resolve the epoch's *input* — the previous deployment —
-            # through the store: counts the chain in the hit counters
-            # and backfills a disk tier that lacks the entry.
-            prev_points = prev.points
-            store.get_or_build(
-                "deploy",
-                keys.deploy_key(self.config, scenario=prev.sig),
-                lambda: prev_points,
-                encode=stages._encode_deployment,
-                decode=stages._decode_deployment,
-            )
-        return store.get_or_build(
-            "deploy",
-            keys.deploy_key(self.config, scenario=sig),
-            lambda: inst.points,
-            encode=stages._encode_deployment,
-            decode=stages._decode_deployment,
-        )
 
     def _build_tree(
         self,
@@ -308,66 +286,6 @@ class ScenarioRunner:
             prev.edge_id_set, inst.node_ids, require_all=True
         )
         return AggregationTree(points, edges, sink=inst.sink)
-
-    def _resolve_tree(
-        self,
-        inst: EpochInstance,
-        prev: _EpochState,
-        points: PointSet,
-        sig: Optional[Dict],
-    ) -> AggregationTree:
-        store = self.store
-        if sig is None:
-            return stages.tree_for(self.config, store)
-        return store.get_or_build(
-            "tree",
-            keys.tree_key(self.config, scenario=sig),
-            lambda: self._build_tree(inst, prev, points),
-            encode=stages._encode_tree,
-            decode=lambda payload: stages._decode_tree(payload, points),
-        )
-
-    def _resolve_schedule(
-        self,
-        inst: EpochInstance,
-        links,
-        sig: Optional[Dict],
-        carried: Optional[ScheduleState] = None,
-        link_ids: Optional[List] = None,
-    ) -> Tuple[Any, Any]:
-        store = self.store
-        extra = (
-            {"prev_state": carried, "link_ids": link_ids}
-            if carried is not None
-            else None
-        )
-        build = lambda: stages.build_schedule_direct(
-            self.config, links, inst.model, extra
-        )
-        if sig is None:
-            store.get_or_build(
-                "links", keys.links_key(self.config), lambda: links
-            )
-        else:
-            store.get_or_build(
-                "links", keys.links_key(self.config, scenario=sig), lambda: links
-            )
-        # A delta scheduler's output depends on the carried history, so
-        # its signature digest must split the key: a resumed run replays
-        # the identical chain (same carried state -> same key -> disk
-        # hit) instead of silently falling back to a from-scratch build.
-        carried_sig = carried.signature() if carried is not None else None
-        return store.get_or_build(
-            "schedule",
-            keys.schedule_key(
-                self.config, inst.model, scenario=sig, carried=carried_sig
-            ),
-            build,
-            encode=stages._encode_schedule,
-            decode=lambda payload: stages._decode_schedule(
-                payload, links, inst.model
-            ),
-        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -443,7 +361,6 @@ class ScenarioRunner:
         )
         prev = _EpochState(
             points=baseline.points,
-            tree=baseline.tree,
             edge_id_set=edge_ids(
                 baseline.tree.edges, np.arange(len(baseline.points))
             ),
@@ -467,22 +384,36 @@ class ScenarioRunner:
         # (static anchor, no-op churn) share this count instead of
         # re-checking every slot per epoch.
         baseline_violations: Optional[int] = None
+        config, store = self.config, self.store
         for inst in timeline:
-            before = self.store.stats.snapshot()
+            before = store.stats.snapshot()
             if inst.scenario_scoped and inst.changed:
                 sig = self._signature(inst.index)
             else:
                 sig = prev.sig
-            points = self._resolve_deploy(inst, prev, sig)
-            tree = self._resolve_tree(inst, prev, points, sig)
+            if sig is not None and sig != prev.sig:
+                # Re-resolve the epoch's *input* — the previous deployment —
+                # through the store: counts the chain in the hit counters
+                # and backfills a disk tier that lacks the entry.
+                stages.deployment_for(
+                    config, store, scenario=prev.sig, points=prev.points
+                )
+            points = stages.deployment_for(
+                config, store, scenario=sig, points=inst.points
+            )
+            tree = stages.tree_for(
+                config, store, scenario=sig, points=points,
+                build=lambda: self._build_tree(inst, prev, points),
+            )
             links = tree.links()
             link_ids = (
                 link_ids_for_links(links, inst.node_ids)
                 if carried is not None
                 else None
             )
-            schedule, _report = self._resolve_schedule(
-                inst, links, sig, carried=carried, link_ids=link_ids
+            schedule, _report = stages.schedule_for(
+                config, store, inst.model, scenario=sig, links=links,
+                carried=carried, link_ids=link_ids,
             )
             if carried is not None:
                 carried = ScheduleState.from_schedule(
@@ -523,11 +454,9 @@ class ScenarioRunner:
                     baseline.schedule, inst.model
                 )
             self._simulate(inst, tree, schedule, epoch)
-            epoch.store = self.store.stats.delta(before)
+            epoch.store = store.stats.delta(before)
             result.epoch_results.append(epoch)
-            prev = _EpochState(
-                points=points, tree=tree, edge_id_set=edge_set, sig=sig
-            )
+            prev = _EpochState(points=points, edge_id_set=edge_set, sig=sig)
         if len(result.epoch_results) != self.epochs:
             # A transform is contractually one instance per epoch; a
             # short timeline would otherwise poison sweep resume (rows

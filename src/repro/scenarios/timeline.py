@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.geometry.point import PointSet
 from repro.sinr.model import SINRModel
+from repro.util.validation import check_positive
 
 __all__ = ["EpochInstance", "TREE_POLICIES"]
 
@@ -105,5 +106,4 @@ class EpochInstance:
             )
         if self.num_frames < 0:
             raise ConfigurationError(f"num_frames must be >= 0, got {self.num_frames}")
-        if self.load <= 0:
-            raise ConfigurationError(f"load must be positive, got {self.load}")
+        self.load = check_positive("load", self.load)

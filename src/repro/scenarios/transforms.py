@@ -34,6 +34,7 @@ from repro.geometry.point import PointSet
 from repro.scenarios.timeline import EpochInstance
 from repro.sinr.model import SINRModel
 from repro.util.rng import RngLike, as_generator
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.config import PipelineConfig
@@ -198,8 +199,7 @@ def _mobility(
     kept and only link geometry re-derived — measuring how a certified
     schedule degrades as its links stretch; ``rebuild=True`` re-runs the
     tree builder each epoch instead."""
-    if speed <= 0:
-        raise ConfigurationError(f"speed must be positive, got {speed}")
+    speed = check_positive("speed", speed)
     gen = as_generator(rng)
     coords = np.array(points.coords, dtype=float)
     lo, span = _bounding_box(points)
@@ -261,8 +261,7 @@ def _fading(
     the perturbed model, and the *baseline* schedule is additionally
     checked against each epoch's model (stale violations: the cost of
     not re-scheduling)."""
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    sigma = check_positive("sigma", sigma)
     if target not in ("beta", "noise"):
         raise ConfigurationError(
             f"fading target must be 'beta' or 'noise', got {target!r}"
@@ -313,10 +312,8 @@ def _arrivals(
     load)`` slots apart — ``load > 1`` overdrives the certified rate and
     the per-epoch backlog/stability fields measure the damage.  All
     stages reuse the base store entries; only the simulation varies."""
-    if rate <= 0:
-        raise ConfigurationError(f"rate must be positive, got {rate}")
-    if load <= 0:
-        raise ConfigurationError(f"load must be positive, got {load}")
+    rate = check_positive("rate", rate)
+    load = check_positive("load", load)
     gen = as_generator(rng)
     ids = np.arange(len(points))
     for index in range(1, epochs + 1):

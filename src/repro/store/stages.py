@@ -6,7 +6,12 @@ schedule, the SINR model) routed through a :class:`StageStore`.  Calling
 ``schedule_for(config, store)`` resolves the whole upstream chain —
 deployment, tree, link set — through the store, so any two configs
 sharing a stage signature share the *same artifact object* (and, for
-link sets, the same PR-1 kernel cache).
+link sets, the same kernel cache).
+
+Scenario epochs (:mod:`repro.scenarios.runner`) resolve through the
+same functions, with their epoch signature as ``scenario`` (folded into
+every key) and their own points, tree build, links and carried state;
+no module outside :mod:`repro.store` builds a key or names a codec.
 
 Disk codecs keep persisted payloads compact and reconstructible:
 
@@ -22,11 +27,13 @@ Disk codecs keep persisted payloads compact and reconstructible:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.api.components import power_schemes, schedulers, topologies, trees
+from repro.errors import ConfigurationError
 from repro.geometry.point import PointSet
 from repro.scheduling.builder import BuildReport, PowerMode
 from repro.scheduling.schedule import Schedule, Slot
@@ -39,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.config import PipelineConfig
     from repro.links.linkset import LinkSet
     from repro.scheduling.builder import BuildReport as _BuildReport
+    from repro.scheduling.incremental import ScheduleState
 
 __all__ = [
     "build_schedule_direct",
@@ -56,7 +64,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _encode_deployment(points: PointSet) -> Any:
     """Disk payload of a deployment — the single write-side codec for
-    the ``deploy`` stage (scenario epochs reuse it too)."""
+    the ``deploy`` stage."""
     return np.asarray(points.coords)
 
 
@@ -64,16 +72,30 @@ def _decode_deployment(payload: Any) -> PointSet:
     return PointSet(np.asarray(payload, dtype=float), check=False)
 
 
-def deployment_for(config: "PipelineConfig", store: StageStore) -> PointSet:
-    """The config's deployment, built at most once per store."""
+def deployment_for(
+    config: "PipelineConfig",
+    store: StageStore,
+    *,
+    scenario: Optional[Dict[str, Any]] = None,
+    points: Optional[PointSet] = None,
+) -> PointSet:
+    """The config's deployment, built at most once per store.
+
+    A scenario epoch passes its signature and its derived ``points``,
+    kept under the epoch key; without a signature ``points`` is unused.
+    """
     spec = topologies.get(config.topology)
 
     def build() -> PointSet:
-        return spec.build(config.n, rng=config.seed, **config.topology_params)
+        if scenario is None:
+            return spec.build(config.n, rng=config.seed, **config.topology_params)
+        if points is None:
+            raise ConfigurationError("a scenario-keyed deployment needs its points")
+        return points
 
     return store.get_or_build(
         "deploy",
-        keys.deploy_key(config),
+        keys.deploy_key(config, scenario),
         build,
         encode=_encode_deployment,
         decode=_decode_deployment,
@@ -106,24 +128,35 @@ def _decode_tree(payload: Dict[str, Any], points: PointSet) -> AggregationTree:
     )
 
 
-def tree_for(config: "PipelineConfig", store: StageStore) -> AggregationTree:
-    """The config's aggregation tree over its cached deployment."""
-    points = deployment_for(config, store)
-    spec = trees.get(config.tree)
+def tree_for(
+    config: "PipelineConfig",
+    store: StageStore,
+    *,
+    scenario: Optional[Dict[str, Any]] = None,
+    points: Optional[PointSet] = None,
+    build: Optional[Callable[[], AggregationTree]] = None,
+) -> AggregationTree:
+    """The config's aggregation tree over its cached deployment.
 
-    def build() -> AggregationTree:
-        return spec.build(points, sink=config.sink, **config.tree_params)
-
+    A scenario epoch passes its signature, its deployment ``points``
+    and its tree ``build``; without a signature both are unused.
+    """
+    if scenario is None:
+        points = deployment_for(config, store)
+        spec = trees.get(config.tree)
+        build = partial(spec.build, points, sink=config.sink, **config.tree_params)
+    if points is None or build is None:
+        raise ConfigurationError("a scenario-keyed tree needs its points and build")
     tree = store.get_or_build(
         "tree",
-        keys.tree_key(config),
+        keys.tree_key(config, scenario),
         build,
         encode=_encode_tree,
         decode=lambda payload: _decode_tree(payload, points),
     )
     # Prime the links stage so downstream identity checks and counters
     # see one canonical LinkSet per tree (memory-only: no codec).
-    store.get_or_build("links", keys.links_key(config), tree.links)
+    store.get_or_build("links", keys.links_key(config, scenario), tree.links)
     return tree
 
 
@@ -221,14 +254,30 @@ def schedule_for(
     config: "PipelineConfig",
     store: StageStore,
     model: Optional[SINRModel] = None,
+    *,
+    scenario: Optional[Dict[str, Any]] = None,
+    links: Optional["LinkSet"] = None,
+    carried: Optional["ScheduleState"] = None,
+    link_ids: Optional[Any] = None,
 ) -> Tuple[Schedule, Optional["_BuildReport"]]:
-    """The config's certified ``(schedule, report)``, stage-cached."""
+    """The config's certified ``(schedule, report)``, stage-cached.
+
+    A scenario epoch passes its signature and its ``links`` (already
+    resolved by :func:`tree_for`); a delta scheduler's ``carried`` state
+    and ``link_ids`` reach the scheduler, and the state's digest splits
+    the key, so a resumed run replays the identical carried chain.
+    """
     model = model or SINRModel(alpha=config.alpha, beta=config.beta)
-    links = links_for(config, store)
+    if links is None:
+        if scenario is not None:
+            raise ConfigurationError("a scenario-keyed schedule needs its links")
+        links = links_for(config, store)
+    extra = None if carried is None else {"prev_state": carried, "link_ids": link_ids}
+    digest = None if carried is None else carried.signature()
     return store.get_or_build(
         "schedule",
-        keys.schedule_key(config, model),
-        lambda: build_schedule_direct(config, links, model),
+        keys.schedule_key(config, model, scenario, digest),
+        lambda: build_schedule_direct(config, links, model, extra),
         encode=_encode_schedule,
         decode=lambda payload: _decode_schedule(payload, links, model),
     )

@@ -13,7 +13,7 @@ from repro.core.theory import (
     predicted_slots_global,
     predicted_slots_oblivious,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.geometry.generators import uniform_square
 from repro.scheduling.builder import PowerMode
 
@@ -131,6 +131,35 @@ class TestMedian:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             median_via_counting([], runner=lambda t: 0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"tolerance": -1.0},
+            {"max_probes": 0},
+            {"max_probes": -3},
+            {"max_probes": 2.5},
+            {"max_probes": True},
+        ],
+        ids=repr,
+    )
+    def test_bad_search_parameters_rejected(self, kwargs):
+        """Each of these used to stop after the first probe (or never
+        converge) and report the maximum, 5.0, as the median of 1..5."""
+        values = np.arange(1.0, 6.0)
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            median_via_counting(
+                values, runner=lambda t: int((values > t).sum()), **kwargs
+            )
+
+    def test_zero_tolerance_still_finds_the_median(self):
+        values = np.arange(1.0, 6.0)
+        result = median_via_counting(
+            values, runner=lambda t: int((values > t).sum()), tolerance=0.0
+        )
+        assert result.median == 3.0
 
     @pytest.mark.parametrize(
         "readings", [[3.0, float("nan"), 1.0, 2.0], [1.0, "x"], [1.0, None]], ids=repr

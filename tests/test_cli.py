@@ -387,6 +387,35 @@ class TestScenarioCommand:
         assert main(["scenario", name, "--n", "16", "--params", params]) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("arrivals", '{"load": NaN}'),
+            ("arrivals", '{"load": Infinity}'),
+            ("arrivals", '{"rate": NaN}'),
+            ("arrivals", '{"rate": Infinity}'),
+            ("mobility", '{"speed": Infinity}'),
+            ("fading", '{"sigma": NaN}'),
+        ],
+    )
+    def test_non_finite_params_exit_2(self, capsys, name, params):
+        """Each used to end in a bare ValueError traceback or, for the
+        infinite load and speed, to run."""
+        assert main(
+            ["scenario", name, "--n", "16", "--epochs", "2", "--params", params]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert next(iter(json.loads(params))) in err
+        assert "Traceback" not in err
+
+    def test_negative_scenario_seed_exits_2(self, capsys):
+        assert main(
+            ["scenario", "churn", "--n", "16", "--epochs", "2",
+             "--scenario-seed", "-1"]
+        ) == 2
+        assert "scenario_seed" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "earthquake"])

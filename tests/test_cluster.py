@@ -377,6 +377,26 @@ class TestOrchestrator:
         with pytest.raises(ConfigurationError, match="batch_size"):
             Orchestrator([], batch_size=0)
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"lease_ttl_s": float("nan")}, "lease_ttl_s"),
+            ({"lease_ttl_s": float("inf")}, "lease_ttl_s"),
+            ({"heartbeat_interval_s": float("nan")}, "heartbeat_interval_s"),
+            ({"heartbeat_interval_s": 0.0}, "heartbeat_interval_s"),
+            ({"batch_size": 2.5}, "batch_size"),
+            ({"batch_size": True}, "batch_size"),
+            ({"batch_size": float("nan")}, "batch_size"),
+        ],
+        ids=["ttl-nan", "ttl-inf", "heartbeat-nan", "heartbeat-0", "batch-2.5",
+             "batch-true", "batch-nan"],
+    )
+    def test_non_finite_or_fractional_settings_rejected(self, options, match):
+        """A NaN deadline never expires and a NaN batch dies later as a
+        bare ValueError: both are refused before the socket is bound."""
+        with pytest.raises(ConfigurationError, match=match):
+            Orchestrator(self.cells(), **options)
+
 
 class TestResultFrameValidation:
     """Malformed ``result`` frames, driven through ``_dispatch`` without
@@ -468,6 +488,44 @@ class TestClusterEngine:
         out.write_text('{"cell_id": "kept"}\n')
         with pytest.raises(ConfigurationError, match=match):
             SweepEngine(small_spec(), out_path=out, resume=False, **options).run()
+        assert out.read_text() == '{"cell_id": "kept"}\n'
+
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"lease_ttl_s": float("nan")}, "lease_ttl_s"),
+            ({"lease_ttl_s": float("inf")}, "lease_ttl_s"),
+            ({"cluster_batch": 2.5}, "batch_size"),
+            ({"cluster_batch": True}, "batch_size"),
+            ({"cluster_batch": float("nan")}, "batch_size"),
+        ],
+        ids=["ttl-nan", "ttl-inf", "batch-2.5", "batch-true", "batch-nan"],
+    )
+    def test_non_finite_lease_options_fail_at_construction(self, options, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SweepEngine(small_spec(), cluster="127.0.0.1:0", **options)
+
+    def test_cli_nan_lease_ttl_exits_2_and_keeps_the_out_file(self, tmp_path, capsys):
+        """``repro sweep --lease-ttl nan`` is refused before the out file
+        is opened.  ``main`` runs in a thread: a NaN lease check that
+        passes would leave the orchestrator waiting for workers."""
+        from repro.cli import main
+
+        out = tmp_path / "rows.jsonl"
+        out.write_text('{"cell_id": "kept"}\n')
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(code=main([
+                "sweep", "--topology", "grid", "--n", "9", "--mode", "uniform",
+                "--cluster", "127.0.0.1:0", "--lease-ttl", "nan",
+                "--out", str(out),
+            ])),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert box.get("code") == 2
+        assert "lease_ttl_s" in capsys.readouterr().err
         assert out.read_text() == '{"cell_id": "kept"}\n'
 
     def test_cluster_sweep_matches_inline_byte_for_byte(self, tmp_path):

@@ -12,6 +12,7 @@ must reproduce the non-incremental schedules byte for byte.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.scheduling.incremental import (
 )
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
+from repro.store import stages
 from repro.store.store import StageStore
 
 #: Base instance of every timeline: small enough for CI, large enough
@@ -46,18 +48,25 @@ SLOT_FACTOR = 3.0
 
 
 class RecordingRunner(ScenarioRunner):
-    """ScenarioRunner that records every resolved epoch schedule."""
+    """ScenarioRunner that records every resolved epoch schedule: each
+    ``stages.schedule_for`` call that passes an epoch's links (the
+    baseline's call resolves its own)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.records = []
 
-    def _resolve_schedule(self, inst, links, sig, carried=None, link_ids=None):
-        schedule, report = super()._resolve_schedule(
-            inst, links, sig, carried=carried, link_ids=link_ids
-        )
-        self.records.append((inst, links, schedule, report))
-        return schedule, report
+    def run(self):
+        resolve = stages.schedule_for
+
+        def record(config, store, model=None, **kwargs):
+            schedule, report = resolve(config, store, model, **kwargs)
+            if kwargs.get("links") is not None:
+                self.records.append((model, kwargs["links"], schedule, report))
+            return schedule, report
+
+        with mock.patch.object(stages, "schedule_for", record):
+            return super().run()
 
 
 def run_recorded(config, scenario, **kwargs):
@@ -85,7 +94,7 @@ class TestDynamicTimelines:
             CONFIG, scenario, epochs=4, params=params
         )
         assert len(records) == 4
-        for inst, links, schedule, report in records:
+        for model, links, schedule, report in records:
             # Exact cover: every link in exactly one slot.
             scheduled = sorted(
                 i for slot in schedule.slots for i in slot.link_indices
@@ -98,7 +107,7 @@ class TestDynamicTimelines:
             for slot in schedule.slots:
                 vec = schedule._full_power_vector(slot)
                 assert is_feasible_with_power(
-                    links, vec, inst.model, slot.link_indices
+                    links, vec, model, slot.link_indices
                 )
             assert links.kernel() is kernel
             assert report is not None and report.repair_cost is not None
@@ -121,7 +130,7 @@ class TestDynamicTimelines:
         _result, records = run_recorded(
             CONFIG, "churn", epochs=4, params={"p_leave": 0.05}
         )
-        for _inst, links, _schedule, report in records:
+        for _model, links, _schedule, report in records:
             cost = report.repair_cost
             assert not cost["cold_start"]
             assert cost["links_reexamined"] < cost["links_total"]
@@ -144,12 +153,12 @@ class TestDynamicTimelines:
         _result, records = run_recorded(
             CONFIG, "churn", epochs=3, params={"p_leave": 0.05}
         )
-        for inst, links, _schedule, _report in records:
+        for model, links, _schedule, _report in records:
             clone = LinkSet(
                 links.senders, links.receivers,
                 sender_ids=links.sender_ids, receiver_ids=links.receiver_ids,
             )
-            ScheduleBuilder(inst.model, "oblivious").build_with_report(clone)
+            ScheduleBuilder(model, "oblivious").build_with_report(clone)
             scratch_entries = clone.kernel().stats.entries_served
             warm_entries = links.kernel().stats.entries_served
             assert 0 < warm_entries < scratch_entries
@@ -162,7 +171,7 @@ class TestDynamicTimelines:
             CONFIG, "churn", epochs=3, params={"p_leave": 0.05}
         )
         assert not records[-1][3].repair_cost["cold_start"]
-        for _inst, links, _schedule, _report in records:
+        for _model, links, _schedule, _report in records:
             assert links.kernel().stats.dense_builds == 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from typing import List
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from repro.sinr.affectance import additive_interference_matrix
 from repro.sinr.feasibility import denominator_limit, is_feasible_with_power
 from repro.sinr.model import SINRModel
 from repro.spanning.tree import AggregationTree
+from repro.store import stages
 from repro.store.store import StageStore
 from repro.util.ordering import argsort_by_length_nonincreasing
 
@@ -278,12 +280,18 @@ class RecordingRunner(ScenarioRunner):
         super().__init__(*args, **kwargs)
         self.warm_inputs = []
 
-    def _resolve_schedule(self, inst, links, sig, carried=None, link_ids=None):
-        if carried is not None:
-            self.warm_inputs.append((inst.model, links, link_ids, carried))
-        return super()._resolve_schedule(
-            inst, links, sig, carried=carried, link_ids=link_ids
-        )
+    def run(self):
+        resolve = stages.schedule_for
+
+        def record(config, store, model=None, **kwargs):
+            if kwargs.get("carried") is not None:
+                self.warm_inputs.append(
+                    (model, kwargs["links"], kwargs["link_ids"], kwargs["carried"])
+                )
+            return resolve(config, store, model, **kwargs)
+
+        with mock.patch.object(stages, "schedule_for", record):
+            return super().run()
 
 
 def assert_same_warm_build(model, links, link_ids, state, mode="oblivious"):

@@ -51,6 +51,16 @@ class TestScenarioRegistry:
         with pytest.raises(ConfigurationError, match="epochs"):
             ScenarioRunner(CONFIG, "static", epochs=0)
 
+    @pytest.mark.parametrize("seed", [float("nan"), 2.7, -1, "3", True], ids=repr)
+    def test_scenario_seed_must_be_a_non_negative_int(self, seed):
+        """NaN used to raise a bare ValueError, 2.7 was truncated to 2."""
+        with pytest.raises(ConfigurationError, match="scenario_seed"):
+            ScenarioRunner(CONFIG, "static", scenario_seed=seed)
+
+    def test_numpy_integer_scenario_seed_accepted(self):
+        runner = ScenarioRunner(CONFIG, "static", scenario_seed=np.int64(7))
+        assert runner.scenario_seed == 7 and type(runner.scenario_seed) is int
+
     def test_sweep_spec_validates_scenario_axis(self):
         with pytest.raises(ConfigurationError, match="scenario"):
             SweepSpec(
@@ -210,6 +220,38 @@ class TestTransforms:
                 index=1, points=points, node_ids=np.arange(5), sink=9,
                 model=model,
             )
+
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_epoch_instance_load_must_be_finite_and_positive(self, load):
+        """Checked on the instance, so a user-registered transform gets
+        it too: a NaN load used to end in a bare ValueError when the
+        runner computed the injection period, and an infinite one
+        injected every slot."""
+        from repro.sinr.model import SINRModel
+
+        with pytest.raises(ConfigurationError, match="load"):
+            EpochInstance(
+                index=1, points=uniform_square(5, rng=0),
+                node_ids=np.arange(5), sink=0, model=SINRModel(), load=load,
+            )
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("arrivals", {"rate": float("nan")}),
+            ("arrivals", {"rate": float("inf")}),
+            ("arrivals", {"load": float("nan")}),
+            ("arrivals", {"load": float("inf")}),
+            ("mobility", {"speed": float("inf")}),
+            ("mobility", {"speed": float("nan")}),
+            ("fading", {"sigma": float("nan")}),
+            ("fading", {"sigma": float("inf")}),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_rates_rejected(self, name, params):
+        with pytest.raises(ConfigurationError, match=next(iter(params))):
+            self.timeline(name, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the content-addressed stage store (keys, tiers, pipeline wiring)."""
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +334,102 @@ class TestDefaultStore:
             assert (tmp_path / "cache" / "deploy").is_dir()
         finally:
             reset_default_store()
+
+
+# ---------------------------------------------------------------------------
+# One owner of stage keys and codecs
+# ---------------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def stage_boundary_violations(source: str) -> list:
+    """Where ``source`` keys or persists a stage itself: an import of
+    :mod:`repro.store.keys` (or of a key function re-exported by
+    :mod:`repro.store`), or any ``_``-prefixed name of
+    :mod:`repro.store.stages`, imported or read as an attribute."""
+    from repro.store import keys
+
+    found, stage_modules = [], {"repro.store.stages"}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro.store.keys":
+                    found.append(f"line {node.lineno}: import {alias.name}")
+                elif alias.name == "repro.store.stages" and alias.asname:
+                    stage_modules.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if (
+                    node.module == "repro.store.keys"
+                    or name == "repro.store.keys"
+                    or (node.module == "repro.store" and alias.name in keys.__all__)
+                    or (node.module == "repro.store.stages" and alias.name.startswith("_"))
+                ):
+                    found.append(f"line {node.lineno}: from {node.module} import {alias.name}")
+                elif name == "repro.store.stages":
+                    stage_modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and ast.unparse(node.value) in stage_modules
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+class TestStageBoundary:
+    def test_scenario_keyed_stages_need_the_epoch_inputs(self):
+        """Under an epoch key the config cannot rebuild the artifact, so
+        a missing epoch input is refused rather than the base artifact
+        stored in its place."""
+        from repro.store import stages
+
+        sig = {"scenario": "churn", "scenario_seed": 0, "params": {}, "epoch": 1}
+        store = StageStore()
+        with pytest.raises(ConfigurationError, match="needs its points"):
+            stages.deployment_for(cfg(), store, scenario=sig)
+        with pytest.raises(ConfigurationError, match="needs its points and build"):
+            stages.tree_for(cfg(), store, scenario=sig)
+        with pytest.raises(ConfigurationError, match="needs its links"):
+            stages.schedule_for(cfg(), store, scenario=sig)
+        assert len(store) == 0
+
+    def test_no_module_outside_the_store_keys_or_persists_a_stage(self):
+        """``repro.store.stages`` owns every stage key and disk codec:
+        pipeline runs and scenario epochs both resolve through its
+        public ``*_for`` functions."""
+        offenders = {}
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "store" and path.parent.parent == SRC:
+                continue
+            found = stage_boundary_violations(path.read_text(encoding="utf-8"))
+            if found:
+                offenders[str(path.relative_to(SRC))] = found
+        assert offenders == {}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.store import keys, stages",
+            "import repro.store.keys",
+            "from repro.store.keys import deploy_key",
+            "from repro.store import tree_key",
+            "from repro.store.stages import _encode_tree",
+            "from repro.store import stages\nstages._decode_schedule(p, l, m)",
+            "from repro.store import stages as s\nenc = s._encode_deployment",
+            "import repro.store.stages\nrepro.store.stages._encode_tree(t)",
+        ],
+    )
+    def test_the_check_sees_each_form(self, source):
+        assert stage_boundary_violations(source)
+
+    def test_public_stage_functions_pass(self):
+        source = (
+            "from repro.store import StageStore, stages\n"
+            "from repro.store.stages import schedule_for\n"
+            "stages.tree_for(c, s)\n"
+        )
+        assert stage_boundary_violations(source) == []
