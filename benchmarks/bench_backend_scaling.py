@@ -9,12 +9,14 @@ Two claims from the pluggable-backend layer (``repro.backend``):
   blocked-sparse row).  Where several backends run at the same ``n``
   their colorings must be bit-identical — the backend contract at
   benchmark scale.
-* **Cell tiles** — the conflict graph's cell-local tiles
-  (:func:`repro.geometry.spatial.conflict_tiles`) build edges
+* **Pair build** — the conflict graph's reach-driven candidate pairs
+  (:func:`repro.geometry.spatial.candidate_pairs`) build edges
   byte-identical to the all-pairs every-tile oracle
   (``tests/oracles/conflict_allpairs.py``) while evaluating >= 5x fewer
   kernel entries (``KernelStats.entries_served``) on localised
-  topologies at n = 20 000.
+  topologies at n = 20 000.  Two rows take schedule-build's shapes:
+  the MST links of a square n=4200 deployment under ``G^delta_gamma``
+  and of a square n=500 one under ``G_{gamma log}``.
 
 Writes the machine-readable record ``BENCH_backend_scaling.json``.
 Set ``BENCH_SMOKE=1`` for the small CI grid (which keeps the
@@ -35,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import Pipeline, PipelineConfig
 from repro.coloring.greedy import greedy_coloring
-from repro.conflict.functions import PowerLawThreshold
+from repro.conflict.functions import LogThreshold, PowerLawThreshold
 from repro.conflict.graph import ConflictGraph, oblivious_graph
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
 from repro.links import LinkSet
@@ -59,15 +62,30 @@ SCALING_ROWS = (
           (100_000, ("blocked-sparse",))]
 )
 
-# Cell-tile rows: (n, topology).  The n=5000 clustered row is present in
-# both grids so CI's spatial pruning leg can ratchet against the
-# committed record; the >= 5x headline claim is asserted on the full
-# n=20k rows only (smoke asserts strict improvement).
+# Pair-build rows: (n, topology, threshold).  The n=5000 clustered row
+# is present in both grids so CI's spatial pruning leg can ratchet
+# against the committed record; the >= 5x headline claim is asserted on
+# the full n=20k rows only (smoke asserts strict improvement).
 PRUNE_ROWS = (
-    [(800, "clustered"), (5_000, "clustered")]
+    [(800, "clustered", "obl"), (5_000, "clustered", "obl")]
     if SMOKE
-    else [(5_000, "clustered"), (20_000, "clustered"), (20_000, "grid")]
+    else [
+        (500, "square", "log"),
+        (4_200, "square", "obl"),
+        (5_000, "clustered", "obl"),
+        (20_000, "clustered", "obl"),
+        (20_000, "grid", "obl"),
+    ]
 )
+#: perfbench schedule-build's seeds for its first n=500 and its n=4200
+#: square instance.
+SCHEDULE_BUILD_SEEDS = {500: 0, 4_200: 7}
+#: Thresholds by row name: the oblivious ``G^delta_gamma`` and the
+#: global-power ``G_{gamma log}`` at alpha = 3.
+THRESHOLDS = {
+    "obl": PowerLawThreshold(DEFAULT_GAMMA, DEFAULT_DELTA),
+    "log": LogThreshold(DEFAULT_GAMMA, 3.0),
+}
 PRUNE_HEADLINE_RATIO = 5.0
 
 #: Sections accumulate here; the last test writes the combined record.
@@ -86,8 +104,8 @@ def _random_links(n: int, rng: int = 0, spacing: float = 4.0) -> LinkSet:
 
 
 def _clustered_links(n: int, rng: int = 0) -> LinkSet:
-    """n short links in Gaussian clusters — the topology where cell
-    tiles shine (most link pairs are cluster-pair far)."""
+    """n short links in Gaussian clusters — the topology where the
+    pair build shines (most link pairs are cluster-pair far)."""
     gen = np.random.default_rng(rng)
     n_centers = max(4, n // 200)
     side = 40.0 * np.sqrt(n_centers)
@@ -108,7 +126,18 @@ def _grid_links(n: int, spacing: float = 4.0) -> LinkSet:
     return LinkSet(senders, senders + np.array([1.0, 0.0]))
 
 
+def _mst_links(n: int) -> LinkSet:
+    """The n - 1 MST links of schedule-build's square deployment of n
+    nodes, as a fresh link set (its own kernel and counters)."""
+    seed = SCHEDULE_BUILD_SEEDS[n]
+    pipe = Pipeline(PipelineConfig(topology="square", n=n, seed=seed, num_frames=0))
+    links = pipe.build_tree(pipe.deploy()).links()
+    return LinkSet(links.senders, links.receivers)
+
+
 def _prune_links(n: int, topology: str) -> LinkSet:
+    if topology == "square":
+        return _mst_links(n)
     return _clustered_links(n) if topology == "clustered" else _grid_links(n)
 
 
@@ -178,20 +207,20 @@ def test_backend_scaling(benchmark, emit):
     emit(f"BACKEND scaling (smoke={SMOKE})", lines)
 
 
-def _prune_row(n: int, topology: str) -> dict:
-    """Build the oblivious conflict graph from cell tiles and with the
+def _prune_row(n: int, topology: str, threshold_name: str = "obl") -> dict:
+    """Build the conflict graph from candidate pairs and with the
     every-tile oracle on the blocked-sparse backend; assert byte-identity
     and return the row."""
-    threshold = PowerLawThreshold(DEFAULT_GAMMA, DEFAULT_DELTA)
-    # Small smoke rows would fit in a single default-sized block (one
-    # oracle tile); shrink the block so the oracle has tiles to split.
-    block_size = 1024 if n >= 5_000 else 128
+    threshold = THRESHOLDS[threshold_name]
+    # Small rows would fit in a single default-sized block (one oracle
+    # tile); shrink the block so the oracle has tiles to split.
+    block_size = 1024 if n >= 1_000 else 128
 
-    cell_links = _prune_links(n, topology)
-    cell_links.kernel(backend="blocked-sparse", block_size=block_size)
+    pair_links = _prune_links(n, topology)
+    pair_links.kernel(backend="blocked-sparse", block_size=block_size)
     start = time.perf_counter()
-    cells = ConflictGraph(cell_links, threshold)
-    cells_s = time.perf_counter() - start
+    graph = ConflictGraph(pair_links, threshold)
+    pairs_s = time.perf_counter() - start
 
     oracle_links = _prune_links(n, topology)
     oracle_links.kernel(backend="blocked-sparse", block_size=block_size)
@@ -199,50 +228,52 @@ def _prune_row(n: int, topology: str) -> dict:
     indptr, indices = every_tile_adjacency(oracle_links, threshold)
     oracle_s = time.perf_counter() - start
 
-    # The conservativeness contract at benchmark scale: the cell-tile
+    # The conservativeness contract at benchmark scale: the pair-build
     # CSR structure is byte-equal to the exhaustive build.
-    assert cells.indptr.tobytes() == indptr.tobytes()
-    assert cells.indices.tobytes() == indices.tobytes()
+    assert graph.indptr.tobytes() == indptr.tobytes()
+    assert graph.indices.tobytes() == indices.tobytes()
 
-    cell_stats = cell_links.kernel().stats
+    pair_stats = pair_links.kernel().stats
     oracle_stats = oracle_links.kernel().stats
     return {
         "n": n,
+        "links": len(pair_links),
         "topology": topology,
+        "threshold": threshold.name,
         "block_size": block_size,
-        "block_evals_cells": cell_stats.block_evals,
+        "block_evals_cells": pair_stats.block_evals,
         "block_evals_oracle": oracle_stats.block_evals,
-        "entries_cells": cell_stats.entries_served,
+        "entries_cells": pair_stats.entries_served,
         "entries_oracle": oracle_stats.entries_served,
-        "entries_ratio": round(oracle_stats.entries_served / cell_stats.entries_served, 2),
-        "cells_seconds": round(cells_s, 3),
+        "entries_ratio": round(oracle_stats.entries_served / pair_stats.entries_served, 2),
+        "cells_seconds": round(pairs_s, 3),
         "oracle_seconds": round(oracle_s, 3),
-        "speedup": round(oracle_s / cells_s, 2),
-        "edges": int(cells.edge_count),
+        "speedup": round(oracle_s / pairs_s, 2),
+        "edges": int(graph.edge_count),
     }
 
 
 def test_spatial_pruning(emit):
-    """Cell tiles: byte-identical edges, >= 5x fewer kernel entries."""
+    """Pair build: byte-identical edges, >= 5x fewer kernel entries."""
     rows = []
     lines = []
-    for n, topology in PRUNE_ROWS:
-        row = _prune_row(n, topology)
-        # Cell tiles must always evaluate fewer entries than the n^2 of
-        # the oracle on these localised topologies, at any scale.
-        assert row["entries_cells"] < row["entries_oracle"] == n * n, row
+    for n, topology, threshold_name in PRUNE_ROWS:
+        row = _prune_row(n, topology, threshold_name)
+        # The pair build must always evaluate fewer entries than the n^2
+        # of the oracle on these localised topologies, at any scale.
+        assert row["entries_cells"] < row["entries_oracle"] == row["links"] ** 2, row
         if not SMOKE and n >= 20_000:
             # The headline acceptance claim.
             assert row["entries_ratio"] >= PRUNE_HEADLINE_RATIO, row
         rows.append(row)
         lines.append(
-            f"n={n:>6} {topology:<10} entries "
+            f"n={n:>6} {topology:<10} {row['threshold']:<16} entries "
             f"{row['entries_cells']:>11,} vs {row['entries_oracle']:>11,} "
-            f"({row['entries_ratio']:.1f}x fewer, {row['block_evals_cells']} vs "
+            f"({row['entries_ratio']:.1f}x fewer, {row['block_evals_cells']} chunks vs "
             f"{row['block_evals_oracle']} tiles)  "
             f"{row['cells_seconds']:.2f}s vs {row['oracle_seconds']:.2f}s "
             f"({row['speedup']:.1f}x faster)"
         )
     RECORD["prune"] = rows
     OUT.write_text(json.dumps(RECORD, indent=2, sort_keys=True) + "\n")
-    emit(f"CELL tiles vs all-pairs oracle (smoke={SMOKE})", lines)
+    emit(f"PAIR build vs all-pairs oracle (smoke={SMOKE})", lines)

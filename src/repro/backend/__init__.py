@@ -1,8 +1,9 @@
 """The numeric backend: kernel block math plus one ``sparse`` bit.
 
 The SINR compute layer's inner math is a set of plain functions: gap and
-sender-receiver distance blocks and the additive, relative and
-affectance kernel blocks (:mod:`repro.backend.blocks`).
+sender-receiver distance blocks, gap distances of aligned pairs, and the
+additive, relative and affectance kernel blocks
+(:mod:`repro.backend.blocks`).
 :class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
 them — the additive memo, chunking, index checks, statistics — and the
 one switch a backend name selects, ``KernelCache.sparse``.  It matters
@@ -12,8 +13,7 @@ both (:class:`~repro.conflict.graph.ConflictGraph`).
 
 ``dense-numpy``
     The default: link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links
-    sum each query in one block, and an all-pairs conflict tile reads
-    the link set's memoized gap matrix.
+    sum each query in one block.
 ``blocked-sparse``
     ``sparse = True``: streams column sums in row blocks at every ``n``
     (no ``n x n`` intermediate, so ``dense_builds == 0`` unless a caller

@@ -1,7 +1,8 @@
 """Kernel block math — the exact expressions every kernel entry uses.
 
 The block builders (``*_block``) compute kernel entries restricted to
-global ``rows x cols`` indices; the two full-matrix builders
+global ``rows x cols`` indices, and :func:`gap_pairs` the gap entries of
+aligned ``(rows[k], cols[k])`` pairs; the two full-matrix builders
 (``additive_full``, ``affectance_full``) are the seed's dense
 expressions, and each block is byte-identical to the matching slice of
 its full matrix.  :class:`~repro.sinr.kernels.KernelCache` decides when
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.geometry.distances import cross_distances
+from repro.geometry.distances import cross_distances, min_paired_distances
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.links.linkset import LinkSet
@@ -25,6 +26,7 @@ __all__ = [
     "affectance_block",
     "affectance_full",
     "gap_block",
+    "gap_pairs",
     "relative_block",
     "srdist_block",
 ]
@@ -49,6 +51,17 @@ def gap_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     np.minimum(gap, sr.T if cols is rows else cross_distances(r[rows], s[cols]), out=gap)
     gap[rows[:, None] == cols[None, :]] = 0.0
     return gap
+
+
+def gap_pairs(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gap distances ``d(rows[k], cols[k])`` for aligned index arrays:
+    :func:`gap_block`'s entries, bit for bit (see
+    :func:`~repro.geometry.distances.min_paired_distances`)."""
+    s, r = links.senders, links.receivers
+    # take(axis=0) gathers rows about ten times faster than s[rows].
+    near_s, near_r = s.take(rows, axis=0), r.take(rows, axis=0)
+    far_s, far_r = s.take(cols, axis=0), r.take(cols, axis=0)
+    return min_paired_distances((near_s, far_s), (near_r, far_r), (near_s, far_r), (near_r, far_s))
 
 
 def srdist_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -22,11 +22,18 @@ from repro.errors import ConfigurationError
 from repro.util.validation import check_finite
 
 __all__ = [
+    "REACH_MARGIN",
     "ThresholdFunction",
     "ConstantThreshold",
     "PowerLawThreshold",
     "LogThreshold",
 ]
+
+
+#: Relative margin on every reach: far above the few ulps by which the
+#: pair test's ``l_min * f(l_max / l_min)`` can round past its exact
+#: value, far below a change in which grid cells a link scans.
+REACH_MARGIN: float = 1e-9
 
 
 class ThresholdFunction(abc.ABC):
@@ -43,26 +50,27 @@ class ThresholdFunction(abc.ABC):
         """Evaluate at a single point."""
         return float(self(np.asarray([x], dtype=float))[0])
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """Conservative upper bound on the conflict radius over ``lengths``.
+    def reach(self, lengths: np.ndarray) -> np.ndarray:
+        """Per-link bound on the conflict gap against shorter links.
 
-        Two links conflict only when ``d(i, j) <= l_min * f(l_max/l_min)``,
-        so for any pair drawn from ``lengths`` the gap distance of a
-        conflicting pair is at most this bound.  It is the contract the
-        cell-local conflict tiles (:mod:`repro.geometry.spatial`) rely
-        on: link pairs farther apart than ``max_radius`` need never be
-        evaluated.
+        Order the links by (length, index).  Links ``i, j`` conflict
+        only when ``d(i, j) <= l_min * f(l_max / l_min)``, and for every
+        ``j`` before ``i`` in that order the right side is at most
+        ``reach(lengths)[i]``.  It is the contract the conflict-graph
+        enumeration (:mod:`repro.geometry.spatial`) relies on: a link
+        need only be tested against shorter links within its reach.
 
-        The default exploits only the class contract (``f`` positive and
-        non-decreasing): ``l_min * f(l_max/l_min) <= L_max * f(Delta)``
-        with ``L_max = max(lengths)`` and diversity
-        ``Delta = L_max / L_min``.  Subclasses override it with tighter
-        per-threshold bounds.
+        Every bound carries the relative margin :data:`REACH_MARGIN`
+        over the rounding of the pair test.
         """
         lengths = np.asarray(lengths, dtype=float)
-        lmax = float(lengths.max())
-        lmin = float(lengths.min())
-        return lmax * self.scalar(lmax / lmin)
+        return self._reach_bound(lengths) * (1.0 + REACH_MARGIN)
+
+    def _reach_bound(self, lengths: np.ndarray) -> np.ndarray:
+        """``l * f(l / L_min)``: the class contract alone (``f``
+        positive and non-decreasing) gives, with ``l_max = l``,
+        ``l_min * f(l_max / l_min) <= l * f(l / L_min)``."""
+        return lengths * self(lengths / lengths.min())
 
 
 class ConstantThreshold(ThresholdFunction):
@@ -78,10 +86,9 @@ class ConstantThreshold(ThresholdFunction):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(x, dtype=float), self.gamma)
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max``: the pair bound ``l_min * gamma`` is largest
-        when the shorter link is as long as possible."""
-        return self.gamma * float(np.asarray(lengths, dtype=float).max())
+    def _reach_bound(self, lengths: np.ndarray) -> np.ndarray:
+        """``gamma * l``: the pair bound is ``l_min * gamma``."""
+        return self.gamma * lengths
 
     def __repr__(self) -> str:
         return f"ConstantThreshold(gamma={self.gamma})"
@@ -104,15 +111,15 @@ class PowerLawThreshold(ThresholdFunction):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * np.asarray(x, dtype=float) ** self.delta
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max``, independent of the diversity.
+    def _reach_bound(self, lengths: np.ndarray) -> np.ndarray:
+        """``gamma * l``, independent of the diversity.
 
         The pair bound is ``gamma * l_min^(1-delta) * l_max^delta``,
-        which with ``0 < delta < 1`` and ``l_min <= l_max <= L_max`` is
-        at most ``gamma * L_max`` — far tighter than the generic
-        ``L_max * f(Delta)`` bound when lengths are diverse.
+        which with ``0 < delta < 1`` and ``l_min <= l_max = l`` is at
+        most ``gamma * l``: far tighter than the generic
+        ``l * f(l / L_min)`` when lengths are diverse.
         """
-        return self.gamma * float(np.asarray(lengths, dtype=float).max())
+        return self.gamma * lengths
 
     def __repr__(self) -> str:
         return f"PowerLawThreshold(gamma={self.gamma}, delta={self.delta})"
@@ -138,16 +145,20 @@ class LogThreshold(ThresholdFunction):
         logs = np.log2(np.maximum(x, 1.0))
         return self.gamma * np.maximum(1.0, logs**self.exponent)
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max * max(1, log2(Delta)^(2/(alpha-2)))``.
+    def _reach_bound(self, lengths: np.ndarray) -> np.ndarray:
+        """``kappa * gamma * l``, or the generic bound where it is tighter.
 
-        For any pair, ``l_min <= L_max`` and ``l_max/l_min <= Delta``,
-        and the log factor is non-decreasing, so the product bounds
-        every pair's ``l_min * f(l_max/l_min)``.
+        With ``x = l_max / l_min`` the pair bound is
+        ``l_max * f(x) / x``, and ``f(x) / x`` peaks where
+        ``ln x = e = 2 / (alpha - 2)``: ``kappa = max(1,
+        (e / ln 2)^e * exp(-e))`` (1.1267 at ``alpha = 3``, 1 at
+        ``alpha = 4``).  Low diversity caps ``x`` below that peak, so
+        the generic ``l * f(l / L_min)`` can be smaller still.
         """
-        lengths = np.asarray(lengths, dtype=float)
-        lmax = float(lengths.max())
-        return lmax * self.scalar(lmax / float(lengths.min()))
+        e = self.exponent
+        with np.errstate(over="ignore"):
+            kappa = max(1.0, float(np.exp(e * (np.log(e / np.log(2.0)) - 1.0))))
+        return np.minimum(kappa * self.gamma * lengths, super()._reach_bound(lengths))
 
     def __repr__(self) -> str:
         return f"LogThreshold(gamma={self.gamma}, alpha={self.alpha})"

@@ -2,14 +2,15 @@
 
 A :class:`ConflictGraph` is the graph ``G_f(L)`` over a link set: links
 are vertices, and ``i ~ j`` iff they are *f-conflicting* (Appendix A).
-There is one build and one form.  The cell-local tiles of
-:func:`repro.geometry.spatial.conflict_tiles` (one per occupied grid
-cell, or one all-pairs tile when the grid cannot help) are evaluated
-through the link set's kernel cache, and their edges are kept in CSR
-form: ``indptr`` / ``indices`` index arrays of ``O(n + edges)`` bytes,
-never an ``n x n`` matrix.  The paper's conflict graphs are sparse by
-construction (constant inductive independence), which is what lets
-100k-link graphs fit in memory.  The backend name
+There is one build and one form.  The candidate pairs of
+:func:`repro.geometry.spatial.candidate_pairs` (each link against the
+shorter links within its reach, or every pair when the grid cannot
+help) are tested in chunks of at most ``block_size**2`` (and at most
+16,384) pairs, each counted as one block in the kernel's statistics,
+and the edges are kept in CSR form: ``indptr`` / ``indices`` index
+arrays of ``O(n + edges)`` bytes, never an ``n x n`` matrix.  The
+paper's conflict graphs are sparse by construction (constant inductive
+independence), which is what lets 100k-link graphs fit in memory.  The backend name
 (:mod:`repro.backend`) does not change the form.  Every query method
 (``neighbors``, ``degree``, ``is_independent``, ...) reads the CSR
 arrays and rejects a vertex outside ``[0, n)`` with a
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 import numpy as np
 
 from repro.backend import SPARSE_BACKEND
+from repro.backend.blocks import gap_pairs
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -33,7 +35,7 @@ from repro.conflict.functions import (
 )
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
 from repro.errors import ConfigurationError, LinkError
-from repro.geometry.spatial import conflict_tiles
+from repro.geometry.spatial import candidate_pairs
 from repro.links.linkset import LinkSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +46,12 @@ __all__ = ["ConflictGraph", "g1_graph", "oblivious_graph", "arbitrary_graph"]
 #: Largest dense boolean adjacency (in bytes) that
 #: :attr:`ConflictGraph.adjacency` will materialise: 16,384 links.
 _DENSE_ADJACENCY_BUDGET_BYTES = 256 * 1024 * 1024
+
+#: Candidate pairs tested per chunk (fewer when ``block_size**2`` is
+#: smaller).  A chunk's temporaries then stay near 2 MiB; on
+#: schedule-build's n=4200 graph this measured faster than one chunk of
+#: ``1024**2`` and cut the build's traced peak from 10.3 to 4.3 MiB.
+_CHUNK_PAIRS = 2**14
 
 
 class ConflictGraph:
@@ -70,38 +78,35 @@ class ConflictGraph:
         self.links = links
         self.threshold = threshold
         kernel = links.kernel()
+        lengths = links.lengths
         n = len(links)
-        row_chunks = [np.empty(0, dtype=np.int64)]
-        col_chunks = [np.empty(0, dtype=np.int64)]
-        for rows, cols in conflict_tiles(links, threshold, kernel.block_size):
-            local_rows, local_cols = np.nonzero(self._adjacent_block(kernel, rows, cols))
-            row_chunks.append(rows[local_rows])
-            col_chunks.append(cols[local_cols])
-        edge_rows = np.concatenate(row_chunks)
-        edge_cols = np.concatenate(col_chunks)
-        # Canonicalise the tiles' edges to CSR order (rows ascending,
-        # columns sorted within each row); each (i, j) lies in exactly
-        # one tile, so there are no duplicates to merge.
-        order = np.lexsort((edge_cols, edge_rows))
+        longer_chunks = [np.empty(0, dtype=np.int64)]
+        shorter_chunks = [np.empty(0, dtype=np.int64)]
+        chunk = min(kernel.block_size**2, _CHUNK_PAIRS)
+        pairs = candidate_pairs(links, threshold.reach(lengths), chunk)
+        for longer, shorter in pairs:
+            # Conflict iff d(i, j) <= l_min * f(l_max / l_min), and the
+            # shorter link is l_min.  LinkSet construction guarantees
+            # strictly positive lengths (DegenerateLinkError otherwise),
+            # so the ratio is always finite and warning-free.
+            gap = gap_pairs(links, longer, shorter)
+            kernel.stats.count_block(longer.size)
+            lmin = lengths[shorter]
+            conflict = gap <= lmin * threshold(lengths[longer] / lmin)
+            longer_chunks.append(longer[conflict])
+            shorter_chunks.append(shorter[conflict])
+        longer = np.concatenate(longer_chunks)
+        shorter = np.concatenate(shorter_chunks)
+        # Each edge came once; store both directions in CSR order (rows
+        # ascending, columns sorted within each row).
+        edge_rows = np.concatenate([longer, shorter])
+        edge_cols = np.concatenate([shorter, longer])
+        order = np.argsort(edge_rows * n + edge_cols)
         self.indices = edge_cols[order]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_rows, minlength=n), out=self.indptr[1:])
         self.indices.setflags(write=False)
         self.indptr.setflags(write=False)
-
-    def _adjacent_block(self, kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Boolean conflict block for global ``rows x cols`` indices."""
-        # Conflict iff d(i, j) <= l_min * f(l_max / l_min).  LinkSet
-        # construction guarantees strictly positive lengths
-        # (DegenerateLinkError otherwise), so the ratio below is always
-        # finite and warning-free.
-        lengths = self.links.lengths
-        gap = kernel.gap_submatrix(rows, cols)
-        lmin = np.minimum(lengths[rows][:, None], lengths[cols][None, :])
-        lmax = np.maximum(lengths[rows][:, None], lengths[cols][None, :])
-        block = gap <= lmin * self.threshold(lmax / lmin)
-        block[rows[:, None] == cols[None, :]] = False
-        return block
 
     def _vertex(self, i: int) -> int:
         """``i``, or a :class:`~repro.errors.LinkError` when it is not a

@@ -16,7 +16,6 @@ manifests.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
@@ -28,6 +27,7 @@ from repro.backend import check_backend
 from repro.errors import ConfigurationError
 from repro.scenarios.transforms import scenarios as scenario_registry
 from repro.scheduling.builder import PowerMode
+from repro.util.validation import check_finite
 
 __all__ = ["CellSpec", "SweepSpec", "MEASUREMENTS"]
 
@@ -196,14 +196,7 @@ class SweepSpec:
         object.__setattr__(self, "ns", tuple(_integer("each n", n) for n in self.ns))
         for name in ("alphas", "betas"):
             for value in getattr(self, name):
-                if (
-                    isinstance(value, bool)
-                    or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)
-                ):
-                    raise ConfigurationError(
-                        f"{name} must hold finite numbers, got {value!r}"
-                    )
+                check_finite(name, value)
         for name in ("topologies", "modes", "trees", "schedulers", "measure", "scenarios"):
             for value in getattr(self, name):
                 if not isinstance(value, str):

@@ -34,7 +34,7 @@ from repro.geometry.point import PointSet
 from repro.scenarios.timeline import EpochInstance
 from repro.sinr.model import SINRModel
 from repro.util.rng import RngLike, as_generator
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.config import PipelineConfig
@@ -80,9 +80,10 @@ def _bounding_box(points: PointSet) -> tuple:
 
 
 def _require_probability(name: str, value: float) -> float:
+    value = check_finite(name, value)
     if not 0.0 <= value < 1.0:
         raise ConfigurationError(f"{name} must lie in [0, 1), got {value}")
-    return float(value)
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,9 @@ replaces that: one cache is attached to each (immutable)
   or the cache is ``sparse`` (the ``blocked-sparse`` backend): column
   sums are streamed in row blocks of ``block_size`` and no ``n x n``
   float64 array is ever allocated.  This is all the backend name
-  selects; conflict graphs evaluate cell-local tiles of at most
-  ``block_size`` per side and keep CSR edges under either name
-  (:func:`repro.geometry.spatial.conflict_tiles`);
+  selects; conflict graphs test candidate pairs in chunks of at most
+  ``block_size**2`` pairs and keep CSR edges under either name
+  (:class:`~repro.conflict.graph.ConflictGraph`);
 * **validates** every index it is asked for: a negative or
   out-of-range link index raises :class:`~repro.errors.LinkError`
   naming it, instead of wrapping around or surfacing as a bare numpy
@@ -84,9 +84,9 @@ class KernelStats:
     :meth:`KernelCache.additive_matrix` makes one) — the chunked-mode
     memory guarantee is exactly ``dense_builds == 0``.  Every other
     entry is block-evaluated, so ``entries_served`` counts each entry
-    computed, every conflict-graph entry included; ``block_evals``
-    counts blocks of any size (a conflict graph evaluates one per
-    cell tile), so it is not a unit of work.
+    computed, every conflict-graph pair included; ``block_evals``
+    counts blocks of any size (a conflict graph counts one per chunk
+    of pairs), so it is not a unit of work.
     """
 
     dense_builds: int = 0
@@ -187,29 +187,6 @@ class KernelCache:
         idx = self._index(indices)
         for start in range(0, idx.size, self.block_size):
             yield idx[start : start + self.block_size]
-
-    # ------------------------------------------------------------------
-    # Geometry blocks
-    # ------------------------------------------------------------------
-    def gap_submatrix(self, rows, cols) -> np.ndarray:
-        """Gap distances ``d(i, j)`` for ``i`` in rows, ``j`` in cols.
-
-        Zero whenever the global indices coincide (same convention as
-        :meth:`LinkSet.link_distances`).  Computed blockwise — the full
-        matrix is never required — except that an unchunked cache serves
-        the whole matrix (one index array, in order) from the link set's
-        memoized, read-only :meth:`LinkSet.link_distances`, so every
-        all-pairs conflict graph over one link set shares it.
-        """
-        rows = self._index(rows)
-        cols = self._index(cols)
-        whole = cols is rows and rows.size == self.n and bool(np.all(rows[1:] > rows[:-1]))
-        if whole and not self.chunked:
-            gap = self.links.link_distances()
-        else:
-            gap = blocks.gap_block(self.links, rows, cols)
-        self.stats.count_block(rows.size * cols.size)
-        return gap
 
     # ------------------------------------------------------------------
     # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)

@@ -31,14 +31,18 @@ def check_int_min(name: str, value: object, *, minimum: int) -> int:
     return int(value)
 
 
-def check_finite(name: str, value: float) -> float:
+def check_finite(name: str, value: object) -> float:
     """``value`` as a ``float``; :class:`ConfigurationError` naming
-    ``name`` if it is NaN or infinite.  NaN fails every comparison, so
-    a range check alone lets it through."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value}")
-    return value
+    ``name`` unless it is a real number (numpy scalars included) that is
+    neither NaN nor infinite.  ``bool``, strings and ``None`` are
+    rejected, never coerced; NaN fails every comparison, so a range
+    check alone lets it through."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {number}")
+    return number
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -53,8 +57,9 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
 
 
 def check_probability(name: str, value: float, *, open_interval: bool = False) -> float:
-    """Validate that ``value`` lies in [0, 1] (or (0, 1) if open)."""
-    value = float(value)
+    """Validate that ``value`` is a real number in [0, 1] (or (0, 1) if
+    open)."""
+    value = check_finite(name, value)
     if open_interval:
         if not 0.0 < value < 1.0:
             raise ConfigurationError(f"{name} must lie strictly in (0, 1), got {value}")

@@ -1,5 +1,5 @@
 """The all-pairs conflict-graph builds: the references for the
-cell-local tiles of :func:`repro.geometry.spatial.conflict_tiles`.
+reach-driven pair build of :class:`repro.conflict.graph.ConflictGraph`.
 
 Both are ``ConflictGraph``'s earlier paths, kept verbatim:
 
@@ -10,12 +10,14 @@ Both are ``ConflictGraph``'s earlier paths, kept verbatim:
   the build for link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links on
   a dense kernel;
 * :func:`every_tile_adjacency` evaluates every row-block x col-block
-  tile of the kernel's ``block_size`` through the kernel cache and
-  assembles the edges as CSR ``(indptr, indices)`` arrays: the build
-  for link sets too large for an ``n x n`` float matrix.
+  tile of the kernel's ``block_size`` with
+  :func:`repro.backend.blocks.gap_block`, counts each tile in the
+  kernel's statistics and assembles the edges as CSR
+  ``(indptr, indices)`` arrays: the build for link sets too large for
+  an ``n x n`` float matrix.
 
 ``tests/test_spatial.py`` and ``benchmarks/bench_backend_scaling.py``
-assert that the cell-tile build returns the same bytes as these.
+assert that the pair build returns the same bytes as these.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from oracles.distances import einsum_distances
+from repro.backend.blocks import gap_block
 from repro.conflict.functions import ThresholdFunction
 from repro.links.linkset import LinkSet
 
@@ -54,7 +57,8 @@ def dense_adjacency(links: LinkSet, threshold: ThresholdFunction) -> np.ndarray:
 def _adjacent_block(links, threshold, kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Boolean conflict block for global ``rows x cols`` indices."""
     lengths = links.lengths
-    gap = kernel.gap_submatrix(rows, cols)
+    gap = gap_block(links, rows, cols)
+    kernel.stats.count_block(rows.size * cols.size)
     lmin = np.minimum(lengths[rows][:, None], lengths[cols][None, :])
     lmax = np.maximum(lengths[rows][:, None], lengths[cols][None, :])
     block = gap <= lmin * threshold(lmax / lmin)

@@ -207,6 +207,14 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["gamma", "delta", "alpha", "beta"])
+    @pytest.mark.parametrize("value", ["1", False])
+    def test_non_numeric_constants_rejected(self, field, value):
+        """A string gamma used to raise a bare TypeError from ``<= 0``;
+        a string alpha or a bool anywhere was coerced to a number."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+            PipelineConfig(**{field: value})
+
     def test_round_trips_through_json(self):
         cfg = PipelineConfig(
             topology="clusters", n=30, tree="knn-mst", power="mean",

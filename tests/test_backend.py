@@ -4,6 +4,8 @@ CSR arrays under either backend."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.conflict_allpairs import gap_matrix
 from repro.backend import DEFAULT_BACKEND, blocks
@@ -75,6 +77,37 @@ class TestBlockIsSliceOfFull:
         idx = np.array([3, 0, 7, 22, 11, 5])
         full = links.link_distances()[np.ix_(idx, idx)]
         assert blocks.gap_block(links, idx, idx).tobytes() == full.tobytes()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.sampled_from([1, 2, 3]),
+        scale=st.sampled_from([1.0, 1e150, 1e154]),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gap_pairs_match_gap_block_bit_for_bit(self, seed, dim, scale, shared):
+        """Aligned pairs equal the block's entries in 1-, 2- and 3-D,
+        with overflowing squares at 1e154 and shared endpoints."""
+        rng = np.random.default_rng(seed)
+        n = 24
+        senders = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale
+        # Short enough that no length overflows; gaps between far
+        # senders still square past the float range at 1e154.
+        offsets = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale * 10.0 ** -rng.integers(1, 4, size=(n, 1))
+        receivers = senders + offsets
+        for k in range(1, n // 2 if shared else 1):
+            # A chain: link k sends from link k - 1's receiver.
+            senders[k] = receivers[k - 1]
+            receivers[k] = senders[k] + offsets[k]
+        links = LinkSet(senders, receivers)
+        rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
+        block = blocks.gap_block(links, np.arange(n), np.arange(n))
+        pairs = blocks.gap_pairs(links, rows, cols)
+        assert pairs.tobytes() == block.ravel().tobytes()
+        if shared:
+            assert np.any(pairs == 0.0) and np.any(block[~np.eye(n, dtype=bool)] == 0.0)
+        if scale == 1e154 and dim > 1:
+            assert np.isinf(pairs).any()
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_additive_block_matches_full(self, alpha):

@@ -409,6 +409,27 @@ class TestScenarioCommand:
         assert next(iter(json.loads(params))) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("churn", '{"p_leave": "x"}'),
+            ("churn", '{"p_join": "0.1"}'),
+            ("arrivals", '{"rate": null}'),
+            ("arrivals", '{"rate": "5"}'),
+            ("mobility", '{"speed": true}'),
+        ],
+    )
+    def test_non_numeric_params_exit_2(self, capsys, name, params):
+        """A string or null used to end in a TypeError traceback; a
+        numeric string or a bool ran as a number."""
+        assert main(
+            ["scenario", name, "--n", "16", "--epochs", "2", "--params", params]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{next(iter(json.loads(params)))} must be a real number" in err
+        assert "Traceback" not in err
+
     def test_negative_scenario_seed_exits_2(self, capsys):
         assert main(
             ["scenario", "churn", "--n", "16", "--epochs", "2",

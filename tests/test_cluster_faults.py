@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.cluster.orchestrator as orchestrator_module
 from repro.cluster import Orchestrator, connect, protocol
 from repro.runner import SweepEngine, SweepSpec
 from repro.runner.results import CellResult
@@ -72,8 +74,28 @@ def spawn_worker(address: str) -> subprocess.Popen:
     )
 
 
+def cells_leased_to(orchestrator: Orchestrator, pid: int) -> int:
+    """Cells the orchestrator's lease table holds for the worker process
+    ``pid`` (worker ids end in ``-<pid>``); a cell leaves the table when
+    its result is accepted."""
+    with orchestrator._lock:
+        return sum(
+            len(lease.cell_ids)
+            for lease in orchestrator._leases.values()
+            if lease.worker_id.endswith(f"-{pid}")
+        )
+
+
 class TestWorkerDeath:
-    def test_sigkill_mid_sweep_reassigns_and_matches_inline(self, tmp_path):
+    def test_sigkill_mid_sweep_reassigns_and_matches_inline(self, tmp_path, monkeypatch):
+        orchestrators = []
+
+        class Recorded(Orchestrator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                orchestrators.append(self)
+
+        monkeypatch.setattr(orchestrator_module, "Orchestrator", Recorded)
         inline_path = tmp_path / "inline.jsonl"
         SweepEngine(FAULT_SPEC, out_path=inline_path).run()
 
@@ -95,15 +117,21 @@ class TestWorkerDeath:
         victim = spawn_worker(f"127.0.0.1:{port}")
         survivor = None
         try:
-            # Let the victim land its first row — it is then mid-lease,
-            # holding cells it will never finish.
+            # Kill the victim only while it holds cells it will never
+            # finish.  Frozen by SIGSTOP it sends nothing more, but a
+            # result already on the wire may still retire one cell, so at
+            # least two must be leased to it for one to come back.
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if cluster_path.exists() and cluster_path.stat().st_size > 0:
-                    break
+            while True:
+                if time.monotonic() > deadline:
+                    pytest.fail("victim worker never held two leased cells")
+                if orchestrators and cells_leased_to(orchestrators[0], victim.pid) >= 2:
+                    victim.send_signal(signal.SIGSTOP)
+                    os.waitpid(victim.pid, os.WUNTRACED)  # returns once it is stopped
+                    if cells_leased_to(orchestrators[0], victim.pid) >= 2:
+                        break
+                    victim.send_signal(signal.SIGCONT)
                 time.sleep(0.005)
-            else:
-                pytest.fail("victim worker produced no rows")
             victim.kill()  # SIGKILL: no goodbye, no lease release
             victim.wait(timeout=10)
 

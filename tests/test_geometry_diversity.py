@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from oracles.distances import einsum_distances
 from repro.errors import GeometryError
-from repro.geometry.distances import cross_distances, pairwise_distances
+from repro.geometry.distances import (
+    cross_distances,
+    min_paired_distances,
+    pairwise_distances,
+)
 from repro.geometry.diversity import (
     length_diversity,
     link_length_diversity,
@@ -72,6 +76,33 @@ class TestCrossDistances:
             d = cross_distances(a, a)
         assert d.tobytes() == einsum_distances(a, a).tobytes()
         assert d[0, 1] == np.inf
+
+
+class TestMinPairedDistances:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        scale=st.sampled_from([1e-150, 1.0, 1e6, 1e150, 1e155]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_for_bit_the_minimum_of_cross_distances(self, seed, dim, scale):
+        """Squared distances are compared before one root, and the
+        result is the minimum of the cross-distance entries, underflow,
+        overflow and exact zeros included."""
+        gen = np.random.default_rng(seed)
+        points = [gen.normal(size=(9, dim)) * scale for _ in range(4)]
+        points[1][gen.random(9) < 0.3] = points[0][0]  # coincident points
+        rows, cols = np.nonzero(np.ones((9, 9), dtype=bool))
+        pairs = [(points[0], points[1]), (points[2], points[3]), (points[0], points[3])]
+        got = min_paired_distances(*((a[rows], b[cols]) for a, b in pairs))
+        want = np.minimum.reduce([cross_distances(a, b) for a, b in pairs]).ravel()
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_misaligned_pairs(self):
+        with pytest.raises(GeometryError):
+            min_paired_distances((np.zeros((2, 2)), np.zeros((3, 2))))
+        with pytest.raises(GeometryError):
+            min_paired_distances((np.zeros((2, 2)), np.zeros((2, 3))))
 
 
 class TestDiversity:

@@ -36,6 +36,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             SINRModel(**{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "noise", "epsilon"])
+    @pytest.mark.parametrize("value", ["3", True, None])
+    def test_rejects_non_numbers(self, field, value):
+        """A numeric string or a bool used to be coerced; None raised a
+        bare TypeError."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+            SINRModel(**{field: value})
+
 
 class TestDerived:
     def test_noiseless_flag(self):

@@ -87,6 +87,21 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="x must be finite"):
                 check_finite("x", value)
 
+    @pytest.mark.parametrize("value", ["5", "x", None, True, np.bool_(False), [1.0]])
+    @pytest.mark.parametrize(
+        "check", [check_finite, check_positive, check_probability], ids=lambda c: c.__name__
+    )
+    def test_non_numbers_rejected_by_name(self, check, value):
+        """A string, None or a list used to end in a bare TypeError or
+        ValueError from float(); a numeric string or a bool came back
+        as a number."""
+        with pytest.raises(ConfigurationError, match=r"^x must be a real number, got "):
+            check("x", value)
+
+    def test_numpy_scalars_are_numbers(self):
+        assert check_finite("x", np.float32(0.5)) == 0.5
+        assert check_positive("x", np.int64(3)) == 3.0
+
     def test_check_probability_closed(self):
         assert check_probability("p", 0.0) == 0.0
         assert check_probability("p", 1.0) == 1.0
