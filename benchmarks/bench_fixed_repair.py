@@ -5,7 +5,7 @@ uniform and linear assignments) a color class that violates Equation
 (1) is split first-fit, longest first, into certified slots
 (:func:`repro.scheduling.repair.split_into_feasible_slots_fixed_power`).
 The packer fetches one relative block per color class of at most
-``block_size`` links, decides the whole class from its column sums,
+``2 * block_size`` links, decides the whole class from its column sums,
 packs from the same block permuted to length order, and rejects a probe
 as soon as one member denominator exceeds the limit derived from
 ``sinr_from_denominators``.  The original loop, which fetches two
@@ -15,22 +15,26 @@ the oracle in ``tests/oracles/repair_loops.py``.
 This bench runs both over every color class the builds split: the two
 oblivious instances of perfbench's schedule-build (uniform-square MSTs
 with ``n`` = 2000 on a dense kernel and ``n`` = 4200 on a chunked one,
-whose 1,284- and 1,221-link classes exceed ``block_size`` and take the
-streamed check), and the 48 uniform- and oblivious-power cells of
-sweep-frames' grid.  The classes and power vectors are recorded from a
-cold ``Pipeline.run`` at the builder's import site.  Each row records
-the classes, the split classes, the first-fit probes (one per slot a
-link was tested against, derived from the slots: first fit tries the
-slots in creation order), the kernel entries each side evaluated, the
-oracle and packer seconds (best of ``REPEATS`` alternating runs) and
-the in-run speedup.  Every row asserts that the packer's slots equal
-the oracle's.  Set ``BENCH_SMOKE=1`` for the one-instance CI grid.
+whose 1,284- and 1,221-link classes exceed ``block_size`` = 1024 but
+not twice it, so each is still one block), and the 48 uniform- and
+oblivious-power cells of sweep-frames' grid.  The classes and power
+vectors are recorded from a cold ``Pipeline.run`` at the builder's
+import site.  Each row records the classes, the split classes, the
+first-fit probes (one per slot a link was tested against, derived from
+the slots: first fit tries the slots in creation order), the kernel
+entries each side evaluated, the oracle and packer seconds (best of
+``REPEATS`` alternating runs), the in-run speedup and
+``packer_peak_mib``, the ``tracemalloc`` peak of one more, untimed
+packer pass over the row (kernel blocks and the pass's copies).  Every
+row asserts that the packer's slots equal the oracle's.  Set
+``BENCH_SMOKE=1`` for the one-instance CI grid.
 """
 
 import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +158,10 @@ def _row(name: str) -> dict:
             packer_entries = sum(_entries(t) for t in packer_links.values()) - before
         # The differential contract at benchmark scale: equal slots.
         assert packed == expected, name
+    tracemalloc.start()
+    run(split_into_feasible_slots_fixed_power, packer_links)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
     split = [pieces for pieces in packed if len(pieces) > 1]
     return {
         "name": name,
@@ -169,6 +177,7 @@ def _row(name: str) -> dict:
         "oracle_seconds": round(oracle_s, 4),
         "packer_seconds": round(packer_s, 4),
         "speedup": round(oracle_s / packer_s, 2),
+        "packer_peak_mib": round(peak / 2**20, 2),
     }
 
 
@@ -187,7 +196,7 @@ def test_fixed_repair_speedup(emit):
             f"probes={row['probes']:>6} over {row['links_split']} links  "
             f"entries {row['oracle_entries']:,} -> {row['packer_entries']:,}  "
             f"oracle {row['oracle_seconds']:.3f}s  packer {row['packer_seconds']:.3f}s  "
-            f"({row['speedup']:.1f}x)"
+            f"({row['speedup']:.1f}x, peak {row['packer_peak_mib']:.1f} MiB)"
         )
     RECORD["rows"] = rows
     oracle = sum(r["oracle_seconds"] for r in rows)

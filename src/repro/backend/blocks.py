@@ -99,6 +99,10 @@ def additive_block(
 # ----------------------------------------------------------------------
 # Relative kernel  R[j, i] = (P_j/P_i) (l_i/d_ji)^alpha
 # ----------------------------------------------------------------------
+#: Entries per row tile of :func:`relative_block`.
+RELATIVE_TILE_ENTRIES = 1 << 16
+
+
 def relative_block(
     links: "LinkSet",
     vec: np.ndarray,
@@ -106,15 +110,31 @@ def relative_block(
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
-    """Relative kernel restricted to ``rows x cols``."""
-    dist = srdist_block(links, rows, cols)
-    lengths = links.lengths
+    """Relative kernel restricted to ``rows x cols``.
+
+    Filled into one ``rows x cols`` output a tile of about
+    :data:`RELATIVE_TILE_ENTRIES` entries (whole rows) at a time, so the
+    transient is one tile rather than several block-sized temporaries.
+    Each entry is ``(P_j / P_i) * (l_i / d_ji) ** alpha`` with the same
+    operands and operations in the same order as the one-shot
+    expression, so the block is equal to it bit for bit (``**=`` takes
+    the same scalar-exponent fast paths as ``**``).
+    """
+    out = np.empty((rows.size, cols.size))
+    senders, receivers = links.senders[rows], links.receivers[cols]
+    l_cols, p_rows, p_cols = links.lengths[cols], vec[rows][:, None], vec[cols]
+    step = max(1, RELATIVE_TILE_ENTRIES // max(1, cols.size))
     with np.errstate(divide="ignore", over="ignore"):
-        rel = (vec[rows][:, None] / vec[cols][None, :]) * (
-            lengths[cols][None, :] / dist
-        ) ** alpha
-    rel[rows[:, None] == cols[None, :]] = 0.0
-    return rel
+        for start in range(0, rows.size, step):
+            stop = start + step
+            ratio = cross_distances(senders[start:stop], receivers)
+            np.divide(l_cols, ratio, out=ratio)
+            ratio **= alpha
+            tile = out[start:stop]
+            np.divide(p_rows[start:stop], p_cols, out=tile)
+            tile *= ratio
+            tile[rows[start:stop, None] == cols] = 0.0
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ Two implementations are provided, one per power model:
   incrementally: testing a candidate reads ``O(|slot|)`` entries of
   one kernel block fetched for the whole pass, instead of a full
   ``O(|slot|^2)`` rebuild per probe.  A class of at most
-  ``block_size`` links costs one block ``R[C, C]``: its column sums
+  ``2 * block_size`` links costs one block ``R[C, C]``: its column sums
   decide the whole class, and the same block permuted to length order
   is the pass's.  Every verdict compares denominators with one limit
   derived from :func:`~repro.sinr.feasibility.sinr_from_denominators`,
@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.constants import FEASIBILITY_MARGIN
+from repro.errors import LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.feasibility import (
     _as_power_vector,
@@ -90,10 +91,11 @@ def split_into_feasible_slots(
     rules after one product.  Each verdict is therefore
     ``is_feasible_some_power``'s on the same set.
     """
-    idx = [int(i) for i in np.atleast_1d(class_indices)]
+    checked = check_link_indices(class_indices, len(links))
+    idx = checked.tolist()
     if len(idx) <= 1:
         return [idx] if idx else []
-    check_distinct_links(np.asarray(idx))
+    check_distinct_links(checked)
     block = links.kernel().affectance_submatrix(model, idx, idx)
     limit = 1.0 - FEASIBILITY_MARGIN
     if _perron_feasible(block, limit)[0]:
@@ -127,8 +129,9 @@ class FixedPowerPacker:
     :func:`~repro.sinr.feasibility.denominator_limit` of the threshold
     ``beta * (1 + slack)`` (``slack`` finite and at least 0): the one
     feasibility predicate of every verdict here.  Slots come from
-    :meth:`carry`, :meth:`pack` or :meth:`split`.
-    ``feasibility_evals``, ``slots_opened`` and ``reexamined`` are the
+    :meth:`carry`, :meth:`pack` or :meth:`split`; a link is in at most
+    one of them.  ``feasibility_evals``, ``slots_opened`` and
+    ``reexamined`` are the
     :class:`~repro.scheduling.incremental.RepairCost` tallies.
     """
 
@@ -146,6 +149,8 @@ class FixedPowerPacker:
         self.feasibility_evals = 0
         self.slots_opened = 0
         self.reexamined: Set[int] = set()
+        #: Whether each link is in an open slot.
+        self._open = np.zeros(len(links), dtype=bool)
 
     def _relative(self, rows, cols) -> np.ndarray:
         return self.kernel.relative_submatrix(self.power, self.model.alpha, rows, cols)
@@ -174,9 +179,13 @@ class FixedPowerPacker:
 
     def _indices(self, indices: Sequence[int]) -> np.ndarray:
         """``indices`` as an int array; a :class:`~repro.errors.LinkError`
-        names a repeated or out-of-range one."""
+        names an out-of-range or repeated one, or one already in an open
+        slot."""
         idx = check_link_indices(indices, len(self.links))
         check_distinct_links(idx)
+        if self.slots and self._open[idx].any():
+            bad = idx[self._open[idx]][0]
+            raise LinkError(f"link index {bad} is already in an open slot")
         return idx
 
     def carry(self, members: List[int], *, recheck: bool) -> List[int]:
@@ -185,10 +194,14 @@ class FixedPowerPacker:
         Without ``recheck`` the slot is kept whole, its denominators
         computed only at its first probe.  With it, members failing the
         SINR test are evicted and the survivors, if any, keep the slot.
+        A repeated or out-of-range index, or one already in an open
+        slot, is a :class:`~repro.errors.LinkError`.
         """
+        members = self._indices(members).tolist()
         if not recheck:
-            self.slots.append(list(members))
+            self.slots.append(members)
             self.denoms.append(None)
+            self._open[members] = True
             return []
         denoms, sub, noise = self._materialise(members)
         bad = (denoms > self.limit).tolist()
@@ -196,6 +209,7 @@ class FixedPowerPacker:
         if keep:
             self.slots.append([members[p] for p in keep])
             self.denoms.append(sub[np.ix_(keep, keep)].sum(axis=0) + noise[keep])
+            self._open[self.slots[-1]] = True
         return [m for m, evict in zip(members, bad) if evict]
 
     def split(self, indices: Sequence[int]) -> List[List[int]]:
@@ -203,21 +217,29 @@ class FixedPowerPacker:
         the whole class if it is feasible, otherwise as :meth:`pack`'s
         slots.
 
-        A class of at most ``block_size`` links is decided from one
-        block ``R[C, C]`` in class order: its column sums are
-        :meth:`~repro.sinr.kernels.KernelCache.relative_colsums`' for a
-        class of that size, and the block permuted to length order is
-        the pass's first (and only) run, so check and pass cost one
-        kernel evaluation.  A larger class keeps the streamed column
-        sums and :meth:`pack`'s own blocks.
+        A class of at most ``2 * block_size`` links is decided from one
+        block ``R[C, C]`` in class order, its column sums added as
+        :meth:`~repro.sinr.kernels.KernelCache.relative_colsums` adds
+        them (:meth:`~repro.sinr.kernels.KernelCache.column_sums`), and
+        the block permuted to length order is the pass's only run: check
+        and pass cost one kernel evaluation.  The cap bounds memory: at
+        ``2 * block_size`` links the class block and the pass's
+        transposed copy (``8 block_size^2`` floats) hold about what the
+        streamed pass's last run does (``R[run, head]``,
+        ``R[head, run]`` and its transposed copy, ``6 block_size^2``,
+        plus the check's own chunk), for half the entries.  Past it one
+        block would grow as ``|C|^2``, so a larger class keeps the
+        streamed column sums and :meth:`pack`'s runs, which grow as
+        ``block_size * |C|``.
         """
         idx = self._indices(indices)
+        kernel = self.kernel
         block = None
-        if idx.size <= self.kernel.block_size:
+        if idx.size <= 2 * kernel.block_size:
             block = self._relative(idx, idx)
-            colsums = block.sum(axis=0)
+            colsums = kernel.column_sums(idx.size, block.__getitem__)
         else:
-            colsums = self.kernel.relative_colsums(self.power, self.model.alpha, idx)
+            colsums = kernel.relative_colsums(self.power, self.model.alpha, idx)
         denoms = _denominators(self.links, self.power, self.model, idx, colsums)
         if not (denoms > self.limit).any():
             return [idx.tolist()]
@@ -229,8 +251,8 @@ class FixedPowerPacker:
     def pack(self, indices: Sequence[int]) -> List[List[int]]:
         """First-fit every link of ``indices``, longest first, into the
         open slots, opening a new one when none accepts it; returns all
-        slots.  A repeated or out-of-range index is a
-        :class:`~repro.errors.LinkError`.
+        slots.  A repeated or out-of-range index, or one already in an
+        open slot, is a :class:`~repro.errors.LinkError`.
 
         The pass walks its order in runs of the kernel's ``block_size``
         links and fetches, per run, ``R[run, head]`` and ``R[head, run]``
@@ -248,20 +270,31 @@ class FixedPowerPacker:
 
     def _place(self, order: np.ndarray, first: Optional[np.ndarray]) -> List[List[int]]:
         """:meth:`pack`'s pass over ``order``; ``first``, when given, is
-        ``R[order, order]`` for an order of at most one run.
+        ``R[order, order]``, the pass's only run.
 
-        A probe adds the link's row to the slot's member denominators
-        and rejects as soon as one exceeds :attr:`limit`; only then does
-        it sum the link's own column, read from a contiguous transposed
-        copy of the run's ``R[head, run]``.
+        The pass keeps one denominator and one slot label per position
+        of ``order``.  For the link at position ``pos`` one sum
+        ``den[:pos] + R[link, order[:pos]]`` and one comparison with
+        :attr:`limit` find every slot that a member placed by the pass
+        rules out; a slot that survives it (and its carried members,
+        fetched per probe) sums the link's own column, read from a
+        contiguous transposed copy of the run's ``R[head, run]`` at its
+        members' positions.  Accepting writes the sums back in place.
+        Afterwards :attr:`denoms` holds each slot's denominators,
+        carried members first.
         """
         limit = self.limit
-        carried = [np.asarray(members, dtype=int) for members in self.slots]
-        # Per slot, the order positions of the links this pass placed.
-        placed = [np.empty(0, dtype=int) for _ in self.slots]
-        block = self.kernel.block_size
-        for start in range(0, order.size, block):
-            run = order[start : start + block]
+        slots, denoms = self.slots, self.denoms
+        # Carried members and their denominators (None = not yet probed);
+        # members this pass places live in ``den``/``label`` by position.
+        carried = [np.asarray(members, dtype=int) for members in slots]
+        den = np.empty(order.size)
+        label = np.empty(order.size, dtype=np.intp)
+        self._open[order] = True
+        evals = 0
+        step = self.kernel.block_size if first is None else max(order.size, 1)
+        for start in range(0, order.size, step):
+            run = order[start : start + step]
             if start == 0:
                 onto = self._relative(run, run) if first is None else first
                 frm_t = np.ascontiguousarray(onto.T)
@@ -274,40 +307,49 @@ class FixedPowerPacker:
                 pos = start + row
                 own_noise = self._noise(link)
                 self.reexamined.add(link)
-                onto_row, from_row = onto[row], frm_t[row]
-                for k, members in enumerate(self.slots):
-                    current = self.denoms[k]
-                    if current is None:
-                        current = self.denoms[k] = self._materialise(members)[0]
-                    self.feasibility_evals += len(members) + 1
-                    mine, fixed = placed[k], carried[k]
-                    to_members = onto_row[mine]
+                placed = label[:pos]
+                seg = den[:pos] + onto[row, :pos]
+                ruled_out = np.zeros(len(slots), dtype=bool)
+                ruled_out[placed[seg > limit]] = True
+                ruled_out = ruled_out.tolist()
+                for k, members in enumerate(slots):
+                    if denoms[k] is None:
+                        denoms[k] = self._materialise(members)[0]
+                    evals += len(members) + 1
+                    fixed = carried[k]
                     if fixed.size:
-                        to_members = np.concatenate(
-                            (self._relative([link], fixed)[0], to_members)
-                        )
+                        to_fixed = denoms[k] + self._relative([link], fixed)[0]
                         from_fixed = self._relative(fixed, [link])[:, 0]
-                    member_denoms = current + to_members
-                    if (member_denoms > limit).any():
+                        if (to_fixed > limit).any():
+                            continue
+                    if ruled_out[k]:
                         continue
-                    from_members = from_row[mine]
+                    mine = (placed == k).nonzero()[0]
+                    from_members = frm_t[row, mine]
                     if fixed.size:
                         from_members = np.concatenate((from_fixed, from_members))
                     own = float(from_members.sum()) + own_noise
                     if own > limit:
                         continue
                     members.append(link)
-                    placed[k] = np.append(mine, pos)
-                    self.denoms[k] = np.append(member_denoms, own)
+                    if fixed.size:
+                        denoms[k] = to_fixed
+                    den[mine] = seg[mine]
+                    den[pos], label[pos] = own, k
                     break
                 else:
-                    self.slots.append([link])
-                    self.denoms.append(np.array([own_noise]))
+                    slots.append([link])
+                    denoms.append(np.empty(0))
                     carried.append(np.empty(0, dtype=int))
-                    placed.append(np.array([pos]))
+                    den[pos], label[pos] = own_noise, len(slots) - 1
                     self.slots_opened += 1
-                    self.feasibility_evals += 1
-        return self.slots
+                    evals += 1
+        self.feasibility_evals += evals
+        for k, current in enumerate(denoms):
+            mine = (label == k).nonzero()[0]
+            if mine.size:
+                denoms[k] = np.concatenate((current, den[mine]))
+        return slots
 
 
 def split_into_feasible_slots_fixed_power(
@@ -322,7 +364,7 @@ def split_into_feasible_slots_fixed_power(
     for a fixed power vector: the whole class if it is feasible,
     otherwise a :class:`FixedPowerPacker` pass over it
     (:meth:`FixedPowerPacker.split`)."""
-    idx = [int(i) for i in np.atleast_1d(class_indices)]
-    if not idx:
+    idx = check_link_indices(class_indices, len(links))
+    if not idx.size:
         return []
     return FixedPowerPacker(links, power, model, slack=slack).split(idx)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.constants import (
     KERNEL_DENSE_BUDGET_BYTES,
     KERNEL_MAX_DENSE_LINKS,
 )
+from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.util.validation import check_int_min, check_link_indices
 
@@ -242,12 +243,26 @@ class KernelCache:
         self.stats.count_block(rows.size * cols.size)
         return rel
 
+    def _power(self, vec) -> np.ndarray:
+        """``vec`` as an array if its shape is ``(n,)``; otherwise a
+        :class:`~repro.errors.ConfigurationError` (a shape test, no
+        per-entry scan)."""
+        vec = np.asarray(vec)
+        if vec.shape != (self.n,):
+            raise ConfigurationError(
+                f"power vector shape {vec.shape} does not match link count {self.n}"
+            )
+        return vec
+
     def relative_submatrix(self, vec: np.ndarray, alpha: float, rows, cols) -> np.ndarray:
         """``R[j, i]`` for ``j`` in rows, ``i`` in cols under powers ``vec``.
 
         ``vec`` is the *full-length* power vector (indexed by global
-        link index).  One block evaluation of exactly these entries.
+        link index; any other shape is a
+        :class:`~repro.errors.ConfigurationError`).  One block
+        evaluation of exactly these entries.
         """
+        vec = self._power(vec)
         return self._relative_block(vec, alpha, self._index(rows), self._index(cols))
 
     def relative_colsums(self, vec: np.ndarray, alpha: float, active) -> np.ndarray:
@@ -255,16 +270,34 @@ class KernelCache:
 
         The row-sum side of Equation (1): the set is feasible
         (noiseless) iff every entry is at most ``1/beta``.  In chunked
-        mode the sums are streamed over row blocks and the
-        ``|active| x |active|`` matrix is never materialised.
+        mode the sums are streamed over row blocks
+        (:meth:`column_sums`) and the ``|active| x |active|`` matrix is
+        never materialised.
         """
+        vec = self._power(vec)
         idx = self._index(active)
+        return self.column_sums(
+            idx.size, lambda part: self._relative_block(vec, alpha, idx[part], idx)
+        )
+
+    def column_sums(self, size: int, rows: Callable[[slice], np.ndarray]) -> np.ndarray:
+        """Column sums of a ``size x size`` block whose rows ``part``
+        (a slice) are ``rows(part)``.
+
+        A dense cache sums all rows at once; a chunked one sums each
+        ``block_size``-row chunk and adds the chunk sums in row order,
+        so no more than one chunk need exist at a time.  The one place
+        this order is written: :meth:`relative_colsums` streams its
+        blocks through it, and
+        :meth:`~repro.scheduling.repair.FixedPowerPacker.split` sums a
+        whole class block with it, so both add the same values in the
+        same order.
+        """
         if not self.chunked:
-            # Bounded n: one block, bit-identical to the seed path.
-            return self._relative_block(vec, alpha, idx, idx).sum(axis=0)
-        sums = np.zeros(idx.size)
-        for block in self.iter_blocks(idx):
-            sums += self._relative_block(vec, alpha, block, idx).sum(axis=0)
+            return rows(slice(0, size)).sum(axis=0)
+        sums = np.zeros(size)
+        for start in range(0, size, self.block_size):
+            sums += rows(slice(start, start + self.block_size)).sum(axis=0)
         return sums
 
     # ------------------------------------------------------------------

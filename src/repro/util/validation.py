@@ -76,14 +76,44 @@ def check_finite_array(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
+_BOOLS = {bool, np.bool_}
+
+
 def check_link_indices(indices: object, n: int) -> np.ndarray:
     """``indices`` as a 1-D int array; a :class:`LinkError` names the
-    first one outside ``[0, n)`` instead of letting it wrap around or
-    surface as a bare numpy ``IndexError``."""
-    idx = np.atleast_1d(np.asarray(indices, dtype=int))
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = int(idx[(idx < 0) | (idx >= n)][0])
-        raise LinkError(f"link index {bad} is out of range for {n} links")
+    first entry that is not an integer (a bool, a non-integral float or
+    a non-number), else the first outside ``[0, n)``, instead of
+    truncating it, letting it wrap around or surfacing as a bare numpy
+    ``IndexError``.  Integer dtypes, integral floats and empty
+    sequences pass.
+
+    numpy turns a bool among Python ints into an int, so a list or
+    tuple is also scanned for bools by type; an array is not."""
+    raw = np.atleast_1d(np.asarray(indices))
+    sequence = isinstance(indices, (list, tuple))
+    if sequence and _BOOLS & set(map(type, indices)):
+        bad = next(i for i in indices if type(i) in _BOOLS)
+        raise LinkError(f"link index {bad!r} is not an integer")
+    if raw.dtype.kind not in "iuf":
+        # numpy turns the numbers beside a string into strings too.
+        for value in indices if sequence else raw.tolist():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise LinkError(f"link index {value!r} is not an integer")
+        raw = raw.astype(float)
+    if raw.dtype.kind == "f":
+        wrong = ~np.isfinite(raw) | (raw != np.trunc(raw))
+        if wrong.any():
+            raise LinkError(f"link index {raw[wrong][0].item()!r} is not an integer")
+        # Before the cast, which is undefined past the int64 range.
+        outside = (raw < 0) | (raw >= n)
+        if outside.any():
+            bad = raw[outside][0].item()
+            raise LinkError(f"link index {bad!r} is out of range for {n} links")
+    idx = raw.astype(int, copy=False)
+    # Viewed unsigned, a negative index is huge: one reduction checks both ends.
+    unsigned = idx.view(np.uint64)
+    if idx.size and unsigned.max() >= n:
+        raise LinkError(f"link index {raw[unsigned >= n][0]} is out of range for {n} links")
     return idx
 
 

@@ -2,12 +2,15 @@
 functions, the ``sparse`` bit, and conflict graphs that hold the same
 CSR arrays under either backend."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.conflict_allpairs import gap_matrix
+from oracles.relative_oneshot import relative_block as oneshot_relative_block
 from repro.backend import DEFAULT_BACKEND, blocks
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
@@ -130,6 +133,83 @@ class TestBlockIsSliceOfFull:
         assert spectral_radius(a) == float(np.abs(np.linalg.eigvals(a)).max())
         assert spectral_radius(np.empty((0, 0))) == 0.0
         assert spectral_radius(np.array([[-2.5]])) == 2.5
+
+
+# ----------------------------------------------------------------------
+# The row-tiled relative block equals the one-shot expression
+# ----------------------------------------------------------------------
+def _chain_links(n: int, dim: int, scale: float, seed: int, shared: bool) -> LinkSet:
+    """``n`` random links in ``dim`` dimensions at coordinate ``scale``;
+    with ``shared``, each link of the first half sends from the
+    previous link's receiver, so ``d(s_k, r_{k-1}) = 0`` and the kernel
+    entry is infinite."""
+    rng = np.random.default_rng(seed)
+    senders = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale
+    offsets = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale * 10.0 ** -rng.integers(1, 4, size=(n, 1))
+    receivers = senders + offsets
+    for k in range(1, n // 2 if shared else 1):
+        senders[k] = receivers[k - 1]
+        receivers[k] = senders[k] + offsets[k]
+    return LinkSet(senders, receivers)
+
+
+class TestTiledRelativeBlock:
+    """``blocks.relative_block`` fills its output one row tile at a time;
+    every entry equals the one-shot expression kept in
+    ``tests/oracles/relative_oneshot.py`` bit for bit."""
+
+    # 23 rows against 13 columns: every column link is also a row, at a
+    # different position (3 is row 0 and col 2, 11 is row 3 and col 12).
+    ROWS = np.array([3, 0, 7, 11, 14, 2, 19, 5, 8, 1, 22, 16, 9, 4, 18, 12, 6, 21, 10, 15, 13, 20, 17])
+    COLS = np.array([1, 9, 3, 17, 4, 12, 0, 20, 6, 22, 8, 15, 11])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize(
+        "tile", [1, 5 * 13, blocks.RELATIVE_TILE_ENTRIES],
+        ids=["one-row-tiles", "uneven-tiles", "one-tile"],
+    )
+    def test_tiles_match_the_one_shot_block(self, dim, alpha, tile):
+        """Tiles of one row, of five rows (23 is not a multiple of
+        five) and one tile for the whole block."""
+        links = _chain_links(23, dim, 1.0, seed=dim, shared=False)
+        vec = np.random.default_rng(7).uniform(0.1, 10.0, size=23)
+        want = oneshot_relative_block(links, vec, alpha, self.ROWS, self.COLS)
+        with mock.patch.object(blocks, "RELATIVE_TILE_ENTRIES", tile):
+            got = blocks.relative_block(links, vec, alpha, self.ROWS, self.COLS)
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got == 0.0) == self.COLS.size  # one per shared link
+
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.sampled_from([1, 2, 3]),
+        scale=st.sampled_from([1.0, 1e150, 1e154]),
+        shared=st.booleans(),
+        tile=st.sampled_from([1, 40, 1 << 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_nodes_and_huge_coordinates(self, seed, dim, scale, shared, tile):
+        """Infinite entries where links share a node and squares that
+        overflow at 1e154 come out of every tile as out of the one-shot
+        block."""
+        n = 24
+        links = _chain_links(n, dim, scale, seed, shared)
+        gen = np.random.default_rng(seed)
+        vec = gen.uniform(0.5, 2.0, size=n)
+        rows, cols = gen.permutation(n)[:17], gen.permutation(n)[:11]
+        want = oneshot_relative_block(links, vec, 3.0, rows, cols)
+        with mock.patch.object(blocks, "RELATIVE_TILE_ENTRIES", tile):
+            got = blocks.relative_block(links, vec, 3.0, rows, cols)
+        assert got.tobytes() == want.tobytes()
+        if shared:
+            full = blocks.relative_block(links, vec, 3.0, np.arange(n), np.arange(n))
+            assert np.isinf(full).any()
+
+    def test_empty_sides(self):
+        links = _random_links(9)
+        none = np.arange(0)
+        assert blocks.relative_block(links, np.ones(9), 3.0, none, np.arange(9)).shape == (0, 9)
+        assert blocks.relative_block(links, np.ones(9), 3.0, np.arange(9), none).shape == (9, 0)
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,11 @@ equal :class:`~repro.scheduling.incremental.RepairCost` counters and
 epoch deltas.  The kernel counters pin the packer's batching instead of
 the loops' two calls per probe: no dense build ever, strictly fewer
 block evaluations than the loop on from-scratch splits (exactly one,
-check and pass together, for a split class of at most ``block_size``
-links), and on warm builds at most one more per block the pass fetched
-(carried members are still fetched per probe).
+check and pass together, for a split class of at most
+``2 * block_size`` links), and on warm builds at most one more per
+block the pass fetched (carried members are still fetched per probe).
+A hypothesis property pins the warm build's kernel entries exactly to
+that fetch pattern.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.repair_loops import (
     LoopIncrementalScheduler,
@@ -36,11 +40,13 @@ from repro.links.linkset import LinkSet
 from repro.power.oblivious import ObliviousPower
 from repro.scenarios import ScenarioRunner
 from repro.scheduling.baselines import greedy_sinr_schedule
+from repro.scheduling import repair
 from repro.scheduling.incremental import IncrementalScheduler, ScheduleState
 from repro.scheduling.repair import (
     FixedPowerPacker,
     split_into_feasible_slots_fixed_power,
 )
+from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.affectance import additive_interference_matrix
 from repro.sinr.feasibility import denominator_limit, is_feasible_with_power
 from repro.sinr.model import SINRModel
@@ -81,6 +87,16 @@ def pass_blocks(placed: int, block_size: int) -> int:
     ``placed`` links fetches: one for the first run of ``block_size``
     links, two for every later run."""
     return 2 * math.ceil(placed / block_size) - 1 if placed else 0
+
+
+def pass_entries(placed: int, block_size: int) -> int:
+    """Kernel entries of those blocks: ``R[run, run]`` for the first
+    run, ``R[run, head]`` and ``R[head, run]`` for every later one."""
+    entries = min(placed, block_size) ** 2
+    for start in range(block_size, placed, block_size):
+        run = min(block_size, placed - start)
+        entries += 2 * run * (start + run)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +162,9 @@ class TestSplitFixedPower:
              "chunked-noisy"],
     )
     def test_large_classes_match_the_loop(self, model, slack, kernel_kwargs):
-        """Classes of 200-400 links: within ``block_size`` they share one
-        block between the whole-class check and the pass; above it they
-        keep the streamed check and the run-by-run pass."""
+        """Classes of 200-400 links: within ``2 * block_size`` they share
+        one block between the whole-class check and the pass; above it
+        they keep the streamed check and the run-by-run pass."""
         new = crowded_links(400, 0, side=9.0)
         old = twin(new)
         new.kernel(**kernel_kwargs)
@@ -162,9 +178,48 @@ class TestSplitFixedPower:
             got = split_into_feasible_slots_fixed_power(new, cls, vec, model, slack=slack)
             assert got == loop_split_fixed_power(old, cls, vec, model, slack=slack)
             assert len(got) > 1
-            if size <= block_size:
+            if size <= 2 * block_size:
                 assert stats(new)["block_evals"] - before == 1
         assert stats(new)["dense_builds"] == 0
+
+    @pytest.mark.parametrize(
+        "kernel_kwargs",
+        [{"block_size": 8}, {"backend": "blocked-sparse", "block_size": 8}],
+        ids=["dense", "blocked-sparse"],
+    )
+    @pytest.mark.parametrize("extra", [0, 1], ids=["2bs", "2bs+1"])
+    def test_split_at_twice_the_block_size(self, kernel_kwargs, extra):
+        """``2 * block_size`` links are one block, check and pass
+        together; one more keeps the streamed check (one block on a
+        dense kernel, one per ``block_size`` rows on a chunked one) and
+        the run-by-run pass."""
+        new = crowded_links(60, 7, side=2.0)
+        old = twin(new)
+        kernel = new.kernel(**kernel_kwargs)
+        old.kernel(**kernel_kwargs)
+        size = 2 * kernel.block_size + extra
+        cls = np.random.default_rng(extra).choice(60, size=size, replace=False)
+        vec = np.ones(60)
+        with mock.patch.object(
+            repair, "_denominators", side_effect=repair._denominators
+        ) as denominators:
+            got = split_into_feasible_slots_fixed_power(new, cls, vec, MODEL)
+        assert got == loop_split_fixed_power(old, cls, vec, MODEL)
+        assert len(got) > 1
+        # The class is decided from relative_colsums' own sums, bit for bit.
+        colsums = denominators.call_args.args[4]
+        want = twin(new).kernel(**kernel_kwargs).relative_colsums(vec, MODEL.alpha, cls)
+        assert colsums.tobytes() == want.tobytes()
+        if extra == 0:
+            assert kernel.stats.block_evals == 1
+            assert kernel.stats.entries_served == size * size
+        else:
+            check = math.ceil(size / kernel.block_size) if kernel.chunked else 1
+            assert kernel.stats.block_evals == check + pass_blocks(size, kernel.block_size)
+            assert kernel.stats.entries_served == size * size + pass_entries(
+                size, kernel.block_size
+            )
+        assert kernel.stats.dense_builds == 0
 
     def test_noise_decides_the_whole_class(self):
         """Interference 0.6 and noise 0.5 per link: each link alone is
@@ -235,6 +290,48 @@ class TestPackerInputs:
         with pytest.raises(LinkError, match="link index 3 is repeated"):
             packer.pack([3, 3, 4])
         assert packer.slots == []
+
+    def test_carry_rejects_a_repeated_index(self):
+        """With ``recheck`` the repeat used to be kept, its pair's
+        entries zeroed as if the link never interfered with itself."""
+        packer = FixedPowerPacker(crowded_links(30, 0), np.ones(30), MODEL)
+        with pytest.raises(LinkError, match="link index 1 is repeated"):
+            packer.carry([1, 1, 2], recheck=True)
+        with pytest.raises(LinkError, match="link index 1 is repeated"):
+            packer.carry([1, 1, 2], recheck=False)
+        assert packer.slots == [] and packer.denoms == []
+
+    def test_carry_rejects_an_out_of_range_index(self):
+        packer = FixedPowerPacker(crowded_links(30, 0), np.ones(30), MODEL)
+        with pytest.raises(LinkError, match="link index 99 is out of range for 30 links"):
+            packer.carry([1, 99], recheck=False)
+        assert packer.slots == []
+
+    @pytest.mark.parametrize("recheck", [False, True])
+    def test_a_link_joins_at_most_one_open_slot(self, recheck):
+        packer = FixedPowerPacker(crowded_links(30, 0, side=30.0), np.ones(30), MODEL)
+        assert packer.carry([1, 2], recheck=recheck) == []
+        with pytest.raises(LinkError, match="link index 1 is already in an open slot"):
+            packer.pack([1, 3])
+        with pytest.raises(LinkError, match="link index 2 is already in an open slot"):
+            packer.carry([4, 2], recheck=recheck)
+        assert packer.slots == [[1, 2]]
+        packer.pack([3])
+        with pytest.raises(LinkError, match="link index 3 is already in an open slot"):
+            packer.pack([3])
+        assert sorted(i for slot in packer.slots for i in slot) == [1, 2, 3]
+
+    def test_an_evicted_link_can_be_packed_again(self):
+        """Link 1 sends from link 0's receiver, so link 0 sees infinite
+        interference: a recheck evicts it, and it is free to be packed
+        (into a slot of its own)."""
+        links = LinkSet(
+            np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]]),
+            np.array([[1.0, 0.0], [2.0, 0.0], [9.0, 10.0]]),
+        )
+        packer = FixedPowerPacker(links, np.ones(3), MODEL)
+        assert packer.carry([0, 1, 2], recheck=True) == [0]
+        assert packer.pack([0]) == [[1, 2], [0]]
 
     def test_split_rejects_a_repeated_index(self):
         with pytest.raises(LinkError, match="link index 3 is repeated"):
@@ -369,6 +466,109 @@ class TestWarmBuild:
         new_ids = ids[5:] + [(5000 + j, 6000 + j) for j in range(len(extra))]
         cost = assert_same_warm_build(MODEL, links, new_ids, state, mode=mode)
         assert cost["links_inserted"] == len(extra)
+
+
+def random_epoch(seed: int, n_old: int, n_new: int, num_slots: int, mode: str):
+    """A previous schedule of random (not necessarily feasible) slots
+    over ``n_old`` links, and the next epoch's links and ids: about a
+    fifth of the old links moved (their slots are rechecked), a tenth
+    departed, and ``n_new`` arrived."""
+    gen = np.random.default_rng(seed)
+    pool = crowded_links(n_old + n_new, seed, side=float(gen.choice([2.0, 4.0, 8.0])))
+    prev = LinkSet(pool.senders[:n_old], pool.receivers[:n_old])
+    cold, _ = IncrementalScheduler(MODEL, mode).schedule(prev)
+    vec = np.empty(n_old)
+    for slot in cold.slots:
+        vec[list(slot.link_indices)] = slot.powers
+    cuts = np.sort(gen.choice(np.arange(1, n_old), size=min(num_slots, n_old) - 1, replace=False))
+    groups = np.split(gen.permutation(n_old), cuts)
+    previous = Schedule(
+        prev, [Slot.from_arrays(g.tolist(), vec[g]) for g in groups], MODEL, validate=False
+    )
+    old_ids = [(i, 1000 + i) for i in range(n_old)]
+    state = ScheduleState.from_schedule(previous, old_ids, MODEL)
+    # A moved link keeps its length (so its power), not its place.
+    shift = np.where(gen.random(n_old) < 0.2, 0.3, 0.0)[:, None]
+    stay = np.flatnonzero(gen.random(n_old) >= 0.1)
+    links = LinkSet(
+        np.vstack([(prev.senders + shift)[stay], pool.senders[n_old:]]),
+        np.vstack([(prev.receivers + shift)[stay], pool.receivers[n_old:]]),
+    )
+    ids = [old_ids[i] for i in stay] + [(5000 + j, 6000 + j) for j in range(n_new)]
+    return links, ids, state
+
+
+def expected_warm_entries(carries, inserted, slots, block_size) -> int:
+    """Kernel entries of one warm build's packer, from its calls:
+    ``|members|^2`` per rechecked carry, then per carried slot that the
+    pass probes ``|members|^2`` once if it was carried unchecked and
+    ``2 |members|`` per probe (a link placed in slot ``s`` probed slots
+    ``0..s``; one that opened a slot probed every carried one), plus
+    the pass's run blocks."""
+    entries = sum(len(members) ** 2 for members, _, recheck in carries if recheck)
+    carried = [(len(kept), not recheck) for _, kept, recheck in carries if kept]
+    final = {link: k for k, slot in enumerate(slots) for link in slot}
+    for c, (size, unchecked) in enumerate(carried):
+        probes = sum(final[link] >= c for link in inserted)
+        if probes:
+            entries += size**2 * unchecked + 2 * size * probes
+    return entries + pass_entries(len(inserted), block_size)
+
+
+class TestWarmBuildProperty:
+    @given(
+        seed=st.integers(0, 2**16 - 1),
+        n_old=st.integers(2, 40),
+        n_new=st.integers(0, 15),
+        num_slots=st.integers(1, 8),
+        mode=st.sampled_from(["uniform", "oblivious", "linear"]),
+        block_size=st.sampled_from([4, 16, 1024]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_carry_and_pack_match_the_loop(self, seed, n_old, n_new, num_slots, mode, block_size):
+        """Random carried slots (rechecked or not), evictions and
+        inserted links: equal slots, powers, ``RepairCost`` and deltas
+        to the loop, and exactly the packer's documented kernel
+        entries."""
+        links, ids, state = random_epoch(seed, n_old, n_new, num_slots, mode)
+        links.kernel(block_size=block_size)
+        carries, inserted = [], []
+        carry, pack = FixedPowerPacker.carry, FixedPowerPacker.pack
+
+        def record_carry(packer, members, *, recheck):
+            evicted = carry(packer, members, recheck=recheck)
+            carries.append((members, [m for m in members if m not in evicted], recheck))
+            return evicted
+
+        def record_pack(packer, indices):
+            inserted.extend(indices)
+            slots = pack(packer, indices)
+            # Denominators stay aligned with the members, carried first.
+            for members, denoms in zip(slots, packer.denoms):
+                assert denoms is None or len(denoms) == len(members)
+            return slots
+
+        new_links = twin(links)
+        new_links.kernel(block_size=block_size)
+        with mock.patch.object(FixedPowerPacker, "carry", record_carry), mock.patch.object(
+            FixedPowerPacker, "pack", record_pack
+        ):
+            schedule, report = IncrementalScheduler(MODEL, mode).schedule(
+                new_links, link_ids=ids, prev_state=state
+            )
+        loop_links = twin(links)
+        loop_links.kernel(block_size=block_size)
+        loop = LoopIncrementalScheduler(MODEL, mode)
+        loop_schedule, loop_report = loop.schedule(loop_links, link_ids=ids, prev_state=state)
+        assert [(s.link_indices, s.powers) for s in schedule.slots] == [
+            (s.link_indices, s.powers) for s in loop_schedule.slots
+        ]
+        assert report.repair_cost == loop_report.repair_cost
+        slots = [list(s.link_indices) for s in schedule.slots]
+        assert stats(new_links)["entries_served"] == expected_warm_entries(
+            carries, inserted, slots, block_size
+        )
+        assert stats(new_links)["dense_builds"] == 0
 
 
 # ---------------------------------------------------------------------------

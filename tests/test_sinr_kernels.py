@@ -5,9 +5,13 @@ import pytest
 
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
-from repro.errors import LinkError
+from repro.errors import ConfigurationError, LinkError
 from repro.links.linkset import LinkSet
-from repro.scheduling.repair import FixedPowerPacker, split_into_feasible_slots_fixed_power
+from repro.scheduling.repair import (
+    FixedPowerPacker,
+    split_into_feasible_slots,
+    split_into_feasible_slots_fixed_power,
+)
 from repro.sinr.affectance import (
     additive_interference,
     additive_interference_matrix,
@@ -341,6 +345,72 @@ class TestIndexValidation:
         last = sinr_values(links, np.ones(12), model, [0, 11])
         assert np.all(np.isfinite(last)) and last.shape == (2,)
 
+    #: Entry points that take a whole index sequence; each used to
+    #: truncate a float or a bool to a link (``int(i)`` or
+    #: ``np.asarray(..., dtype=int)``).
+    SEQUENCE_QUERIES = {
+        "split_fixed_power": lambda links, model, active: split_into_feasible_slots_fixed_power(
+            links, active, np.ones(12), model
+        ),
+        "split_some_power": lambda links, model, active: split_into_feasible_slots(
+            links, active, model
+        ),
+        "sinr_values": lambda links, model, active: sinr_values(
+            links, np.ones(12), model, active
+        ),
+        "relative_colsums": lambda links, model, active: links.kernel().relative_colsums(
+            np.ones(12), model.alpha, active
+        ),
+        "packer_carry": lambda links, model, active: FixedPowerPacker(
+            links, np.ones(12), model
+        ).carry(active, recheck=False),
+    }
+
+    @pytest.mark.parametrize(
+        "active,bad",
+        [([0.7, 1.2, 2.9], "0.7"), ([True, False], "True"), ([True, True, False], "True"),
+         ([0.5, 1.5, 2.7], "0.5"), ([3, 4.5], "4.5")],
+        ids=["fractions", "bools", "bool-repeat", "halves", "int-and-fraction"],
+    )
+    @pytest.mark.parametrize("query", sorted(SEQUENCE_QUERIES))
+    def test_non_integer_index_is_a_link_error(self, model, query, active, bad):
+        links = _random_links(self.N, rng=13)
+        with pytest.raises(LinkError, match=rf"link index {bad} is not an integer"):
+            self.SEQUENCE_QUERIES[query](links, model, active)
+
+    def test_integral_floats_are_links(self, model):
+        links = _random_links(self.N, rng=13)
+        want = sinr_values(links, np.ones(12), model, [0, 11])
+        assert sinr_values(links, np.ones(12), model, [0.0, 11.0]).tobytes() == want.tobytes()
+        assert sinr_values(links, np.ones(12), model, np.array([0, 11], np.int32)).tobytes() == (
+            want.tobytes()
+        )
+        assert sinr_values(links, np.ones(12), model, []).shape == (0,)
+
+
+class TestPowerVectorShape:
+    """A relative-kernel query reads powers by global link index, so
+    its power vector has exactly one entry per link; anything else is
+    a :class:`ConfigurationError`, not a block of the wrong shape or a
+    bare ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "vec", [np.ones(40), np.ones((30, 2)), np.ones(5), np.ones((30, 1)), 1.0],
+        ids=["longer", "two-columns", "shorter", "column", "scalar"],
+    )
+    def test_wrong_shapes_are_configuration_errors(self, model, vec):
+        kernel = _random_links(30, rng=2).kernel()
+        with pytest.raises(ConfigurationError, match=r"power vector shape .* link count 30"):
+            kernel.relative_submatrix(vec, model.alpha, [0, 7], [9, 12])
+        with pytest.raises(ConfigurationError, match=r"power vector shape .* link count 30"):
+            kernel.relative_colsums(vec, model.alpha, [0, 7, 9])
+        assert kernel.stats.block_evals == 0
+
+    def test_one_entry_per_link_passes(self, model):
+        kernel = _random_links(30, rng=2).kernel()
+        assert kernel.relative_submatrix(np.ones(30), model.alpha, [0, 7], [9]).shape == (2, 1)
+        assert kernel.relative_colsums(list(np.ones(30)), model.alpha, [0, 7]).shape == (2,)
+
 
 class TestConfigValidation:
     def test_bad_block_size(self, square_links):
@@ -353,6 +423,23 @@ class TestConfigValidation:
         additive_interference(square_links, model.alpha, [0, 1], 2)
         snap = square_links.kernel().stats.snapshot()
         assert snap["entries_served"] >= 2
+
+
+class TestColumnSums:
+    @pytest.mark.parametrize("backend", [None, "blocked-sparse"], ids=["dense", "chunked"])
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 40])
+    def test_a_whole_block_sums_like_relative_colsums(self, model, backend, size):
+        """``column_sums`` over one fetched block adds its rows as
+        ``relative_colsums`` streams them: bit for bit, on a dense cache
+        (one sum) and a chunked one (a sum per 8 rows, added in order)."""
+        links = _random_links(40, 4, spacing=0.5)
+        cache = links.kernel(backend=backend, block_size=8)
+        gen = np.random.default_rng(size)
+        idx = gen.permutation(40)[:size]
+        vec = gen.uniform(0.5, 2.0, size=40)
+        block = cache.relative_submatrix(vec, model.alpha, idx, idx)
+        got = cache.column_sums(size, block.__getitem__)
+        assert got.tobytes() == cache.relative_colsums(vec, model.alpha, idx).tobytes()
 
 
 class TestKernelStats:

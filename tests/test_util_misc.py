@@ -1,9 +1,11 @@
 """Tests for RNG plumbing, orderings and validation helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkError
 from repro.util.ordering import (
     argsort_by_length_nondecreasing,
     argsort_by_length_nonincreasing,
@@ -12,6 +14,7 @@ from repro.util.rng import as_generator, spawn
 from repro.util.validation import (
     check_finite,
     check_finite_array,
+    check_link_indices,
     check_positive,
     check_probability,
 )
@@ -118,3 +121,54 @@ class TestValidation:
         assert arr.dtype == float
         with pytest.raises(ConfigurationError):
             check_finite_array("a", [1.0, np.inf])
+
+
+class TestLinkIndices:
+    """Link indices are integers: a bool, a fractional or non-finite
+    float or a non-number is a :class:`LinkError` naming the first one,
+    never truncated to a link."""
+
+    @pytest.mark.parametrize(
+        "indices,bad",
+        [
+            ([0.7, 1.2, 2.9], "0.7"),
+            ([1, 2.5], "2.5"),
+            ([0, float("nan")], "nan"),
+            ([0, float("inf")], "inf"),
+            ([True, False], "True"),
+            ([1, True], "True"),  # numpy would turn it into link 1
+            ((0, np.False_), "np.False_"),
+            (np.array([True, True, False]), "True"),
+            (True, "True"),
+            ([0, "1"], "'1'"),
+            ([0, None], "None"),
+            (np.array([1 + 0j]), r"\(1\+0j\)"),
+        ],
+    )
+    def test_non_integers_are_named(self, indices, bad):
+        with pytest.raises(LinkError, match=rf"^link index {bad} is not an integer$"):
+            check_link_indices(indices, 5)
+
+    @pytest.mark.parametrize(
+        "indices,want",
+        [
+            ([3, 0], [3, 0]),
+            (np.array([4, 1], dtype=np.int32), [4, 1]),
+            (np.array([2], dtype=np.uint8), [2]),
+            ([1.0, 4.0], [1, 4]),
+            (np.array([0, 3.0], dtype=object), [0, 3]),
+            (np.int64(2), [2]),
+            (range(3), [0, 1, 2]),
+            ([], []),
+            (np.array([], dtype=bool), []),
+        ],
+    )
+    def test_integers_pass_as_an_int_array(self, indices, want):
+        idx = check_link_indices(indices, 5)
+        assert idx.dtype == int and idx.tolist() == want
+
+    @pytest.mark.parametrize("bad", [-1, 5, 7.0, 1e300])
+    def test_out_of_range_is_named(self, bad):
+        message = rf"^link index {re.escape(repr(bad))} is out of range for 5 links$"
+        with pytest.raises(LinkError, match=message):
+            check_link_indices([0, bad], 5)
