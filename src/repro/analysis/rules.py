@@ -168,24 +168,22 @@ def _store_001(ctx: ModuleContext) -> Iterator[tuple]:
     "BACKEND-001",
     title="dense-kernel math stays behind the backend",
     description=(
-        "np.outer / np.power and private dense-buffer access (._dense) are "
-        "reserved to repro/backend/ and sinr/kernels.py: every other module "
-        "must go through the kernel cache and its block functions so the "
-        "bit-identity contract (backends share store keys) stays closed."
+        "np.outer / np.power are reserved to repro/backend/ and sinr/kernels.py: "
+        "every other module must go through the kernel cache and its block "
+        "functions so the bit-identity contract (backends share store keys) "
+        "stays closed."
     ),
     contract="PR 7 pluggable numeric backends (bit-identical by contract)",
     fix_hint="route the computation through links.kernel() / repro.backend",
     exempt=("repro/backend/", "sinr/kernels.py"),
 )
 def _backend_001(ctx: ModuleContext) -> Iterator[tuple]:
-    """Flag dense-kernel numpy calls and ``._dense`` access."""
+    """Flag dense-kernel numpy calls."""
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
             name = ctx.dotted_name(node.func)
             if name in {"numpy.outer", "numpy.power"}:
                 yield node, f"dense-kernel call {name} outside the backend boundary"
-        elif isinstance(node, ast.Attribute) and node.attr == "_dense":
-            yield node, "private dense-kernel buffer access (._dense)"
 
 
 # ----------------------------------------------------------------------

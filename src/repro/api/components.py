@@ -280,14 +280,11 @@ def _certified(
     gamma: Optional[float] = None,
     delta: Optional[float] = None,
     tau: Optional[float] = None,
-    kernel_block_size: Optional[int] = None,
 ) -> Tuple[Schedule, BuildReport]:
     kwargs = power.builder_kwargs()
     for name, value in (("gamma", gamma), ("delta", delta), ("tau", tau)):
         if value is not None:
             kwargs[name] = value
-    if kernel_block_size is not None:
-        kwargs["kernel_block_size"] = kernel_block_size
     builder = ScheduleBuilder(model, power.mode, **kwargs)
     return builder.build_with_report(links)
 
@@ -300,7 +297,6 @@ def _incremental_certified(
     gamma: Optional[float] = None,
     delta: Optional[float] = None,
     tau: Optional[float] = None,
-    kernel_block_size: Optional[int] = None,
     prev_state=None,
     link_ids=None,
 ) -> Tuple[Schedule, BuildReport]:
@@ -308,8 +304,6 @@ def _incremental_certified(
     for name, value in (("gamma", gamma), ("delta", delta), ("tau", tau)):
         if value is not None:
             kwargs[name] = value
-    if kernel_block_size is not None:
-        kwargs["kernel_block_size"] = kernel_block_size
     scheduler = IncrementalScheduler(model, power.mode, **kwargs)
     return scheduler.schedule(links, link_ids=link_ids, prev_state=prev_state)
 

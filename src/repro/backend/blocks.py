@@ -2,11 +2,11 @@
 
 The block builders (``*_block``) compute kernel entries restricted to
 global ``rows x cols`` indices, and :func:`gap_pairs` the gap entries of
-aligned ``(rows[k], cols[k])`` pairs; the two full-matrix builders
-(``additive_full``, ``affectance_full``) are the seed's dense
-expressions, and each block is byte-identical to the matching slice of
-its full matrix.  :class:`~repro.sinr.kernels.KernelCache` decides when
-to call which (the additive memo, chunking); nothing here keeps state.
+aligned ``(rows[k], cols[k])`` pairs.  Each block is byte-identical to
+the matching slice of the seed's full-matrix expression (kept as the
+test oracles of ``tests/oracles/dense_full.py``), so a block over every
+index is the full matrix.  :class:`~repro.sinr.kernels.KernelCache`
+decides when to call which (chunking); nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "additive_block",
-    "additive_full",
     "affectance_block",
-    "affectance_full",
     "gap_block",
     "gap_pairs",
     "relative_block",
@@ -72,17 +70,6 @@ def srdist_block(links: "LinkSet", rows: np.ndarray, cols: np.ndarray) -> np.nda
 # ----------------------------------------------------------------------
 # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
 # ----------------------------------------------------------------------
-def additive_full(links: "LinkSet", alpha: float) -> np.ndarray:
-    """Dense additive kernel."""
-    gap = links.link_distances()
-    lengths = links.lengths
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = (lengths[:, None] / gap) ** alpha
-    m = np.minimum(1.0, ratio)
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
 def additive_block(
     links: "LinkSet", alpha: float, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
@@ -140,16 +127,6 @@ def relative_block(
 # ----------------------------------------------------------------------
 # Affectance kernel  A[i, j] = beta * l_i^alpha / d_ji^alpha
 # ----------------------------------------------------------------------
-def affectance_full(links: "LinkSet", alpha: float, beta: float) -> np.ndarray:
-    """Dense normalised affectance."""
-    dist = links.sender_receiver_distances()
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = (links.lengths[None, :] / dist) ** alpha
-    a = beta * ratio.T
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def affectance_block(
     links: "LinkSet",
     alpha: float,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.sinr.affectance import additive_interference_matrix
 from repro.util.ordering import first_fit
+from repro.util.validation import check_positive
 
 __all__ = ["refine_by_interference"]
 
@@ -29,10 +29,10 @@ def refine_by_interference(
     constant ``t``.  Within each bucket, every pair of links ``i`` and
     longer ``j`` satisfies ``I(i, j) < budget``; with ``budget <= 1``
     this forces ``d(i, j) > l_i`` — i.e. the bucket is independent in
-    ``G1`` (Theorem 2's argument).
+    ``G1`` (Theorem 2's argument).  ``budget`` must be finite and
+    positive (:class:`~repro.errors.ConfigurationError` otherwise).
     """
-    if budget <= 0:
-        raise ConfigurationError(f"budget must be positive, got {budget}")
+    budget = check_positive("budget", budget)
     m = additive_interference_matrix(links, alpha)  # m[i, j] = I(i, j)
     # I(i, S) = sum over j in S of I(i, j): interference that i *induces*
     # on the (all at-least-as-long) bucket members.

@@ -60,7 +60,3 @@ KERNEL_MAX_DENSE_LINKS: int = 4096
 
 #: Default row-block size for chunked kernel evaluation.
 KERNEL_BLOCK_SIZE: int = 1024
-
-#: Total bytes of memoized dense additive matrices one cache may
-#: retain; least-recently-used matrices are evicted beyond this.
-KERNEL_DENSE_BUDGET_BYTES: int = 512 * 2**20

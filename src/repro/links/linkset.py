@@ -1,19 +1,19 @@
 """The :class:`LinkSet`: vectorised geometry for a collection of links.
 
 All scheduling and feasibility machinery operates on link sets.  The
-class pre-computes, lazily and cached:
-
-* ``lengths``   — link lengths ``l_i``;
-* ``sr_dist``   — the sender-to-receiver matrix ``d_ji = d(s_j, r_i)``
-  (interference travels from sender ``j`` to receiver ``i``);
-* ``gap``       — the link-to-link distance ``d(i, j)``: the minimum
-  distance between *nodes* of the two links (over the four endpoint
-  pairs), as defined in Section 2.
+class holds the link lengths ``l_i`` and computes, on each call and
+keeping neither, the sender-to-receiver matrix ``d_ji = d(s_j, r_i)``
+(interference travels from sender ``j`` to receiver ``i``) and the
+link-to-link distance ``d(i, j)``: the minimum distance between *nodes*
+of the two links (over the four endpoint pairs), as defined in Section
+2.  Every link index a method takes is checked by
+:func:`~repro.util.validation.check_link_indices`: none is truncated or
+wrapped to a link.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.backend.blocks import gap_block
 from repro.errors import DegenerateLinkError, LinkError
 from repro.geometry.distances import cross_distances
 from repro.links.link import Link
+from repro.util.validation import check_link_indices
 
 __all__ = ["LinkSet"]
 
@@ -43,8 +44,6 @@ class LinkSet:
         "_sender_ids",
         "_receiver_ids",
         "_lengths",
-        "_sr_cache",
-        "_gap_cache",
         "_kernel_cache",
     )
 
@@ -96,8 +95,6 @@ class LinkSet:
             raise LinkError("sender_ids / receiver_ids must have one entry per link")
         for arr in (self._senders, self._receivers, self._lengths):
             arr.setflags(write=False)
-        self._sr_cache: Optional[np.ndarray] = None
-        self._gap_cache: Optional[np.ndarray] = None
         self._kernel_cache = None
 
     # ------------------------------------------------------------------
@@ -142,8 +139,16 @@ class LinkSet:
     def __repr__(self) -> str:
         return f"LinkSet(n={len(self)}, dim={self.dimension})"
 
+    def _link_index(self, i: int) -> int:
+        """Link index ``i`` as an int; a :class:`LinkError` unless it is
+        one integer in ``[0, n)``."""
+        if np.ndim(i) != 0:
+            raise LinkError(f"link index {i!r} is not an integer")
+        return int(check_link_indices(i, len(self))[0])
+
     def link(self, i: int) -> Link:
         """Materialise link ``i`` as a :class:`Link` object."""
+        i = self._link_index(i)
         return Link(
             tuple(self._senders[i]),
             tuple(self._receivers[i]),
@@ -196,24 +201,17 @@ class LinkSet:
         """Matrix ``D`` with ``D[j, i] = d(s_j, r_i)``.
 
         ``D[i, i]`` is the link length ``l_i``.  Interference from link
-        ``j`` on link ``i`` decays with ``D[j, i]``.
+        ``j`` on link ``i`` decays with ``D[j, i]``.  Computed on each
+        call.
         """
-        if self._sr_cache is None:
-            dm = cross_distances(self._senders, self._receivers)
-            dm.setflags(write=False)
-            self._sr_cache = dm
-        return self._sr_cache
+        return cross_distances(self._senders, self._receivers)
 
     def link_distances(self) -> np.ndarray:
         """Symmetric matrix of ``d(i, j)``: minimum node-to-node distance
         between links ``i`` and ``j`` (0 on the diagonal and whenever the
-        links share an endpoint).  Memoized and read-only."""
-        if self._gap_cache is None:
-            everything = np.arange(len(self))
-            gap = gap_block(self, everything, everything)
-            gap.setflags(write=False)
-            self._gap_cache = gap
-        return self._gap_cache
+        links share an endpoint).  Computed on each call."""
+        everything = np.arange(len(self))
+        return gap_block(self, everything, everything)
 
     def kernel(
         self,
@@ -227,11 +225,9 @@ class LinkSet:
         Called with no arguments, returns the existing cache (or a
         default-configured one).  Explicit arguments reconfigure *only
         the options passed*: unspecified options keep the attached
-        cache's current values, and the cache (with its memo and
-        counters) is replaced only if the merged configuration actually
-        differs.  Because a LinkSet is immutable, the cached geometry
-        can never go stale; a *new* LinkSet starts with a fresh, empty
-        cache.
+        cache's current values, and the cache (with its counters) is
+        replaced only if the merged configuration actually differs.  A
+        *new* LinkSet starts with a fresh cache.
         """
         from repro.sinr.kernels import KernelCache
 
@@ -253,7 +249,7 @@ class LinkSet:
     # ------------------------------------------------------------------
     def subset(self, indices) -> "LinkSet":
         """A new LinkSet containing the given link indices (in order)."""
-        idx = np.asarray(indices, dtype=int)
+        idx = check_link_indices(indices, len(self))
         if idx.size == 0:
             raise LinkError("subset must contain at least one link")
         return LinkSet(
@@ -266,6 +262,7 @@ class LinkSet:
     def longer_than(self, i: int, *, strict: bool = False) -> np.ndarray:
         """Indices of ``S+_i``: links at least as long as link ``i``
         (excluding ``i`` itself)."""
+        i = self._link_index(i)
         li = self._lengths[i]
         mask = self._lengths > li if strict else self._lengths >= li
         mask[i] = False
@@ -274,6 +271,7 @@ class LinkSet:
     def shorter_than(self, i: int, *, strict: bool = False) -> np.ndarray:
         """Indices of ``S-_i``: links at most as long as link ``i``
         (excluding ``i`` itself)."""
+        i = self._link_index(i)
         li = self._lengths[i]
         mask = self._lengths < li if strict else self._lengths <= li
         mask[i] = False

@@ -215,7 +215,8 @@ class ScenarioRunner:
     params:
         Extra keyword arguments for the transform (e.g.
         ``{"p_leave": 0.2}`` for ``churn``), checked here against its
-        signature; ``epochs`` and ``rng`` are the runner's own.
+        signature and by its registered ``check``, before any stage
+        runs; ``epochs`` and ``rng`` are the runner's own.
     scenario_seed:
         Seed of the scenario's own randomness (departures, waypoints,
         fades, arrivals), an integer >= 0; defaults to ``config.seed`` so
@@ -253,6 +254,8 @@ class ScenarioRunner:
         )
         self.store = get_default_store() if store is None else store
         self.pipeline = Pipeline(config, model=model, store=self.store)
+        if self.spec.check is not None:
+            self.spec.check(self.pipeline.model, **self.params)
         #: Whether the configured scheduler is a delta scheduler that
         #: accepts carried state (e.g. ``incremental-certified``).
         self._carries_state = schedulers.get(config.scheduler).carries_state

@@ -19,12 +19,17 @@ one :class:`EpochInstance` per epoch and own all sequential state, so a
 ``(scenario, params, seed)`` triple is a pure description of the whole
 timeline — which is what makes epochs content-addressable in the stage
 store.
+
+A transform with parameter values to check registers a ``check`` too,
+called as ``check(model, **params)``: the runner calls it when it is
+constructed, so a bad value is rejected before the baseline is built,
+and the generator calls it again for callers that use it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -48,23 +53,29 @@ class ScenarioSpec:
 
     ``make(config, points, model, *, epochs, rng, **params)`` yields
     ``epochs`` :class:`EpochInstance`s derived from the static base
-    instance.
+    instance.  ``check(model, **params)``, when given, raises a
+    :class:`~repro.errors.ConfigurationError` for a bad parameter value
+    before any stage runs.
     """
 
     name: str
     make: Callable[..., Iterator[EpochInstance]]
     description: str = ""
+    check: Optional[Callable[..., Any]] = None
 
 
 #: Scenario transforms, by name (the ``--scenario`` axis).
 scenarios: Registry[ScenarioSpec] = Registry("scenario")
 
 
-def register_scenario(name: str, *, description: str = "") -> Callable:
-    """Decorator registering a timeline generator as a named scenario."""
+def register_scenario(
+    name: str, *, description: str = "", check: Optional[Callable[..., Any]] = None
+) -> Callable:
+    """Decorator registering a timeline generator as a named scenario
+    (with its parameter ``check``, if any)."""
 
     def decorator(make: Callable[..., Iterator[EpochInstance]]) -> Callable:
-        scenarios.register(name, ScenarioSpec(name, make, description))
+        scenarios.register(name, ScenarioSpec(name, make, description, check))
         return make
 
     return decorator
@@ -119,9 +130,18 @@ def _static(
 # ----------------------------------------------------------------------
 # churn
 # ----------------------------------------------------------------------
+def _churn_params(
+    model: SINRModel, *, p_leave: float = 0.1, p_join: Optional[float] = None
+) -> Tuple[float, float]:
+    """Checked ``(p_leave, p_join)``; ``p_join`` defaults to ``p_leave``."""
+    p_leave = _require_probability("p_leave", p_leave)
+    return p_leave, p_leave if p_join is None else _require_probability("p_join", p_join)
+
+
 @register_scenario(
     "churn",
     description="Bernoulli departures/arrivals per epoch, tree repaired incrementally",
+    check=_churn_params,
 )
 def _churn(
     config: "PipelineConfig",
@@ -139,8 +159,7 @@ def _churn(
     to ``p_leave`` so the population stays balanced).  The sink never
     departs.  Trees are repaired incrementally (kept edges + minimum
     reconnection), not rebuilt."""
-    p_leave = _require_probability("p_leave", p_leave)
-    p_join = p_leave if p_join is None else _require_probability("p_join", p_join)
+    p_leave, p_join = _churn_params(model, p_leave=p_leave, p_join=p_join)
     gen = as_generator(rng)
     coords = np.array(points.coords, dtype=float)
     lo, span = _bounding_box(points)
@@ -179,9 +198,15 @@ def _churn(
 # ----------------------------------------------------------------------
 # mobility
 # ----------------------------------------------------------------------
+def _mobility_params(model: SINRModel, *, speed: float = 0.1, rebuild: bool = False) -> float:
+    """Checked ``speed`` (``rebuild`` takes any value)."""
+    return check_positive("speed", speed)
+
+
 @register_scenario(
     "mobility",
     description="random-waypoint drift per epoch with re-derived links",
+    check=_mobility_params,
 )
 def _mobility(
     config: "PipelineConfig",
@@ -200,7 +225,7 @@ def _mobility(
     kept and only link geometry re-derived — measuring how a certified
     schedule degrades as its links stretch; ``rebuild=True`` re-runs the
     tree builder each epoch instead."""
-    speed = check_positive("speed", speed)
+    speed = _mobility_params(model, speed=speed)
     gen = as_generator(rng)
     coords = np.array(points.coords, dtype=float)
     lo, span = _bounding_box(points)
@@ -239,9 +264,27 @@ def _mobility(
 # ----------------------------------------------------------------------
 # fading
 # ----------------------------------------------------------------------
+def _fading_params(model: SINRModel, *, sigma: float = 0.2, target: str = "beta") -> float:
+    """Checked ``sigma``; ``target`` must be ``beta``, or ``noise`` on a
+    noisy ``model``."""
+    sigma = check_positive("sigma", sigma)
+    if target not in ("beta", "noise"):
+        raise ConfigurationError(
+            f"fading target must be 'beta' or 'noise', got {target!r}"
+        )
+    if target == "noise" and model.noise == 0:
+        raise ConfigurationError(
+            "fading target 'noise' scales the noise floor, but the model is "
+            "noiseless (noise=0) — every epoch would equal the baseline; "
+            "use target='beta' or a model with noise > 0"
+        )
+    return sigma
+
+
 @register_scenario(
     "fading",
     description="epoch-wise lognormal gain perturbation through the SINR model",
+    check=_fading_params,
 )
 def _fading(
     config: "PipelineConfig",
@@ -262,17 +305,7 @@ def _fading(
     the perturbed model, and the *baseline* schedule is additionally
     checked against each epoch's model (stale violations: the cost of
     not re-scheduling)."""
-    sigma = check_positive("sigma", sigma)
-    if target not in ("beta", "noise"):
-        raise ConfigurationError(
-            f"fading target must be 'beta' or 'noise', got {target!r}"
-        )
-    if target == "noise" and model.noise == 0:
-        raise ConfigurationError(
-            "fading target 'noise' scales the noise floor, but the model is "
-            "noiseless (noise=0) — every epoch would equal the baseline; "
-            "use target='beta' or a model with noise > 0"
-        )
+    sigma = _fading_params(model, sigma=sigma, target=target)
     gen = as_generator(rng)
     ids = np.arange(len(points))
     for index in range(1, epochs + 1):
@@ -294,9 +327,17 @@ def _fading(
 # ----------------------------------------------------------------------
 # arrivals
 # ----------------------------------------------------------------------
+def _arrivals_params(
+    model: SINRModel, *, rate: float = 2.0, load: float = 1.0
+) -> Tuple[float, float]:
+    """Checked ``(rate, load)``."""
+    return check_positive("rate", rate), check_positive("load", load)
+
+
 @register_scenario(
     "arrivals",
     description="online Poisson frame arrivals instead of all-at-start simulation",
+    check=_arrivals_params,
 )
 def _arrivals(
     config: "PipelineConfig",
@@ -313,8 +354,7 @@ def _arrivals(
     load)`` slots apart — ``load > 1`` overdrives the certified rate and
     the per-epoch backlog/stability fields measure the damage.  All
     stages reuse the base store entries; only the simulation varies."""
-    rate = check_positive("rate", rate)
-    load = check_positive("load", load)
+    rate, load = _arrivals_params(model, rate=rate, load=load)
     gen = as_generator(rng)
     ids = np.arange(len(points))
     for index in range(1, epochs + 1):

@@ -46,7 +46,7 @@ from repro.sinr.powercontrol import feasible_power_assignment
 # feasible_power_assignment (tests/test_perfbench_sites.py).
 from repro.sinr.powercontrol import is_feasible_some_power  # noqa: F401
 from repro.spanning.tree import AggregationTree
-from repro.util.validation import check_finite, check_int_min
+from repro.util.validation import check_finite
 
 __all__ = ["PowerMode", "ScheduleBuilder", "BuildReport"]
 
@@ -116,10 +116,9 @@ class ScheduleBuilder:
         Exponent of the oblivious conflict graph.
     tau:
         Oblivious power exponent (``OBLIVIOUS`` mode only).
-    kernel_block_size:
-        Optional row-block size for the link set's interference kernel
-        cache (see :mod:`repro.sinr.kernels`); tune it when scheduling
-        10k+ link networks whose dense matrices would not fit in memory.
+
+    Every kernel query reads the link set's attached cache as it is
+    configured; ``links.kernel(block_size=...)`` sets its block size.
     """
 
     def __init__(
@@ -130,7 +129,6 @@ class ScheduleBuilder:
         gamma: float = DEFAULT_GAMMA,
         delta: float = DEFAULT_DELTA,
         tau: float = DEFAULT_TAU,
-        kernel_block_size: Optional[int] = None,
     ) -> None:
         self.model = model
         self.mode = PowerMode(mode)
@@ -139,9 +137,6 @@ class ScheduleBuilder:
         self.tau = check_finite("tau", tau)
         if gamma <= 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        if kernel_block_size is not None:
-            kernel_block_size = check_int_min("kernel_block_size", kernel_block_size, minimum=1)
-        self.kernel_block_size = kernel_block_size
 
     # ------------------------------------------------------------------
     def conflict_graph(self, links: LinkSet) -> ConflictGraph:
@@ -180,8 +175,6 @@ class ScheduleBuilder:
         affectance block, the fixed-power modes with the incremental
         row-sum repair pass.
         """
-        if self.kernel_block_size is not None:
-            links.kernel(block_size=self.kernel_block_size)
         graph = self.conflict_graph(links)
         colors = greedy_coloring(graph)
         classes = color_classes(colors)

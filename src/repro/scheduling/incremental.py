@@ -260,9 +260,9 @@ class IncrementalScheduler:
     :class:`ScheduleState`.  GLOBAL power mode is rejected: the
     incremental eviction oracle is the fixed-power row-sum condition.
 
-    Builder kwargs (``gamma``/``delta``/``tau``/``kernel_block_size``)
-    are forwarded verbatim, so the eviction and re-insert probes read
-    the same kernel cache configuration as a from-scratch build.
+    Builder kwargs (``gamma``/``delta``/``tau``) are forwarded verbatim;
+    the eviction and re-insert probes read the link set's attached
+    kernel cache, as a from-scratch build does.
     """
 
     def __init__(
@@ -330,8 +330,6 @@ class IncrementalScheduler:
         model = self.model
         scheme = self._builder._power_scheme(links)
         vec = np.asarray(scheme.powers(links), dtype=float)
-        if self._builder.kernel_block_size is not None:
-            links.kernel(block_size=self._builder.kernel_block_size)
         packer = FixedPowerPacker(links, vec, model)
 
         cost = RepairCost(links_total=n)

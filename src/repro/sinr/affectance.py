@@ -12,12 +12,14 @@ Two operators drive the paper's analysis:
   P-feasible (noiseless) iff every row sum is at most ``1/beta``.
 
 All entry computation lives in the kernel layer
-(:mod:`repro.sinr.kernels`): the full additive matrix is memoized on
-the link set's :class:`~repro.sinr.kernels.KernelCache`, and point
-queries such as :func:`additive_interference` compute only the
-entries they need instead of rebuilding ``n x n`` arrays.  The kernel cache computes
-every entry with the block functions of :mod:`repro.backend.blocks`,
-so these operators never depend on the backend choice.
+(:mod:`repro.sinr.kernels`): the full additive matrix is one block
+over every link of the link set's
+:class:`~repro.sinr.kernels.KernelCache`, built on each call, and point
+queries such as :func:`additive_interference` compute only the entries
+they need instead of building ``n x n`` arrays.  The kernel cache
+computes every entry with the block functions of
+:mod:`repro.backend.blocks`, so these operators never depend on the
+backend choice.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ def additive_interference_matrix(links: LinkSet, alpha: float) -> np.ndarray:
     """Matrix ``M[j, i] = I(j, i) = min(1, l_j^alpha / d(i, j)^alpha)``.
 
     The diagonal is zero by convention (``I(i, i) = 0``).  Links sharing
-    a node have ``d(i, j) = 0`` and saturate at 1.  The matrix is
-    memoized per ``alpha`` on the link set's kernel cache and returned
-    read-only.
+    a node have ``d(i, j) = 0`` and saturate at 1.  Each call builds
+    the matrix afresh (one kernel block over every link); nothing keeps
+    it.
     """
     return links.kernel().additive_matrix(alpha)
 

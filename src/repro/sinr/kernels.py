@@ -1,4 +1,4 @@
-"""Cached, chunked interference kernels — the compute layer under SINR.
+"""Block-evaluated, chunked interference kernels — the SINR compute layer.
 
 Every feasibility oracle, conflict graph and repair pass in this library
 ultimately reads entries of one of three pairwise kernels over a link
@@ -21,10 +21,10 @@ replaces that: one cache is attached to each (immutable)
   ``rows x cols`` request computes exactly those entries, so a query
   costs ``O(rows * cols)``, never ``O(n^2)``, and no relative or
   affectance matrix is ever built whole;
-* **memoizes** the one full matrix callers ask for explicitly, the
-  additive kernel of :meth:`KernelCache.additive_matrix`, per ``alpha``
-  in a small LRU bounded by
-  :data:`~repro.constants.KERNEL_DENSE_BUDGET_BYTES`;
+* **keeps no matrix**: the one full matrix callers ask for explicitly,
+  the additive kernel of :meth:`KernelCache.additive_matrix`, is one
+  block over every index, computed on each call and owned by the
+  caller;
 * **chunks** when the link set is large (``n > KERNEL_MAX_DENSE_LINKS``)
   or the cache is ``sparse`` (the ``blocked-sparse`` backend): column
   sums are streamed in row blocks of ``block_size`` and no ``n x n``
@@ -39,42 +39,31 @@ replaces that: one cache is attached to each (immutable)
 
 The *inner math* — how each block is actually computed — is the plain
 functions of :mod:`repro.backend.blocks`; the cache keeps only the
-orchestration: the additive memo, chunk iteration, index checks and
-statistics.  Every path computes its entries with the same functions,
-so the backend name never changes a schedule, a measurement or a store
-key.
+orchestration: chunk iteration, index checks and statistics.  Every
+path computes its entries with the same functions, so the backend name
+never changes a schedule, a measurement or a store key.
 
-Link sets are immutable, so the geometry underneath a cache can never go
-stale, and power vectors are never memoized, so replacing or mutating
-one cannot alias a stale entry.  :meth:`KernelCache.invalidate` drops
-the additive memo explicitly.  :class:`KernelStats` counts dense
-builds, hits and block evaluations so benchmarks (and curious users)
-can verify the memory ceiling.
+Link sets are immutable and a cache memoizes no entry, so nothing
+underneath a cache can go stale: replacing or mutating a power vector
+cannot alias an old result.  :class:`KernelStats` counts dense builds
+and block evaluations so benchmarks (and curious users) can verify the
+memory ceiling.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import SPARSE_BACKEND, blocks, check_backend
-from repro.constants import (
-    KERNEL_BLOCK_SIZE,
-    KERNEL_DENSE_BUDGET_BYTES,
-    KERNEL_MAX_DENSE_LINKS,
-)
+from repro.constants import KERNEL_BLOCK_SIZE, KERNEL_MAX_DENSE_LINKS
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
 from repro.util.validation import check_int_min, check_link_indices
 
 __all__ = ["KernelCache", "KernelStats"]
-
-#: Upper bound on memoized additive matrices per cache (LRU-evicted;
-#: the byte budget in constants.py usually binds first for large n).
-_MAX_DENSE_MATRICES = 8
 
 
 @dataclass
@@ -82,16 +71,15 @@ class KernelStats:
     """Instrumentation counters for one :class:`KernelCache`.
 
     ``dense_builds`` counts full ``n x n`` materialisations (only
-    :meth:`KernelCache.additive_matrix` makes one) — the chunked-mode
-    memory guarantee is exactly ``dense_builds == 0``.  Every other
-    entry is block-evaluated, so ``entries_served`` counts each entry
-    computed, every conflict-graph pair included; ``block_evals``
-    counts blocks of any size (a conflict graph counts one per chunk
-    of pairs), so it is not a unit of work.
+    :meth:`KernelCache.additive_matrix` makes one, per call) — the
+    chunked-mode memory guarantee is exactly ``dense_builds == 0``.
+    Every other entry is block-evaluated, so ``entries_served`` counts
+    each entry computed, every conflict-graph pair included;
+    ``block_evals`` counts blocks of any size (a conflict graph counts
+    one per chunk of pairs), so it is not a unit of work.
     """
 
     dense_builds: int = 0
-    dense_hits: int = 0
     block_evals: int = 0
     entries_served: int = 0
 
@@ -104,22 +92,21 @@ class KernelStats:
         """Counters as a plain dict (for reports and benchmarks)."""
         return {
             "dense_builds": self.dense_builds,
-            "dense_hits": self.dense_hits,
             "block_evals": self.block_evals,
             "entries_served": self.entries_served,
         }
 
 
 class KernelCache:
-    """Block evaluator of pairwise interference kernels, with the
-    explicit additive matrix memoized.
+    """Block evaluator of pairwise interference kernels.
 
     Parameters
     ----------
     links:
         The link set the kernels are defined over.  Obtain the attached
         instance with ``links.kernel()`` rather than constructing one
-        directly, so all consumers share the same memo and counters.
+        directly, so all consumers share the same configuration and
+        counters.
     block_size:
         Row-block size for chunked evaluation (an integer >= 1).
     backend:
@@ -142,11 +129,10 @@ class KernelCache:
         )
         #: Stream column sums in row blocks at every ``n``.
         self.sparse = backend is not None and check_backend(backend) == SPARSE_BACKEND
-        self._dense: "OrderedDict[float, np.ndarray]" = OrderedDict()
         self.stats = KernelStats()
 
     # ------------------------------------------------------------------
-    # Configuration / lifecycle
+    # Configuration
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -163,15 +149,11 @@ class KernelCache:
         """The tuple identifying this cache's configuration."""
         return (self.block_size, self.sparse)
 
-    def invalidate(self) -> None:
-        """Drop every memoized matrix."""
-        self._dense.clear()
-
     def __repr__(self) -> str:
         mode = "chunked" if self.chunked else "dense"
         return (
             f"KernelCache(n={self.n}, {mode}, block={self.block_size}, "
-            f"sparse={self.sparse}, cached={len(self._dense)})"
+            f"sparse={self.sparse})"
         )
 
     # ------------------------------------------------------------------
@@ -193,29 +175,16 @@ class KernelCache:
     # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
     # ------------------------------------------------------------------
     def additive_matrix(self, alpha: float) -> np.ndarray:
-        """The full dense additive kernel (memoized, read-only).
+        """The full dense additive kernel: one block over every index,
+        computed on each call.
 
-        This *explicitly* materialises ``n x n`` — callers that only
-        need a few entries should use :meth:`additive_submatrix` or
-        :meth:`additive_query` instead.
+        This *explicitly* materialises ``n x n`` (and counts in
+        ``dense_builds``) — callers that only need a few entries should
+        use :meth:`additive_submatrix` or :meth:`additive_query` instead.
         """
-        key = float(alpha)
-        matrix = self._dense.get(key)
-        if matrix is not None:
-            self._dense.move_to_end(key)
-            self.stats.dense_hits += 1
-            return matrix
-        matrix = blocks.additive_full(self.links, alpha)
-        matrix.setflags(write=False)
-        self._dense[key] = matrix
-        total = sum(m.nbytes for m in self._dense.values())
-        while len(self._dense) > 1 and (
-            len(self._dense) > _MAX_DENSE_MATRICES or total > KERNEL_DENSE_BUDGET_BYTES
-        ):
-            _, evicted = self._dense.popitem(last=False)
-            total -= evicted.nbytes
+        everything = np.arange(self.n)
         self.stats.dense_builds += 1
-        return matrix
+        return blocks.additive_block(self.links, alpha, everything, everything)
 
     def additive_submatrix(self, alpha: float, rows, cols) -> np.ndarray:
         """``I[j, i]`` for ``j`` in rows, ``i`` in cols, without a full rebuild."""

@@ -249,8 +249,6 @@ class LoopIncrementalScheduler(IncrementalScheduler):
         threshold = model.beta
         scheme = self._builder._power_scheme(links)
         vec = np.asarray(scheme.powers(links), dtype=float)
-        if self._builder.kernel_block_size is not None:
-            links.kernel(block_size=self._builder.kernel_block_size)
         kernel = links.kernel()
 
         def rel_noise(link: int) -> float:

@@ -171,7 +171,7 @@ class TestPipelineConfig:
             ("topology_params", "bogus", "available: side"),
             ("topology_params", "rng", "available: side"),  # the pipeline passes rng
             ("tree_params", "bogus", "available: method"),
-            ("scheduler_params", "bogus", "available: gamma, delta, tau, kernel_block_size"),
+            ("scheduler_params", "bogus", "available: gamma, delta, tau"),
         ],
     )
     def test_unknown_component_param_rejected_eagerly(self, field, key, valid):

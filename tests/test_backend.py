@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.conflict_allpairs import gap_matrix
+from oracles.dense_full import additive_full, affectance_full
 from oracles.relative_oneshot import relative_block as oneshot_relative_block
 from repro.backend import DEFAULT_BACKEND, blocks
 from repro.conflict.graph import ConflictGraph
@@ -116,14 +117,14 @@ class TestBlockIsSliceOfFull:
     def test_additive_block_matches_full(self, alpha):
         links = _random_links(19, rng=7)
         rows, cols = np.arange(5, 19), np.arange(19)
-        full = blocks.additive_full(links, alpha)[np.ix_(rows, cols)]
+        full = additive_full(links, alpha)[np.ix_(rows, cols)]
         got = blocks.additive_block(links, alpha, rows, cols)
         assert got.tobytes() == full.tobytes()
 
     def test_affectance_block_matches_full(self):
         links = _random_links(17, rng=3)
         rows, cols = np.arange(17)[::-1], np.arange(3, 17)
-        full = blocks.affectance_full(links, 3.0, 1.0)[np.ix_(rows, cols)]
+        full = affectance_full(links, 3.0, 1.0)[np.ix_(rows, cols)]
         got = blocks.affectance_block(links, 3.0, 1.0, rows, cols)
         assert got.tobytes() == full.tobytes()
 
@@ -312,11 +313,6 @@ class TestKernelValidation:
             KernelCache(links, block_size=bad)
         with pytest.raises(ConfigurationError, match="block_size"):
             links.kernel(block_size=bad)
-
-    @pytest.mark.parametrize("bad", BAD_BLOCK_SIZES)
-    def test_builder_kernel_block_size_must_be_positive(self, bad):
-        with pytest.raises(ConfigurationError, match="kernel_block_size"):
-            ScheduleBuilder(SINRModel(alpha=3.0, beta=1.0), kernel_block_size=bad)
 
     def test_minimum_values_accepted(self):
         links = _random_links(5)

@@ -83,6 +83,13 @@ class TestRefinement:
         with pytest.raises(ConfigurationError):
             refine_by_interference(square_links, model.alpha, budget=0.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_budget_must_be_finite_and_positive(self, square_links, model, budget):
+        """Every ``I(i, S) < nan`` test fails, so a NaN budget used to
+        open one bucket per link; an infinite one put every link in one."""
+        with pytest.raises(ConfigurationError, match="budget"):
+            refine_by_interference(square_links, model.alpha, budget=budget)
+
     def test_larger_budget_fewer_buckets(self, square_links, model):
         tight = refine_by_interference(square_links, model.alpha, budget=0.5)
         loose = refine_by_interference(square_links, model.alpha, budget=4.0)

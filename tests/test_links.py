@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.conflict.graph import g1_graph
 from repro.errors import LinkError
 from repro.geometry.point import PointSet
 from repro.links.classes import length_class_index, length_classes
@@ -125,6 +126,45 @@ class TestLinkSet:
             receivers=np.array([[1.0, 0.0], [14.0, 0.0]]),
         )
         assert links.diversity == pytest.approx(4.0)
+
+
+class TestLinkSetIndices:
+    """Every link index a ``LinkSet`` method takes is an integer in
+    ``[0, n)``: none is truncated (``1.7`` or ``True`` answering for
+    link 1), wraps around (``-1`` answering for the last link) or
+    surfaces as a bare numpy ``IndexError``."""
+
+    CALLS = {
+        "subset": lambda links, bad: links.subset([bad]),
+        "longer_than": lambda links, bad: links.longer_than(bad),
+        "shorter_than": lambda links, bad: links.shorter_than(bad, strict=True),
+        "link": lambda links, bad: links.link(bad),
+        "subgraph": lambda links, bad: g1_graph(links).subgraph([bad, 0]),
+    }
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1, "out of range"), ("n", "out of range"),
+         (1.7, "not an integer"), (True, "not an integer")],
+        ids=["negative", "past-the-end", "fraction", "bool"],
+    )
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_bad_index_is_a_link_error(self, square_links, call, bad, message):
+        bad = len(square_links) if bad == "n" else bad
+        with pytest.raises(LinkError, match=rf"link index {bad!r} is {message}"):
+            self.CALLS[call](square_links, bad)
+
+    def test_one_index_only(self, square_links):
+        with pytest.raises(LinkError, match="not an integer"):
+            square_links.link([3])
+
+    def test_in_range_indices_are_unchanged(self, square_links):
+        last = len(square_links) - 1
+        sub = square_links.subset([0.0, np.int32(last)])
+        assert sub.senders.tobytes() == square_links.senders[[0, last]].tobytes()
+        assert square_links.link(np.int64(last)) == list(square_links)[last]
+        assert square_links.longer_than(2.0).tolist() == square_links.longer_than(2).tolist()
+        assert g1_graph(square_links).subgraph([last, 0]).n == 2
 
 
 class TestLengthClasses:

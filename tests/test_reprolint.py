@@ -175,7 +175,8 @@ class TestBackend001:
             """
         )
         findings = lint_source(src, path="conflict/graph.py")
-        assert rule_ids(findings) == ["BACKEND-001"] * 3
+        # ``._dense`` named a buffer the kernel cache no longer has.
+        assert rule_ids(findings) == ["BACKEND-001"] * 2
 
     def test_backend_package_and_kernels_exempt(self):
         src = "import numpy as np\nM = np.outer([1.0], [2.0])\n"

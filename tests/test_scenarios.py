@@ -433,6 +433,44 @@ class TestScenarioRunner:
         finally:
             registry.unregister("short-lived")
 
+    #: Bad values of every built-in transform's parameters.
+    BAD_PARAMS = [
+        ("arrivals", {"load": float("nan")}, "load"),
+        ("churn", {"p_leave": 1.5}, "p_leave"),
+        ("mobility", {"speed": 0}, "speed"),
+        ("fading", {"sigma": float("inf")}, "sigma"),
+        ("fading", {"target": "gain"}, "target"),
+        ("fading", {"target": "noise"}, "noiseless"),
+    ]
+
+    @pytest.mark.parametrize("name, params, match", BAD_PARAMS, ids=repr)
+    def test_bad_params_rejected_before_the_baseline(self, name, params, match):
+        """The registered check runs in the constructor: no deploy, tree
+        or schedule is built (or persisted) for a run that is rejected."""
+        store = StageStore()
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioRunner(
+                PipelineConfig(topology="square", n=60, power="oblivious"),
+                name, params=params, store=store,
+            )
+        assert store.stats.snapshot() == {}
+
+    def test_a_spec_without_a_check_still_runs(self):
+        """``ScenarioSpec(name, make, description)`` leaves ``check``
+        unset; its generator's own checks still apply at epoch 1."""
+        from repro.scenarios import ScenarioSpec
+
+        spec = scenarios.get("arrivals")
+        bare = ScenarioSpec(spec.name, spec.make, spec.description)
+        assert bare.check is None
+        scenarios.register("arrivals", bare, overwrite=True)
+        try:
+            runner = fresh_runner("arrivals", epochs=1, params={"load": float("nan")})
+            with pytest.raises(ConfigurationError, match="load"):
+                runner.run()
+        finally:
+            scenarios.register("arrivals", spec, overwrite=True)
+
     def test_result_json_round_trips(self):
         result = fresh_runner("churn", epochs=2).run()
         payload = json.loads(json.dumps(result.to_json_dict(), sort_keys=True))

@@ -1,11 +1,19 @@
 """Tests for the interference kernel layer (``repro.sinr.kernels``)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.backend import blocks
+from repro.coloring.refinement import refine_by_interference
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError, LinkError
+from repro.geometry.distances import cross_distances
+from repro.geometry.generators import make_deployment, uniform_square
+from repro.geometry.point import PointSet
 from repro.links.linkset import LinkSet
 from repro.scheduling.repair import (
     FixedPowerPacker,
@@ -15,12 +23,15 @@ from repro.scheduling.repair import (
 from repro.sinr.affectance import (
     additive_interference,
     additive_interference_matrix,
+    mst_sparsity_bound,
     relative_interference_matrix,
 )
 from repro.sinr.feasibility import is_feasible_with_power, sinr_values
 from repro.sinr.kernels import KernelCache
 from repro.sinr.powercontrol import affectance_matrix, is_feasible_some_power
+from repro.spanning.tree import AggregationTree
 
+from oracles.dense_full import additive_full
 from oracles.repair_loops import split_with_predicate
 
 
@@ -33,16 +44,6 @@ def _random_links(n: int, rng: int, *, spacing: float = 2.0) -> LinkSet:
     lengths = gen.uniform(0.5, 1.5, size=n)
     offsets = lengths[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return LinkSet(senders, senders + offsets)
-
-
-def _dense_additive(links: LinkSet, alpha: float) -> np.ndarray:
-    """The seed's dense formula, computed independently of the cache."""
-    gap = links.link_distances()
-    with np.errstate(divide="ignore"):
-        ratio = (links.lengths[:, None] / gap) ** alpha
-    m = np.minimum(1.0, ratio)
-    np.fill_diagonal(m, 0.0)
-    return m
 
 
 class TestAttachment:
@@ -74,16 +75,14 @@ class TestAttachment:
 class TestCacheHitIdentity:
     def test_additive_matrix_memoized_and_matches_dense(self, square_links, model):
         m1 = additive_interference_matrix(square_links, model.alpha)
-        m2 = additive_interference_matrix(square_links, model.alpha)
-        assert m1 is m2  # served from the cache, not rebuilt
-        assert np.array_equal(m1, _dense_additive(square_links, model.alpha))
+        assert np.array_equal(m1, additive_full(square_links, model.alpha))
 
     def test_single_query_does_not_build_dense(self, model):
         links = _random_links(60, rng=0)
         kernel = links.kernel()
         value = additive_interference(links, model.alpha, [1, 2, 3], 7)
         assert kernel.stats.dense_builds == 0
-        dense = _dense_additive(links, model.alpha)
+        dense = additive_full(links, model.alpha)
         assert value == pytest.approx(float(dense[[1, 2, 3], 7].sum()))
 
     def test_repeated_queries_never_build_dense(self, model):
@@ -97,12 +96,13 @@ class TestCacheHitIdentity:
             relative_interference_matrix(links, vec, model, idx)
             affectance_matrix(links, model, idx)
         # Every query is one block of exactly the entries it asked for.
-        assert kernel.stats.dense_builds == kernel.stats.dense_hits == 0
+        assert kernel.stats.dense_builds == 0
         assert kernel.stats.block_evals == 3 * 4
-        # The explicit full additive matrix is still memoized.
-        m = additive_interference_matrix(links, model.alpha)
-        assert additive_interference_matrix(links, model.alpha) is m
-        assert kernel.stats.dense_builds == kernel.stats.dense_hits == 1
+        # Each explicit full additive matrix is one dense build.
+        for calls in (1, 2):
+            additive_interference_matrix(links, model.alpha)
+            assert kernel.stats.dense_builds == calls
+        assert kernel.stats.block_evals == 3 * 4
 
     def test_sinr_values_match_seed_formula(self, model):
         links = _random_links(50, rng=2)
@@ -130,6 +130,74 @@ class TestCacheHitIdentity:
         for _ in range(3):
             a = affectance_matrix(links, model, idx)
             np.testing.assert_array_equal(a, expected)
+
+
+def _mst_links(points: PointSet) -> LinkSet:
+    return AggregationTree.mst(points, sink=0).links()
+
+
+#: MST link sets for the full-matrix oracle checks; ``exponential`` is
+#: the 1-D chain whose coordinates reach about 6.7e153.
+ORACLE_LINK_SETS = {
+    "square": lambda: _mst_links(make_deployment("square", 90, rng=1)),
+    "clusters": lambda: _mst_links(make_deployment("clusters", 90, rng=2)),
+    "line-1d": lambda: _mst_links(
+        PointSet(np.random.default_rng(3).uniform(0.0, 50.0, size=(70, 1)))
+    ),
+    "cube-3d": lambda: _mst_links(
+        PointSet(np.random.default_rng(4).uniform(0.0, 1.0, size=(70, 3)))
+    ),
+    "exponential": lambda: _mst_links(make_deployment("exponential", 512)),
+}
+
+
+class TestFullMatrices:
+    """The full matrices are one block over every index, equal to the
+    seed's dense builders byte for byte, and nothing keeps them."""
+
+    @pytest.fixture(scope="class", params=sorted(ORACLE_LINK_SETS))
+    def links(self, request):
+        return ORACLE_LINK_SETS[request.param]()
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_additive_matrix_is_the_dense_oracle(self, links, alpha):
+        want = additive_full(links, alpha).tobytes()
+        assert links.kernel().additive_matrix(alpha).tobytes() == want
+        assert additive_interference_matrix(links, alpha).tobytes() == want
+
+    def test_distance_matrices_are_blocks_over_every_index(self, links):
+        every = np.arange(len(links))
+        gap = blocks.gap_block(links, every, every)
+        assert links.link_distances().tobytes() == gap.tobytes()
+        sr = cross_distances(links.senders, links.receivers)
+        assert links.sender_receiver_distances().tobytes() == sr.tobytes()
+
+    def test_each_call_builds_afresh(self):
+        links = _random_links(30, rng=10)
+        kernel = links.kernel()
+        m1 = kernel.additive_matrix(3.0)
+        m2 = kernel.additive_matrix(3.0)
+        assert m1 is not m2 and m1.tobytes() == m2.tobytes()
+        assert kernel.stats.dense_builds == 2 and kernel.stats.block_evals == 0
+        assert links.link_distances() is not links.link_distances()
+
+    def test_full_matrix_consumers_retain_no_matrix(self, model):
+        """The Theorem-2 refinement and the Lemma-1 check leave less
+        than one ``n x n`` float64 behind on a link set kept alive."""
+        refine_by_interference(_random_links(20, rng=0), model.alpha)  # imports
+        links = _mst_links(uniform_square(801, rng=5))
+        n = len(links)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            refine_by_interference(links, model.alpha)
+            mst_sparsity_bound(links, model.alpha)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * n * n
 
 
 class TestChunkedEquality:
@@ -225,21 +293,12 @@ class TestInvalidation:
             sinr_values(links, vec, model, np.arange(30)), fresh, rtol=1e-12
         )
 
-    def test_invalidate_clears_memo(self, model):
-        links = _random_links(30, rng=10)
-        kernel = links.kernel()
-        m1 = additive_interference_matrix(links, model.alpha)
-        kernel.invalidate()
-        m2 = additive_interference_matrix(links, model.alpha)
-        assert m1 is not m2
-        assert np.array_equal(m1, m2)
-
     def test_geometry_is_per_linkset(self, model):
         a = _random_links(20, rng=11)
         b = _random_links(20, rng=12)
         additive_interference_matrix(a, model.alpha)
         mb = additive_interference_matrix(b, model.alpha)
-        assert np.array_equal(mb, _dense_additive(b, model.alpha))
+        assert np.array_equal(mb, additive_full(b, model.alpha))
 
 
 class TestIncrementalRepair:
