@@ -5,8 +5,9 @@ Two claims from the pluggable-backend layer (``repro.backend``):
 * **Scaling** — the ``blocked-sparse`` backend schedules link networks
   far past the dense frontier: it colors the oblivious conflict graph
   of a 100 000-link instance without ever materialising a dense
-  ``n x n`` kernel (``dense_builds == 0`` is asserted on every
-  blocked-sparse row).  Where several backends run at the same ``n``
+  ``n x n`` array (on every blocked-sparse row, a second, traced build
+  of the graph and its coloring peaks below one ``n x n`` float64).
+  Where several backends run at the same ``n``
   their colorings must be bit-identical — the backend contract at
   benchmark scale.
 * **Pair build** — the conflict graph's reach-driven candidate pairs
@@ -33,6 +34,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +148,11 @@ def _rss_mb() -> int:
 
 
 def _schedule_row(n: int, backend: str):
-    """Color the oblivious conflict graph of a fresh n-link instance."""
+    """Color the oblivious conflict graph of a fresh n-link instance;
+    on blocked-sparse, build and color it again under tracemalloc for
+    ``peak_bytes`` (untimed: tracing slows the build)."""
     links = _random_links(n)
-    kernel = links.kernel(backend=backend)
+    links.kernel(backend=backend)
     start = time.perf_counter()
     graph = oblivious_graph(links)
     colors = greedy_coloring(graph)
@@ -159,10 +163,16 @@ def _schedule_row(n: int, backend: str):
         "seconds": round(seconds, 3),
         "links_per_s": round(n / seconds, 1),
         "rss_mb_high_water": _rss_mb(),
-        "dense_builds": kernel.stats.dense_builds,
         "edges": int(graph.edge_count),
         "slots": int(colors.max()) + 1,
     }
+    if backend == "blocked-sparse":
+        tracemalloc.start()
+        try:
+            greedy_coloring(oblivious_graph(links))
+            row["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return row, colors
 
 
@@ -180,15 +190,16 @@ def test_backend_scaling(benchmark, emit):
             else:
                 row, colors = _schedule_row(n, backend)
             if backend == "blocked-sparse":
-                # The never-dense contract, at every size.
-                assert row["dense_builds"] == 0, row
+                # The never-dense contract, at every size: below one
+                # n x n float64.
+                assert row["peak_bytes"] < 8 * n * n, row
             assert row["slots"] >= 1
             colorings[backend] = colors
             rows.append(row)
+            peak = f"peak={row['peak_bytes'] / 2**20:.1f}MiB  " if "peak_bytes" in row else ""
             lines.append(
                 f"n={n:>6} {backend:<14} {row['seconds']:>8.2f}s "
-                f"{row['links_per_s']:>9.0f} links/s  "
-                f"dense_builds={row['dense_builds']}  "
+                f"{row['links_per_s']:>9.0f} links/s  {peak}"
                 f"rss<={row['rss_mb_high_water']}MB  slots={row['slots']}"
             )
         # Backend contract at scale: identical colorings per instance.
@@ -197,10 +208,10 @@ def test_backend_scaling(benchmark, emit):
             assert np.array_equal(colors, reference), (n, backend)
 
     # The headline row: the largest instance is scheduled by the
-    # blocked-sparse backend without a single dense n x n build.
+    # blocked-sparse backend without a single dense n x n array.
     largest = max(rows, key=lambda r: r["n"])
     assert largest["backend"] == "blocked-sparse"
-    assert largest["dense_builds"] == 0
+    assert largest["peak_bytes"] < 8 * largest["n"] ** 2
     assert largest["n"] >= (5_000 if SMOKE else 100_000)
 
     RECORD["scaling"] = rows

@@ -5,8 +5,8 @@ sender-receiver distance blocks, gap distances of aligned pairs, and the
 additive, relative and affectance kernel blocks
 (:mod:`repro.backend.blocks`).
 :class:`~repro.sinr.kernels.KernelCache` keeps the orchestration around
-them — the additive memo, chunking, index checks, statistics — and the
-one switch a backend name selects, ``KernelCache.sparse``.  It matters
+them — chunking, row tiles, index checks, statistics — and the one
+switch a backend name selects, ``KernelCache.sparse``.  It matters
 only for link sets of up to ``KERNEL_MAX_DENSE_LINKS`` links; larger
 ones are chunked under either name.  Conflict graphs are CSR under
 both (:class:`~repro.conflict.graph.ConflictGraph`).
@@ -16,8 +16,8 @@ both (:class:`~repro.conflict.graph.ConflictGraph`).
     sum each query in one block.
 ``blocked-sparse``
     ``sparse = True``: streams column sums in row blocks at every ``n``
-    (no ``n x n`` intermediate, so ``dense_builds == 0`` unless a caller
-    asks for the full additive matrix).
+    (no ``n x n`` intermediate).  No library path builds a whole kernel
+    matrix under either name.
 
 Both run the same block functions, so schedules, slot assignments and
 measurements never depend on the name.  That is why it never splits a

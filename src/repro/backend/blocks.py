@@ -86,8 +86,9 @@ def additive_block(
 # ----------------------------------------------------------------------
 # Relative kernel  R[j, i] = (P_j/P_i) (l_i/d_ji)^alpha
 # ----------------------------------------------------------------------
-#: Entries per row tile of :func:`relative_block`.
-RELATIVE_TILE_ENTRIES = 1 << 16
+#: Entries per row tile of :func:`relative_block` and of
+#: :meth:`~repro.sinr.kernels.KernelCache.additive_rows`.
+TILE_ENTRIES = 1 << 16
 
 
 def relative_block(
@@ -100,7 +101,7 @@ def relative_block(
     """Relative kernel restricted to ``rows x cols``.
 
     Filled into one ``rows x cols`` output a tile of about
-    :data:`RELATIVE_TILE_ENTRIES` entries (whole rows) at a time, so the
+    :data:`TILE_ENTRIES` entries (whole rows) at a time, so the
     transient is one tile rather than several block-sized temporaries.
     Each entry is ``(P_j / P_i) * (l_i / d_ji) ** alpha`` with the same
     operands and operations in the same order as the one-shot
@@ -110,7 +111,7 @@ def relative_block(
     out = np.empty((rows.size, cols.size))
     senders, receivers = links.senders[rows], links.receivers[cols]
     l_cols, p_rows, p_cols = links.lengths[cols], vec[rows][:, None], vec[cols]
-    step = max(1, RELATIVE_TILE_ENTRIES // max(1, cols.size))
+    step = max(1, TILE_ENTRIES // max(1, cols.size))
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, rows.size, step):
             stop = start + step

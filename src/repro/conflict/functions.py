@@ -15,11 +15,16 @@ they conflict.  The three instantiations used by the paper:
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.backend.blocks import gap_pairs
 from repro.errors import ConfigurationError
 from repro.util.validation import check_finite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.links.linkset import LinkSet
 
 __all__ = [
     "REACH_MARGIN",
@@ -65,6 +70,16 @@ class ThresholdFunction(abc.ABC):
         """
         lengths = np.asarray(lengths, dtype=float)
         return self._reach_bound(lengths) * (1.0 + REACH_MARGIN)
+
+    def conflicts(self, links: "LinkSet", longer: np.ndarray, shorter: np.ndarray) -> np.ndarray:
+        """Whether each aligned pair ``(longer[k], shorter[k])`` conflicts:
+        ``d(i, j) <= l_min * f(l_max / l_min)``, the shorter link being
+        ``l_min``.  LinkSet construction guarantees strictly positive
+        lengths (DegenerateLinkError otherwise), so the ratio is always
+        finite and warning-free."""
+        lengths = links.lengths
+        lmin = lengths[shorter]
+        return gap_pairs(links, longer, shorter) <= lmin * self(lengths[longer] / lmin)
 
     def _reach_bound(self, lengths: np.ndarray) -> np.ndarray:
         """``l * f(l / L_min)``: the class contract alone (``f``

@@ -14,27 +14,25 @@ independence), which is what lets 100k-link graphs fit in memory.  The backend n
 (:mod:`repro.backend`) does not change the form.  Every query method
 (``neighbors``, ``degree``, ``is_independent``, ...) reads the CSR
 arrays and rejects a vertex outside ``[0, n)`` with a
-:class:`~repro.errors.LinkError`; :attr:`ConflictGraph.adjacency` is a
-dense view built on first access for small graphs.
+:class:`~repro.errors.LinkError`; there is no dense view.  The pair test
+is the rule's own :class:`ConflictRule` ``conflicts``: a threshold's gap
+test, or the protocol model's disks.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import SPARSE_BACKEND
-from repro.backend.blocks import gap_pairs
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
     PowerLawThreshold,
-    ThresholdFunction,
 )
 from repro.constants import DEFAULT_DELTA, DEFAULT_GAMMA
-from repro.errors import ConfigurationError, LinkError
+from repro.errors import LinkError
 from repro.geometry.spatial import candidate_pairs
 from repro.links.linkset import LinkSet
 
@@ -43,15 +41,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ConflictGraph", "g1_graph", "oblivious_graph", "arbitrary_graph"]
 
-#: Largest dense boolean adjacency (in bytes) that
-#: :attr:`ConflictGraph.adjacency` will materialise: 16,384 links.
-_DENSE_ADJACENCY_BUDGET_BYTES = 256 * 1024 * 1024
-
 #: Candidate pairs tested per chunk (fewer when ``block_size**2`` is
 #: smaller).  A chunk's temporaries then stay near 2 MiB; on
 #: schedule-build's n=4200 graph this measured faster than one chunk of
 #: ``1024**2`` and cut the build's traced peak from 10.3 to 4.3 MiB.
 _CHUNK_PAIRS = 2**14
+
+
+class ConflictRule(Protocol):
+    """A ``reach`` that bounds the rule's pairs (as
+    :meth:`~repro.conflict.functions.ThresholdFunction.reach` does) and
+    a ``conflicts`` test of aligned ``(longer, shorter)`` pairs."""
+
+    name: str
+
+    def reach(self, lengths: np.ndarray) -> np.ndarray: ...
+
+    def conflicts(self, links: LinkSet, longer: np.ndarray, shorter: np.ndarray) -> np.ndarray: ...
 
 
 class ConflictGraph:
@@ -62,7 +68,8 @@ class ConflictGraph:
     links:
         The link set (vertex ``i`` is ``links`` entry ``i``).
     threshold:
-        The function ``f`` defining independence.
+        The function ``f`` defining independence, or another
+        :class:`ConflictRule`.
 
     Attributes
     ----------
@@ -74,25 +81,17 @@ class ConflictGraph:
         An edge ``{i, j}`` appears in both row ``i`` and row ``j``.
     """
 
-    def __init__(self, links: LinkSet, threshold: ThresholdFunction) -> None:
+    def __init__(self, links: LinkSet, threshold: ConflictRule) -> None:
         self.links = links
         self.threshold = threshold
         kernel = links.kernel()
-        lengths = links.lengths
         n = len(links)
         longer_chunks = [np.empty(0, dtype=np.int64)]
         shorter_chunks = [np.empty(0, dtype=np.int64)]
         chunk = min(kernel.block_size**2, _CHUNK_PAIRS)
-        pairs = candidate_pairs(links, threshold.reach(lengths), chunk)
-        for longer, shorter in pairs:
-            # Conflict iff d(i, j) <= l_min * f(l_max / l_min), and the
-            # shorter link is l_min.  LinkSet construction guarantees
-            # strictly positive lengths (DegenerateLinkError otherwise),
-            # so the ratio is always finite and warning-free.
-            gap = gap_pairs(links, longer, shorter)
+        for longer, shorter in candidate_pairs(links, threshold.reach(links.lengths), chunk):
+            conflict = threshold.conflicts(links, longer, shorter)
             kernel.stats.count_block(longer.size)
-            lmin = lengths[shorter]
-            conflict = gap <= lmin * threshold(lengths[longer] / lmin)
             longer_chunks.append(longer[conflict])
             shorter_chunks.append(shorter[conflict])
         longer = np.concatenate(longer_chunks)
@@ -114,31 +113,6 @@ class ConflictGraph:
         if not 0 <= i < self.n:
             raise LinkError(f"link index {i} is out of range for {self.n} links")
         return i
-
-    # ------------------------------------------------------------------
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only dense boolean adjacency matrix.
-
-        Built from the CSR arrays on first access and cached, so
-        repeated access allocates once and mutation raises.  A graph
-        whose matrix would exceed a 256 MiB budget (more than 16,384
-        links) raises :class:`~repro.errors.ConfigurationError`
-        instead.  Scale-sensitive code should use :meth:`neighbors`,
-        :meth:`degree`, :meth:`is_independent` or :meth:`edges`, which
-        never densify.
-        """
-        n = self.n
-        if n * n > _DENSE_ADJACENCY_BUDGET_BYTES:
-            raise ConfigurationError(
-                f"dense adjacency for n={n} would exceed the "
-                f"{_DENSE_ADJACENCY_BUDGET_BYTES} byte budget; use "
-                "neighbors()/edges() on the CSR arrays instead"
-            )
-        dense = np.zeros((n, n), dtype=bool)
-        dense[self.edges()] = True
-        dense.setflags(write=False)
-        return dense
 
     @property
     def n(self) -> int:

@@ -1,12 +1,14 @@
 """The :class:`LinkSet`: vectorised geometry for a collection of links.
 
 All scheduling and feasibility machinery operates on link sets.  The
-class holds the link lengths ``l_i`` and computes, on each call and
-keeping neither, the sender-to-receiver matrix ``d_ji = d(s_j, r_i)``
-(interference travels from sender ``j`` to receiver ``i``) and the
-link-to-link distance ``d(i, j)``: the minimum distance between *nodes*
-of the two links (over the four endpoint pairs), as defined in Section
-2.  Every link index a method takes is checked by
+class holds the endpoint coordinates and the link lengths ``l_i``; it
+builds no pairwise matrix.  The sender-to-receiver distances
+``d_ji = d(s_j, r_i)`` (interference travels from sender ``j`` to
+receiver ``i``) and the link-to-link distance ``d(i, j)``, the minimum
+distance between *nodes* of the two links (over the four endpoint
+pairs, Section 2), are computed per block by
+:mod:`repro.backend.blocks` for the rows and columns a caller asks
+for.  Every link index a method takes is checked by
 :func:`~repro.util.validation.check_link_indices`: none is truncated or
 wrapped to a link.
 """
@@ -18,9 +20,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.backend import SPARSE_BACKEND
-from repro.backend.blocks import gap_block
 from repro.errors import DegenerateLinkError, LinkError
-from repro.geometry.distances import cross_distances
 from repro.links.link import Link
 from repro.util.validation import check_link_indices
 
@@ -195,24 +195,8 @@ class LinkSet:
         return float(self._lengths.max() / self._lengths.min())
 
     # ------------------------------------------------------------------
-    # Distance structure
+    # Kernel
     # ------------------------------------------------------------------
-    def sender_receiver_distances(self) -> np.ndarray:
-        """Matrix ``D`` with ``D[j, i] = d(s_j, r_i)``.
-
-        ``D[i, i]`` is the link length ``l_i``.  Interference from link
-        ``j`` on link ``i`` decays with ``D[j, i]``.  Computed on each
-        call.
-        """
-        return cross_distances(self._senders, self._receivers)
-
-    def link_distances(self) -> np.ndarray:
-        """Symmetric matrix of ``d(i, j)``: minimum node-to-node distance
-        between links ``i`` and ``j`` (0 on the diagonal and whenever the
-        links share an endpoint).  Computed on each call."""
-        everything = np.arange(len(self))
-        return gap_block(self, everything, everything)
-
     def kernel(
         self,
         *,

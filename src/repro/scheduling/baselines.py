@@ -11,25 +11,33 @@
   model: a transmission succeeds iff no concurrent sender is within
   ``(1 + guard)`` times the link length of the receiver.  Random
   networks get ``Theta(log n)``-type behaviour here (Related Work).
+  Its conflict graph is a CSR :class:`~repro.conflict.graph.ConflictGraph`
+  under :class:`ProtocolRule`, with no ``n x n`` matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.backend.blocks import gap_pairs
+from repro.coloring.greedy import greedy_coloring
+from repro.conflict.functions import REACH_MARGIN
+from repro.conflict.graph import ConflictGraph
+from repro.geometry.distances import min_paired_distances
 from repro.links.linkset import LinkSet
 from repro.power.base import PowerAssignment
 from repro.scheduling.schedule import Schedule, Slot
 from repro.sinr.feasibility import is_feasible_with_power
 from repro.sinr.model import SINRModel
-from repro.util.ordering import argsort_by_length_nonincreasing, first_fit
+from repro.util.ordering import first_fit
+from repro.util.validation import check_positive
 
 __all__ = [
     "trivial_tdma_schedule",
     "greedy_sinr_schedule",
     "protocol_model_schedule",
-    "protocol_conflict_matrix",
+    "protocol_graph",
+    "ProtocolRule",
 ]
 
 
@@ -63,22 +71,42 @@ def greedy_sinr_schedule(
     )
 
 
-def protocol_conflict_matrix(links: LinkSet, guard: float = 1.0) -> np.ndarray:
-    """Boolean conflict matrix of the protocol (disk) model.
+class ProtocolRule:
+    """The protocol (disk) model as a conflict rule.
 
     Links ``i`` and ``j`` conflict iff sender ``j`` lies within
     ``(1 + guard) * l_i`` of receiver ``i`` or vice versa (or they share
-    a node).
+    a node).  ``guard`` must be a finite, non-negative real number
+    (:class:`~repro.errors.ConfigurationError` otherwise): a NaN one
+    would make every disk test false, an infinite one every test true.
     """
-    if guard < 0:
-        raise ConfigurationError(f"guard must be non-negative, got {guard}")
-    dist = links.sender_receiver_distances()  # D[j, i] = d(s_j, r_i)
-    reach = (1.0 + guard) * links.lengths  # reach[i] guards receiver i
-    conflict = (dist <= reach[None, :]) | (dist.T <= reach[:, None])
-    shared = links.link_distances() == 0.0
-    conflict |= shared
-    np.fill_diagonal(conflict, False)
-    return conflict
+
+    def __init__(self, guard: float = 1.0) -> None:
+        self.guard = check_positive("guard", guard, strict=False)
+        self.name = f"protocol({self.guard:g})"
+
+    def reach(self, lengths: np.ndarray) -> np.ndarray:
+        """``(1 + guard) * l`` with the threshold functions' margin: with
+        ``l_short <= l_long``, both disk tests and a shared node put the
+        midpoints within ``(1 + guard) * l_long + l_long``."""
+        return (1.0 + self.guard) * np.asarray(lengths, dtype=float) * (1.0 + REACH_MARGIN)
+
+    def conflicts(self, links: LinkSet, longer: np.ndarray, shorter: np.ndarray) -> np.ndarray:
+        """The disk test of each aligned pair: every distance equals its
+        entry of the full sender-receiver or gap matrix, bit for bit."""
+        s, r, lengths = links.senders, links.receivers, links.lengths
+        factor = 1.0 + self.guard
+        into_longer = min_paired_distances((s.take(shorter, axis=0), r.take(longer, axis=0)))
+        into_shorter = min_paired_distances((s.take(longer, axis=0), r.take(shorter, axis=0)))
+        conflict = into_longer <= factor * lengths[longer]
+        conflict |= into_shorter <= factor * lengths[shorter]
+        conflict |= gap_pairs(links, longer, shorter) == 0.0
+        return conflict
+
+
+def protocol_graph(links: LinkSet, guard: float = 1.0) -> ConflictGraph:
+    """The protocol-model conflict graph (:class:`ProtocolRule`)."""
+    return ConflictGraph(links, ProtocolRule(guard))
 
 
 def protocol_model_schedule(
@@ -91,15 +119,7 @@ def protocol_model_schedule(
     protocol-model scaling shape, so its Schedule is built without SINR
     validation and reports slot count only.
     """
-    conflict = protocol_conflict_matrix(links, guard)
-    order = argsort_by_length_nonincreasing(links.lengths)
-    colors = np.full(len(links), -1, dtype=int)
-    for v in order:
-        used = {int(colors[u]) for u in np.flatnonzero(conflict[v]) if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
+    colors = greedy_coloring(protocol_graph(links, guard))
     slots = []
     for c in range(int(colors.max()) + 1):
         idx = np.flatnonzero(colors == c)

@@ -5,14 +5,12 @@ in :mod:`repro.sinr.kernels`: a :class:`~repro.sinr.kernels.KernelCache`
 attached to each :class:`~repro.links.linkset.LinkSet` serves row,
 submatrix and column-sum queries of the additive /
 relative-interference / affectance kernels by computing only the
-entries asked for (memoizing just the explicit full additive matrix),
-and streams row blocks on 10k+ link networks so no ``n x n`` float64
-matrix is ever materialised.
+entries asked for, memoizing none, and streams row blocks on 10k+ link
+networks so no ``n x n`` float64 matrix is ever materialised.
 """
 
 from repro.sinr.affectance import (
     additive_interference,
-    additive_interference_matrix,
     relative_interference_matrix,
 )
 from repro.sinr.feasibility import (
@@ -37,7 +35,6 @@ __all__ = [
     "SINRModel",
     "additive_interference",
     "measure_retransmissions",
-    "additive_interference_matrix",
     "affectance_matrix",
     "feasible_power_assignment",
     "is_feasible_some_power",

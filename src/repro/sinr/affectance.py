@@ -12,14 +12,13 @@ Two operators drive the paper's analysis:
   P-feasible (noiseless) iff every row sum is at most ``1/beta``.
 
 All entry computation lives in the kernel layer
-(:mod:`repro.sinr.kernels`): the full additive matrix is one block
-over every link of the link set's
-:class:`~repro.sinr.kernels.KernelCache`, built on each call, and point
-queries such as :func:`additive_interference` compute only the entries
-they need instead of building ``n x n`` arrays.  The kernel cache
-computes every entry with the block functions of
-:mod:`repro.backend.blocks`, so these operators never depend on the
-backend choice.
+(:mod:`repro.sinr.kernels`): point queries such as
+:func:`additive_interference` compute only the entries they need, and
+:func:`mst_sparsity_bound` reads additive rows from the link set's
+:class:`~repro.sinr.kernels.KernelCache` a tile at a time, so nothing
+here builds an ``n x n`` array.  The kernel cache computes every entry
+with the block functions of :mod:`repro.backend.blocks`, so these
+operators never depend on the backend choice.
 """
 
 from __future__ import annotations
@@ -35,21 +34,9 @@ from repro.util.validation import check_distinct_links
 
 __all__ = [
     "additive_interference",
-    "additive_interference_matrix",
     "relative_interference_matrix",
     "mst_sparsity_bound",
 ]
-
-
-def additive_interference_matrix(links: LinkSet, alpha: float) -> np.ndarray:
-    """Matrix ``M[j, i] = I(j, i) = min(1, l_j^alpha / d(i, j)^alpha)``.
-
-    The diagonal is zero by convention (``I(i, i) = 0``).  Links sharing
-    a node have ``d(i, j) = 0`` and saturate at 1.  Each call builds
-    the matrix afresh (one kernel block over every link); nothing keeps
-    it.
-    """
-    return links.kernel().additive_matrix(alpha)
 
 
 def additive_interference(
@@ -94,13 +81,13 @@ def relative_interference_matrix(
 def mst_sparsity_bound(links: LinkSet, alpha: float) -> float:
     """Empirical check of Lemma 1 ([11, Lemma 4.2]): the maximum over
     links ``i`` of ``I(i, S+_i)`` — the interference link ``i`` induces
-    on all links at least as long.  For MST link sets this is O(1)."""
-    m = additive_interference_matrix(links, alpha)
+    on all links at least as long.  For MST link sets this is O(1).
+    Reads one additive row per link, never the whole matrix."""
     lengths = links.lengths
     worst = 0.0
-    for i in range(len(links)):
+    for i, row in enumerate(links.kernel().additive_rows(alpha, range(len(links)))):
         longer = np.flatnonzero(lengths >= lengths[i])
         longer = longer[longer != i]
         if longer.size:
-            worst = max(worst, float(m[i, longer].sum()))
+            worst = max(worst, float(row[longer].sum()))
     return worst

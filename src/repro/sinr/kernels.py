@@ -21,10 +21,10 @@ replaces that: one cache is attached to each (immutable)
   ``rows x cols`` request computes exactly those entries, so a query
   costs ``O(rows * cols)``, never ``O(n^2)``, and no relative or
   affectance matrix is ever built whole;
-* **keeps no matrix**: the one full matrix callers ask for explicitly,
-  the additive kernel of :meth:`KernelCache.additive_matrix`, is one
-  block over every index, computed on each call and owned by the
-  caller;
+* **builds no whole matrix**: callers that read every additive entry
+  (the Theorem-2 refinement, the Lemma-1 bound) take one row at a time
+  from :meth:`KernelCache.additive_rows`, which computes them a tile of
+  about ``TILE_ENTRIES`` entries at a time;
 * **chunks** when the link set is large (``n > KERNEL_MAX_DENSE_LINKS``)
   or the cache is ``sparse`` (the ``blocked-sparse`` backend): column
   sums are streamed in row blocks of ``block_size`` and no ``n x n``
@@ -45,9 +45,8 @@ never changes a schedule, a measurement or a store key.
 
 Link sets are immutable and a cache memoizes no entry, so nothing
 underneath a cache can go stale: replacing or mutating a power vector
-cannot alias an old result.  :class:`KernelStats` counts dense builds
-and block evaluations so benchmarks (and curious users) can verify the
-memory ceiling.
+cannot alias an old result.  :class:`KernelStats` counts block
+evaluations and the entries they computed.
 """
 
 from __future__ import annotations
@@ -70,16 +69,13 @@ __all__ = ["KernelCache", "KernelStats"]
 class KernelStats:
     """Instrumentation counters for one :class:`KernelCache`.
 
-    ``dense_builds`` counts full ``n x n`` materialisations (only
-    :meth:`KernelCache.additive_matrix` makes one, per call) — the
-    chunked-mode memory guarantee is exactly ``dense_builds == 0``.
-    Every other entry is block-evaluated, so ``entries_served`` counts
-    each entry computed, every conflict-graph pair included;
+    Every entry is block-evaluated, so ``entries_served`` counts each
+    entry computed, every conflict-graph pair included;
     ``block_evals`` counts blocks of any size (a conflict graph counts
-    one per chunk of pairs), so it is not a unit of work.
+    one per chunk of pairs, :meth:`KernelCache.additive_rows` one per
+    tile), so it is not a unit of work.
     """
 
-    dense_builds: int = 0
     block_evals: int = 0
     entries_served: int = 0
 
@@ -91,7 +87,6 @@ class KernelStats:
     def snapshot(self) -> dict:
         """Counters as a plain dict (for reports and benchmarks)."""
         return {
-            "dense_builds": self.dense_builds,
             "block_evals": self.block_evals,
             "entries_served": self.entries_served,
         }
@@ -174,18 +169,6 @@ class KernelCache:
     # ------------------------------------------------------------------
     # Additive kernel  I[j, i] = min(1, l_j^alpha / d(i, j)^alpha)
     # ------------------------------------------------------------------
-    def additive_matrix(self, alpha: float) -> np.ndarray:
-        """The full dense additive kernel: one block over every index,
-        computed on each call.
-
-        This *explicitly* materialises ``n x n`` (and counts in
-        ``dense_builds``) — callers that only need a few entries should
-        use :meth:`additive_submatrix` or :meth:`additive_query` instead.
-        """
-        everything = np.arange(self.n)
-        self.stats.dense_builds += 1
-        return blocks.additive_block(self.links, alpha, everything, everything)
-
     def additive_submatrix(self, alpha: float, rows, cols) -> np.ndarray:
         """``I[j, i]`` for ``j`` in rows, ``i`` in cols, without a full rebuild."""
         rows = self._index(rows)
@@ -193,6 +176,16 @@ class KernelCache:
         m = blocks.additive_block(self.links, alpha, rows, cols)
         self.stats.count_block(rows.size * cols.size)
         return m
+
+    def additive_rows(self, alpha: float, order) -> Iterator[np.ndarray]:
+        """Rows ``I[i, :]`` over every link, for each ``i`` in ``order``:
+        one block per tile of about ``TILE_ENTRIES`` entries (whole
+        rows), so no ``n x n`` array exists."""
+        idx = self._index(order)
+        everything = np.arange(self.n)
+        step = max(1, blocks.TILE_ENTRIES // self.n)
+        for start in range(0, idx.size, step):
+            yield from self.additive_submatrix(alpha, idx[start : start + step], everything)
 
     def additive_query(self, alpha: float, source, target: int) -> float:
         """``I(S, i) = sum_{j in S} I[j, i]`` as an O(|S|) query,

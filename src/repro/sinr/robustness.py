@@ -11,17 +11,18 @@ the effective rate degradation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkError
+from repro.geometry.distances import cross_distances
 from repro.links.linkset import LinkSet
 from repro.scheduling.schedule import Schedule
 from repro.sinr.model import SINRModel
 from repro.util.rng import RngLike, as_generator
+from repro.util.validation import check_distinct_links, check_link_indices, check_positive
 
 __all__ = ["FadingChannel", "RetransmissionReport", "measure_retransmissions"]
 
@@ -45,8 +46,7 @@ class FadingChannel:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        check_positive("noise_sigma", self.noise_sigma, strict=False)
 
     def slot_success(
         self,
@@ -56,13 +56,16 @@ class FadingChannel:
         model: SINRModel,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Boolean success per active link for one slot realisation."""
-        idx = np.asarray(active, dtype=int)
-        sub = links.subset(idx)
+        """Boolean success per active link for one slot realisation;
+        ``active`` names one or more distinct links (else a LinkError)."""
+        idx = check_link_indices(active, len(links))
+        if idx.size == 0:
+            raise LinkError("a slot must contain at least one link")
+        check_distinct_links(idx)
         p = np.asarray(powers, dtype=float)
         if p.shape == (len(links),):
             p = p[idx]
-        dist = sub.sender_receiver_distances()
+        dist = cross_distances(links.senders[idx], links.receivers[idx])
         with np.errstate(divide="ignore", over="ignore"):
             gain = p[:, None] / dist**model.alpha
         if self.rayleigh:

@@ -3,7 +3,7 @@ reach-driven pair build of :class:`repro.conflict.graph.ConflictGraph`.
 
 Both are ``ConflictGraph``'s earlier paths, kept verbatim:
 
-* :func:`dense_adjacency` is the dense ``link_distances()`` formula
+* :func:`dense_adjacency` is the dense gap-matrix formula
   (:func:`gap_matrix`, the full gap matrix as ``LinkSet`` computed it,
   its distances from the ``einsum`` formula of
   :mod:`oracles.distances`),

@@ -2,6 +2,7 @@
 functions, the ``sparse`` bit, and conflict graphs that hold the same
 CSR arrays under either backend."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.conflict_allpairs import gap_matrix
-from oracles.dense_full import additive_full, affectance_full
+from oracles.dense_full import additive_full, adjacency, affectance_full, link_distances
 from oracles.relative_oneshot import relative_block as oneshot_relative_block
 from repro.backend import DEFAULT_BACKEND, blocks
 from repro.conflict.graph import ConflictGraph
@@ -66,20 +67,20 @@ class TestBlockIsSliceOfFull:
     def test_gap_block_matches_link_distances(self, make_links):
         links = make_links(23)
         rows, cols = np.arange(0, 23, 2), np.arange(23)
-        full = links.link_distances()[np.ix_(rows, cols)]
+        full = link_distances(links)[np.ix_(rows, cols)]
         assert blocks.gap_block(links, rows, cols).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("make_links", [_random_links, _line_links])
     def test_link_distances_match_the_four_matrix_formula(self, make_links):
         links = make_links(23)
-        assert links.link_distances().tobytes() == gap_matrix(links).tobytes()
+        assert link_distances(links).tobytes() == gap_matrix(links).tobytes()
 
     @pytest.mark.parametrize("make_links", [_random_links, _line_links])
     def test_gap_block_on_one_index_array_matches_link_distances(self, make_links):
         """``cols is rows`` reuses the transposed sender-receiver block."""
         links = make_links(23)
         idx = np.array([3, 0, 7, 22, 11, 5])
-        full = links.link_distances()[np.ix_(idx, idx)]
+        full = link_distances(links)[np.ix_(idx, idx)]
         assert blocks.gap_block(links, idx, idx).tobytes() == full.tobytes()
 
     @given(
@@ -167,7 +168,7 @@ class TestTiledRelativeBlock:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize(
-        "tile", [1, 5 * 13, blocks.RELATIVE_TILE_ENTRIES],
+        "tile", [1, 5 * 13, blocks.TILE_ENTRIES],
         ids=["one-row-tiles", "uneven-tiles", "one-tile"],
     )
     def test_tiles_match_the_one_shot_block(self, dim, alpha, tile):
@@ -176,7 +177,7 @@ class TestTiledRelativeBlock:
         links = _chain_links(23, dim, 1.0, seed=dim, shared=False)
         vec = np.random.default_rng(7).uniform(0.1, 10.0, size=23)
         want = oneshot_relative_block(links, vec, alpha, self.ROWS, self.COLS)
-        with mock.patch.object(blocks, "RELATIVE_TILE_ENTRIES", tile):
+        with mock.patch.object(blocks, "TILE_ENTRIES", tile):
             got = blocks.relative_block(links, vec, alpha, self.ROWS, self.COLS)
         assert got.tobytes() == want.tobytes()
         assert np.count_nonzero(got == 0.0) == self.COLS.size  # one per shared link
@@ -199,7 +200,7 @@ class TestTiledRelativeBlock:
         vec = gen.uniform(0.5, 2.0, size=n)
         rows, cols = gen.permutation(n)[:17], gen.permutation(n)[:11]
         want = oneshot_relative_block(links, vec, 3.0, rows, cols)
-        with mock.patch.object(blocks, "RELATIVE_TILE_ENTRIES", tile):
+        with mock.patch.object(blocks, "TILE_ENTRIES", tile):
             got = blocks.relative_block(links, vec, 3.0, rows, cols)
         assert got.tobytes() == want.tobytes()
         if shared:
@@ -238,19 +239,20 @@ class TestCrossBackendAdjacency:
 
     def test_dense_views_match(self):
         dense, sparse = _graph_pair(n=30, rng=5)
-        assert (sparse.adjacency == dense.adjacency).all()
-        assert sparse.edge_count == dense.edge_count == int(dense.adjacency.sum()) // 2
+        assert (adjacency(sparse) == adjacency(dense)).all()
+        assert sparse.edge_count == dense.edge_count == int(adjacency(dense).sum()) // 2
 
     def test_neighbors_degrees_and_queries(self):
         dense, sparse = _graph_pair(n=25, rng=2)
+        view = adjacency(dense)
         assert sparse.max_degree() == dense.max_degree()
         for i in range(25):
             assert (sparse.neighbors(i) == dense.neighbors(i)).all()
-            assert (dense.neighbors(i) == np.flatnonzero(dense.adjacency[i])).all()
+            assert (dense.neighbors(i) == np.flatnonzero(view[i])).all()
             assert sparse.degree(i) == dense.degree(i)
             for j in (0, 7, 24):
                 assert sparse.are_adjacent(i, j) == dense.are_adjacent(i, j)
-                assert dense.are_adjacent(i, j) == dense.adjacency[i, j]
+                assert dense.are_adjacent(i, j) == view[i, j]
 
     def test_is_independent_matches(self):
         dense, sparse = _graph_pair(n=25, rng=8)
@@ -263,15 +265,6 @@ class TestCrossBackendAdjacency:
         dense, sparse = _graph_pair(n=20, rng=3)
         assert sorted(sparse.to_networkx().edges) == sorted(dense.to_networkx().edges)
 
-    def test_dense_budget_guard(self, monkeypatch):
-        """A default-kernel graph above 16,384 links refuses to build
-        its dense view."""
-        graph, _ = _graph_pair(n=10)
-        # Fake an enormous n to trip the budget without allocating.
-        monkeypatch.setattr(ConflictGraph, "n", property(lambda self: 16_385))
-        with pytest.raises(ConfigurationError, match="dense adjacency for n=16385"):
-            graph.adjacency
-
     def test_csr_arrays_load_into_scipy(self):
         pytest.importorskip("scipy")
         from scipy.sparse import csr_matrix
@@ -279,7 +272,7 @@ class TestCrossBackendAdjacency:
         dense, sparse = _graph_pair(n=15, rng=9)
         data = np.ones(sparse.indices.size, dtype=bool)
         matrix = csr_matrix((data, sparse.indices, sparse.indptr), shape=(15, 15))
-        assert (matrix.toarray() == dense.adjacency).all()
+        assert (matrix.toarray() == adjacency(dense)).all()
 
 
 class TestBlockedSparseNeverDense:
@@ -288,13 +281,22 @@ class TestBlockedSparseNeverDense:
         kernel = KernelCache(links, backend="blocked-sparse")
         assert kernel.chunked and kernel.sparse
 
-    def test_schedule_with_zero_dense_builds(self):
-        links = _random_links(40, rng=4)
-        links.kernel(backend="blocked-sparse")
+    def test_schedule_peaks_below_one_dense_matrix(self):
+        """A blocked-sparse build of 600 links never holds an
+        ``n x n`` float64: its traced peak stays below one."""
+        n = 600
+        links = _random_links(n, rng=4)
+        links.kernel(backend="blocked-sparse", block_size=50)
         builder = ScheduleBuilder(SINRModel(alpha=3.0, beta=1.0), mode="uniform")
-        schedule, report = builder.build_with_report(links)
+        builder.build_with_report(_random_links(20, rng=5))  # imports
+        tracemalloc.start()
+        try:
+            schedule, report = builder.build_with_report(links)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert schedule.num_slots >= 1
-        assert links.kernel().stats.dense_builds == 0
+        assert peak < 8 * n * n
         assert links.kernel().sparse
 
 

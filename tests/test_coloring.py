@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.dense_full import adjacency
 from repro.coloring.greedy import greedy_coloring, greedy_coloring_by_order
 from repro.coloring.multicolor import cycle_multicoloring_demo
 from repro.coloring.refinement import refine_by_interference
@@ -140,7 +141,7 @@ class TestChecksMatchDenseFormulas:
         links = LinkSet(senders, senders + rng.uniform(0.3, 1.5, size=(n, 2)))
         links.kernel(backend=backend, block_size=8)
         graph = g1_graph(links, gamma=1.5)
-        adjacency = graph.adjacency
+        dense = adjacency(graph)
         proper = greedy_coloring(graph)
         clashing = proper.copy()
         v = int(rng.integers(n))
@@ -150,13 +151,13 @@ class TestChecksMatchDenseFormulas:
         uncolored[v] = -1
         colorings = [proper, clashing, uncolored, rng.integers(0, palette, size=n)]
         for colors in colorings:
-            assert is_proper_coloring(graph, colors) == _dense_is_proper(adjacency, colors)
+            assert is_proper_coloring(graph, colors) == _dense_is_proper(dense, colors)
         assert is_proper_coloring(graph, proper)
         assert is_proper_coloring(graph, clashing) == (graph.degree(v) == 0)
         subsets = [np.flatnonzero(colorings[-1] == c) for c in range(palette)]
         subsets += [rng.choice(n, size=rng.integers(0, n + 1), replace=False) for _ in range(4)]
         for subset in subsets:
-            expected = not bool(adjacency[np.ix_(subset, subset)].any())
+            expected = not bool(dense[np.ix_(subset, subset)].any())
             assert graph.is_independent(subset) == expected
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.dense_full import adjacency
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -100,16 +101,16 @@ class TestConflictGraph:
 
     def test_graph_nesting(self, square_links, model):
         """G1 ⊆ G_obl ⊆ G_arb edge-wise for gamma=1 (f grows)."""
-        g1 = g1_graph(square_links).adjacency
-        gobl = oblivious_graph(square_links, delta=0.5).adjacency
-        garb = arbitrary_graph(square_links, alpha=model.alpha).adjacency
+        g1 = adjacency(g1_graph(square_links))
+        gobl = adjacency(oblivious_graph(square_links, delta=0.5))
+        garb = adjacency(arbitrary_graph(square_links, alpha=model.alpha))
         assert np.all(g1 <= gobl)
         # log^2 dominates sqrt only for large ratios; check edge counts
         # rather than strict nesting for the arbitrary graph.
         assert garb.sum() >= g1.sum()
 
     def test_symmetric(self, square_links):
-        adj = g1_graph(square_links).adjacency
+        adj = adjacency(g1_graph(square_links))
         assert np.array_equal(adj, adj.T)
 
     def test_neighbors_and_degree(self, square_links):
@@ -139,9 +140,10 @@ class TestConflictGraph:
         g = oblivious_graph(square_links)
         sub = g.subgraph([0, 1, 2, 3])
         assert sub.n == 4
+        sub_view, view = adjacency(sub), adjacency(g)
         for a in range(4):
             for b in range(4):
-                assert sub.adjacency[a, b] == g.adjacency[a, b]
+                assert sub_view[a, b] == view[a, b]
 
 
 class TestDegenerateLinks:
@@ -168,7 +170,7 @@ class TestDegenerateLinks:
         arbitrary_graph(square_links, alpha=3.0)
 
 
-class TestAdjacencyCaching:
+class TestDenseView:
     def _sparse_graph(self):
         rng = np.random.default_rng(5)
         senders = rng.uniform(0.0, 30.0, size=(40, 2))
@@ -176,24 +178,9 @@ class TestAdjacencyCaching:
         links.kernel(backend="blocked-sparse", block_size=8)
         return g1_graph(links)
 
-    def test_sparse_adjacency_allocates_once(self):
-        graph = self._sparse_graph()
-        assert graph.adjacency is graph.adjacency
-
-    def test_sparse_adjacency_is_read_only(self):
-        graph = self._sparse_graph()
-        with pytest.raises(ValueError):
-            graph.adjacency[0, 1] = True
-
-    def test_dense_adjacency_is_read_only(self, square_links):
-        graph = g1_graph(square_links)
-        assert graph.adjacency is graph.adjacency
-        with pytest.raises(ValueError):
-            graph.adjacency[0, 1] = True
-
     def test_sparse_dense_views_agree(self):
         graph = self._sparse_graph()
-        dense = graph.adjacency
+        dense = adjacency(graph)
         for i in range(graph.n):
             assert np.array_equal(np.flatnonzero(dense[i]), graph.neighbors(i))
 
@@ -260,6 +247,6 @@ class TestSubgraphKernel:
         graph = ConflictGraph(links, ConstantThreshold(1.5))
         sub = graph.subgraph(range(20))
         assert sub.links.kernel().config() == links.kernel().config() == (8, True)
-        expected = graph.adjacency[:20, :20]
+        expected = adjacency(graph)[:20, :20]
         assert sub.indptr.tolist() == [0] + np.cumsum(expected.sum(axis=1)).tolist()
         assert sub.indices.tolist() == np.nonzero(expected)[1].tolist()

@@ -12,6 +12,8 @@ must reproduce the non-incremental schedules byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -166,13 +168,24 @@ class TestDynamicTimelines:
     def test_churn_epochs_never_build_a_dense_kernel(self):
         """Warm builds probe carried slots one link at a time; the
         kernel must answer each probe with its own entries, not with an
-        n x n matrix per epoch kept alive by the stage store."""
-        _result, records = run_recorded(
-            CONFIG, "churn", epochs=3, params={"p_leave": 0.05}
-        )
+        n x n matrix per epoch kept alive by the stage store: what the
+        run leaves held stays below one n x n float64 of any epoch."""
+        config = CONFIG.replace(n=400)
+        run_recorded(config, "churn", epochs=1, params={"p_leave": 0.05})  # imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _result, records = run_recorded(
+                config, "churn", epochs=3, params={"p_leave": 0.05}
+            )
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
         assert not records[-1][3].repair_cost["cold_start"]
         for _model, links, _schedule, _report in records:
-            assert links.kernel().stats.dense_builds == 0
+            assert held < 8 * len(links) ** 2
 
 
 # ---------------------------------------------------------------------------

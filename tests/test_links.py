@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.blocks import gap_block, srdist_block
 from repro.conflict.graph import g1_graph
 from repro.errors import LinkError
 from repro.geometry.point import PointSet
@@ -49,7 +50,8 @@ class TestLinkSet:
             LinkSet(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_sender_receiver_distances_diagonal_is_length(self, two_parallel_links):
-        dist = two_parallel_links.sender_receiver_distances()
+        every = np.arange(len(two_parallel_links))
+        dist = srdist_block(two_parallel_links, every, every)
         assert np.allclose(np.diag(dist), two_parallel_links.lengths)
 
     def test_sender_receiver_distance_cross(self):
@@ -57,7 +59,7 @@ class TestLinkSet:
             senders=np.array([[0.0, 0.0], [10.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [11.0, 0.0]]),
         )
-        dist = links.sender_receiver_distances()
+        dist = srdist_block(links, np.arange(2), np.arange(2))
         # d(s_1, r_0) = |10 - 1| = 9; d(s_0, r_1) = 11.
         assert dist[1, 0] == pytest.approx(9.0)
         assert dist[0, 1] == pytest.approx(11.0)
@@ -67,7 +69,8 @@ class TestLinkSet:
             senders=np.array([[0.0, 0.0], [5.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [6.0, 0.0]]),
         )
-        gap = links.link_distances()
+        every = np.arange(2)
+        gap = gap_block(links, every, every)
         assert gap[0, 1] == pytest.approx(4.0)  # r_0=(1,0) to s_1=(5,0)
         assert gap[1, 0] == gap[0, 1]
         assert gap[0, 0] == 0.0
@@ -77,7 +80,8 @@ class TestLinkSet:
             senders=np.array([[0.0, 0.0], [1.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [2.0, 0.0]]),
         )
-        assert links.link_distances()[0, 1] == 0.0
+        every = np.arange(2)
+        assert gap_block(links, every, every)[0, 1] == 0.0
 
     def test_from_links_roundtrip(self):
         original = [Link((0.0, 0.0), (1.0, 0.0)), Link((2.0, 2.0), (2.0, 4.0))]

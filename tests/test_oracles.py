@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from oracles.dense_full import link_distances
 from repro.geometry.generators import uniform_square
 from repro.lowerbounds.verify import max_feasible_set_size
 from repro.sinr.powercontrol import is_feasible_some_power
@@ -74,7 +75,7 @@ class TestConflictGraphAgainstDirectDefinition:
 
         links = AggregationTree.mst(uniform_square(15, rng=17)).links()
         graph = arbitrary_graph(links, gamma=1.0, alpha=model.alpha)
-        gap = links.link_distances()
+        gap = link_distances(links)
         lengths = links.lengths
         f = graph.threshold
         for i in range(len(links)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.multihop import build_two_tier_aggregation, grid_cells
-from repro.errors import ConfigurationError, GeometryError
+from repro.errors import ConfigurationError, GeometryError, LinkError
 from repro.geometry.generators import cluster_points, uniform_square
 from repro.geometry.metric import (
     doubling_constant,
@@ -55,6 +55,36 @@ class TestFadingChannel:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ConfigurationError):
             FadingChannel(noise_sigma=-1.0)
+
+    @pytest.mark.parametrize(
+        "sigma,message",
+        [(float("nan"), "finite"), (float("inf"), "finite"), ("x", "real number")],
+        ids=["nan", "inf", "string"],
+    )
+    def test_sigma_is_a_finite_real(self, sigma, message):
+        with pytest.raises(ConfigurationError, match=f"noise_sigma must be .*{message}"):
+            FadingChannel(noise_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "active,message",
+        [
+            ([1.7], "link index 1.7 is not an integer"),
+            ([True], "link index True is not an integer"),
+            ([3, 3], "link index 3 is repeated"),
+            ([-1], "link index -1 is out of range"),
+            ([14], "link index 14 is out of range"),
+            ([], "at least one link"),
+        ],
+        ids=["fraction", "bool", "repeat", "negative", "past-the-end", "empty"],
+    )
+    def test_slot_indices_are_distinct_links(self, model, small_schedule, active, message):
+        """Before any cast: ``[1.7]`` and ``[True]`` meant link 1 and
+        ``[3, 3]`` let link 3 interfere with itself."""
+        links = small_schedule.links
+        with pytest.raises(LinkError, match=message):
+            FadingChannel(rayleigh=False).slot_success(
+                links, np.ones(len(links)), active, model, np.random.default_rng(0)
+            )
 
     def test_deterministic_given_seed(self, small_schedule):
         channel = FadingChannel(rayleigh=True)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles.dense_full import adjacency, protocol_conflict_matrix
+from repro.api.config import PipelineConfig
+from repro.api.pipeline import Pipeline
 from repro.errors import ConfigurationError
 from repro.geometry.generators import exponential_line, uniform_square
 from repro.power.oblivious import LinearPower, UniformPower
 from repro.scheduling.baselines import (
     greedy_sinr_schedule,
-    protocol_conflict_matrix,
+    protocol_graph,
     protocol_model_schedule,
     trivial_tdma_schedule,
 )
@@ -48,10 +51,11 @@ class TestGreedySinr:
 
 
 class TestProtocolModel:
-    def test_conflict_matrix_symmetric_ish(self, square_links):
+    def test_conflict_graph_is_the_dense_oracle(self, square_links):
         c = protocol_conflict_matrix(square_links)
-        assert np.array_equal(c, c.T) or True  # conflicts are mutual by construction
+        assert np.array_equal(c, c.T)  # conflicts are mutual by construction
         assert not np.any(np.diag(c))
+        assert adjacency(protocol_graph(square_links)).tobytes() == c.tobytes()
 
     def test_shared_node_conflicts(self):
         from repro.links.linkset import LinkSet
@@ -60,26 +64,44 @@ class TestProtocolModel:
             senders=np.array([[0.0, 0.0], [1.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [2.0, 0.0]]),
         )
-        assert protocol_conflict_matrix(links)[0, 1]
+        assert protocol_graph(links).are_adjacent(0, 1)
 
     def test_far_links_independent(self, two_parallel_links):
-        c = protocol_conflict_matrix(two_parallel_links, guard=1.0)
-        assert not c[0, 1]
+        assert not protocol_graph(two_parallel_links, guard=1.0).are_adjacent(0, 1)
 
     def test_guard_widens_conflicts(self, square_links):
-        narrow = protocol_conflict_matrix(square_links, guard=0.1).sum()
-        wide = protocol_conflict_matrix(square_links, guard=3.0).sum()
+        narrow = protocol_graph(square_links, guard=0.1).edge_count
+        wide = protocol_graph(square_links, guard=3.0).edge_count
         assert wide >= narrow
 
     def test_invalid_guard(self, square_links):
         with pytest.raises(ConfigurationError):
-            protocol_conflict_matrix(square_links, guard=-1.0)
+            protocol_graph(square_links, guard=-1.0)
+
+    @pytest.mark.parametrize(
+        "guard,message",
+        [(float("nan"), "finite"), (True, "real number"), (1e400, "finite"), ("1", "real number")],
+        ids=["nan", "bool", "inf", "string"],
+    )
+    def test_guard_is_a_finite_real(self, model, square_links, guard, message):
+        """NaN made every disk test false, infinity every one true, a
+        bool ran as 1 and a string raised a bare TypeError."""
+        with pytest.raises(ConfigurationError, match=f"guard must be .*{message}"):
+            protocol_model_schedule(square_links, model, guard=guard)
+
+    @pytest.mark.parametrize("guard", [float("nan"), True, 1e400, "1"], ids=["nan", "bool", "inf", "string"])
+    def test_pipeline_rejects_a_bad_guard(self, guard):
+        config = PipelineConfig(
+            topology="square", n=60, scheduler="protocol-model", scheduler_params={"guard": guard}
+        )
+        with pytest.raises(ConfigurationError, match="guard must be"):
+            Pipeline(config).run()
 
     def test_schedule_partitions(self, model, square_links):
         schedule = protocol_model_schedule(square_links, model)
         colors = schedule.colors()
         assert np.all(colors >= 0)
-        # Proper wrt the protocol conflict matrix.
+        # Proper wrt the dense protocol conflict matrix.
         c = protocol_conflict_matrix(square_links)
         same = colors[:, None] == colors[None, :]
         assert not np.any(same & c)

